@@ -2,9 +2,9 @@
 """Reference two-branch experiment on the 64-node unit torus.
 
 Estimates the functional constants, evaluates the smallness thresholds,
-picks lambda as half the maximum-branch threshold, and searches both
-constraint branches with the truncation active. Prints a summary and, with
---out, writes the same artifacts as `doublephase solve`.
+picks lambda as half the maximum-branch threshold, searches both
+constraint branches with the truncation active, and prints a summary. For
+artifacts, run `doublephase solve` on a config with the printed lambda.
 """
 
 import argparse
@@ -32,7 +32,6 @@ def main():
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--multistart", type=int, default=8)
     ap.add_argument("--lam", type=float, default=None, help="override lambda (default: threshold/2)")
-    ap.add_argument("--out", default=None, help="write solve artifacts to this directory")
     args = ap.parse_args()
 
     probe = build_instance(1.0)
@@ -42,7 +41,7 @@ def main():
     print(f"constants: c={consts.c_poincare:.6f} D={consts.D_embed:.6f} c1={consts.c1_embed:.6f}")
     print(f"thresholds: lambda* = {thr.lambda_star:.6g} (clamped={thr.star_clamped}), "
           f"lambda** = {thr.lambda_star_star:.6g}")
-    print(f"running at lambda = {lam:.6g}")
+    print(f"running at lambda = {lam!r}")
 
     P = build_instance(lam)
     cfg = dp.SolverConfig(seed=args.seed, multistart=args.multistart)
@@ -58,17 +57,6 @@ def main():
     print(f"separation: {result.separation:.4f}  distinct: {result.distinct}")
     for w in result.warnings:
         print(f"  note: {w}")
-
-    if args.out and result.status == "converged":
-        import json
-        import os
-
-        os.makedirs(args.out, exist_ok=True)
-        for rep, tag in ((result.report_plus, "plus"), (result.report_minus, "minus")):
-            dp.write_field(os.path.join(args.out, f"u_{tag}.field"), rep.u)
-            with open(os.path.join(args.out, f"report_{tag}.json"), "w") as fh:
-                json.dump(rep.to_dict(), fh, sort_keys=True, indent=2)
-        print(f"artifacts written to {args.out}")
     return 0 if result.status == "converged" else 2
 
 

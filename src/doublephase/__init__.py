@@ -43,12 +43,9 @@ from .problem import (
     F3Report,
     PowerNonlinearity,
     ProblemInstance,
-    TabulatedNonlinearity,
-    F_eval,
     check_f1,
     check_f3,
     energy,
-    f_eval,
     gateaux,
     residual_gradient,
 )
@@ -76,8 +73,6 @@ from .solver import (
     minimize_on_branch,
     nonnegativity_certificate,
     sweep,
-    truncated_energy,
-    truncated_gateaux,
     two_solution_experiment,
 )
 

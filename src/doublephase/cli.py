@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, default_config_text, parse_config
+from .config import ConfigError, RunConfig, parse_config
 from .fieldio import FieldFormatError, read_field, write_field
 from .nehari import NoRootError, project, thresholds
 from .solver import sweep, two_solution_experiment
@@ -35,8 +35,8 @@ def _json_dump(path, payload):
         fh.write("\n")
 
 
-def _meta(rc: RunConfig, seed: int, threads: int):
-    return {"config": rc.echo, "config_path": rc.path, "seed": seed, "threads": threads}
+def _meta(rc: RunConfig, seed: int):
+    return {"config": rc.echo, "config_path": rc.path, "seed": seed}
 
 
 def _parse_faults(pairs):
@@ -49,24 +49,8 @@ def _parse_faults(pairs):
     return fault
 
 
-def _load_config(args) -> RunConfig:
-    if args.config is None:
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
-            fh.write(default_config_text())
-            path = fh.name
-        try:
-            rc = parse_config(path)
-        finally:
-            os.unlink(path)
-        rc.path = "<builtin defaults>"
-        return rc
-    return parse_config(args.config)
-
-
 def cmd_verify(args) -> int:
-    rc = _load_config(args)
+    rc = parse_config(args.config)
     seed = rc.seed if args.seed is None else args.seed
     trials = args.trials if args.trials is not None else rc.verify_trials
     if trials < 1:
@@ -81,7 +65,7 @@ def cmd_verify(args) -> int:
         writer.writerow(CSV_HEADER)
         for row in rows:
             writer.writerow(row.to_csv_row())
-    meta = _meta(rc, seed, args.threads)
+    meta = _meta(rc, seed)
     meta["trials"] = trials
     meta["fault_inject"] = fault
     meta["constants"] = consts.to_dict()
@@ -101,15 +85,15 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _report_payload(rep, rc, seed, threads, field_name):
+def _report_payload(rep, rc, seed, field_name):
     payload = rep.to_dict()
     payload["field_file"] = field_name
-    payload.update(_meta(rc, seed, threads))
+    payload.update(_meta(rc, seed))
     return payload
 
 
 def cmd_solve(args) -> int:
-    rc = _load_config(args)
+    rc = parse_config(args.config)
     seed = rc.seed if args.seed is None else args.seed
     P = rc.build_instance()
     cfg = replace(rc.build_solver_config(), seed=seed)
@@ -124,7 +108,7 @@ def cmd_solve(args) -> int:
         "failures": list(result.failures),
         "lambda": P.lam,
     }
-    summary.update(_meta(rc, seed, args.threads))
+    summary.update(_meta(rc, seed))
     for rep, tag in ((result.report_plus, "plus"), (result.report_minus, "minus")):
         if rep is None:
             continue
@@ -132,7 +116,7 @@ def cmd_solve(args) -> int:
         write_field(os.path.join(args.out, field_name), rep.u)
         _json_dump(
             os.path.join(args.out, f"report_{tag}.json"),
-            _report_payload(rep, rc, seed, args.threads, field_name),
+            _report_payload(rep, rc, seed, field_name),
         )
     _json_dump(os.path.join(args.out, "experiment.json"), summary)
     print(f"solve: status={result.status} separation={result.separation:.3e} -> {args.out}")
@@ -140,7 +124,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rc = _load_config(args)
+    rc = parse_config(args.config)
     seed = rc.seed if args.seed is None else args.seed
     P = rc.build_instance(lam=rc.lam if rc.lam is not None else 1.0)
     cfg = replace(rc.build_solver_config(), seed=seed)
@@ -178,7 +162,7 @@ def cmd_sweep(args) -> int:
         )
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row.to_csv_row()])
-    meta = _meta(rc, seed, args.threads)
+    meta = _meta(rc, seed)
     meta["lambdas"] = [float(v) for v in lambdas]
     _json_dump(os.path.join(args.out, "sweep_meta.json"), meta)
     print(f"sweep: {len(rows)} rows -> {csv_path}")
@@ -186,12 +170,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_project(args) -> int:
-    rc = _load_config(args)
+    rc = parse_config(args.config)
     seed = rc.seed if args.seed is None else args.seed
     P = rc.build_instance()
     u = read_field(args.field, P.chart)
     os.makedirs(args.out, exist_ok=True)
-    payload = _meta(rc, seed, args.threads)
+    payload = _meta(rc, seed)
     payload["field_file"] = args.field
     try:
         result = project(P, u)
@@ -231,12 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=config_required, help="run configuration file")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="recorded in artifacts; reductions use a fixed deterministic tree",
-        )
 
     p_verify = sub.add_parser("verify", help="run the inequality property suite")
     common(p_verify, config_required=False)

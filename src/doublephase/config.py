@@ -42,15 +42,10 @@ class ConfigError(ValueError):
     """Bad configuration; message carries path:line when determinable."""
 
 
-def _option_line(path: str, section: str, option: str) -> int:
+def _option_line(text: str, section: str, option: str) -> int:
     """Best-effort line anchor for an option inside a section."""
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError:
-        return 0
     current = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         text = line.strip()
         if text.startswith("[") and text.endswith("]"):
             current = text[1:-1].strip()
@@ -77,12 +72,9 @@ class RunConfig:
     lambda_grid: tuple | None = None
     lambda_grid_auto: int | None = None
     seed: int = 0
-    out_dir: str = "out"
-    threads: int = 1
     solver: dict = dc_field(default_factory=dict)
     verify_trials: int = 200
     constants_trials: int = 200
-    fault: dict = dc_field(default_factory=dict)
     echo: dict = dc_field(default_factory=dict)
     path: str = "<defaults>"
 
@@ -193,7 +185,6 @@ _SOLVER_KEYS = {
     "shrink": float,
     "armijo": float,
     "residual_tol": float,
-    "projection_tol": float,
     "max_backtracks": int,
     "start_mean": float,
     "use_bb_step": bool,
@@ -201,32 +192,40 @@ _SOLVER_KEYS = {
 }
 
 
-def _get(parser, section, option, caster, default, path):
-    if not parser.has_option(section, option):
-        return default
-    raw = parser.get(section, option)
-    try:
-        if caster is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return caster(raw)
-    except ValueError as exc:
-        line = _option_line(path, section, option)
-        raise ConfigError(f"{path}:{line}: [{section}] {option}: {exc}") from exc
-
-
-def parse_config(path: str) -> RunConfig:
+def parse_config(path: str | None = None) -> RunConfig:
+    """Parse a run configuration file; without a path, the built-in defaults."""
+    if path is None:
+        path, text = "<builtin defaults>", default_config_text()
+    else:
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path) as fh:
-            parser.read_file(fh, source=path)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        parser.read_string(text, source=path)
     except configparser.Error as exc:
         lineno = getattr(exc, "lineno", 0) or 0
         raise ConfigError(f"{path}:{lineno}: {exc.message if hasattr(exc, 'message') else exc}") from exc
 
+    def error(section, option, message):
+        line = _option_line(text, section, option)
+        return ConfigError(f"{path}:{line}: [{section}] {option}{message}")
+
+    def get(section, option, caster, default):
+        if not parser.has_option(section, option):
+            return default
+        raw = parser.get(section, option)
+        try:
+            if caster is bool:
+                return raw.strip().lower() in ("1", "true", "yes", "on")
+            return caster(raw)
+        except ValueError as exc:
+            raise error(section, option, f": {exc}") from exc
+
     rc = RunConfig(path=path)
-    rc.dim = _get(parser, "chart", "dim", int, rc.dim, path)
+    rc.dim = get("chart", "dim", int, rc.dim)
     if parser.has_option("chart", "sizes"):
         rc.sizes = tuple(int(t) for t in parser.get("chart", "sizes").split())
     else:
@@ -239,11 +238,11 @@ def parse_config(path: str) -> RunConfig:
     rc.q_spec = parser.get("exponents", "q", fallback=rc.q_spec)
     rc.mu_spec = parser.get("weight", "mu", fallback=rc.mu_spec)
     rc.amplitude_spec = parser.get("nonlinearity", "amplitude", fallback=rc.amplitude_spec)
-    rc.beta = _get(parser, "nonlinearity", "beta", float, rc.beta, path)
-    rc.a_threshold = _get(parser, "nonlinearity", "a_threshold", float, rc.a_threshold, path)
+    rc.beta = get("nonlinearity", "beta", float, rc.beta)
+    rc.a_threshold = get("nonlinearity", "a_threshold", float, rc.a_threshold)
 
     if parser.has_option("problem", "lambda"):
-        rc.lam = _get(parser, "problem", "lambda", float, None, path)
+        rc.lam = get("problem", "lambda", float, None)
     if parser.has_option("problem", "lambda_grid"):
         raw = parser.get("problem", "lambda_grid").split()
         if raw and raw[0] == "auto":
@@ -252,24 +251,19 @@ def parse_config(path: str) -> RunConfig:
             try:
                 grid = tuple(float(t) for t in raw)
             except ValueError as exc:
-                line = _option_line(path, "problem", "lambda_grid")
-                raise ConfigError(f"{path}:{line}: [problem] lambda_grid: {exc}") from exc
+                raise error("problem", "lambda_grid", f": {exc}") from exc
             if any(b <= a for a, b in zip(grid, grid[1:])):
-                line = _option_line(path, "problem", "lambda_grid")
-                raise ConfigError(
-                    f"{path}:{line}: [problem] lambda_grid must be strictly increasing"
-                )
+                raise error("problem", "lambda_grid", " must be strictly increasing")
             rc.lambda_grid = grid
 
     if parser.has_section("solver"):
         for key, caster in _SOLVER_KEYS.items():
             if parser.has_option("solver", key):
-                rc.solver[key] = _get(parser, "solver", key, caster, None, path)
+                rc.solver[key] = get("solver", key, caster, None)
 
-    rc.verify_trials = _get(parser, "verify", "trials", int, rc.verify_trials, path)
-    rc.constants_trials = _get(parser, "constants", "trials", int, rc.constants_trials, path)
-    rc.seed = _get(parser, "run", "seed", int, rc.seed, path)
-    rc.out_dir = parser.get("run", "out", fallback=rc.out_dir)
+    rc.verify_trials = get("verify", "trials", int, rc.verify_trials)
+    rc.constants_trials = get("constants", "trials", int, rc.constants_trials)
+    rc.seed = get("run", "seed", int, rc.seed)
 
     rc.echo = {s: dict(parser.items(s)) for s in parser.sections()}
 
@@ -304,8 +298,6 @@ def serialize_instance(P, directory=None) -> str:
     from .fieldio import write_metric
 
     nl = P.nonlinearity
-    if not isinstance(nl, PowerNonlinearity):
-        raise ConfigError("only the power source family serializes to config text")
     chart = P.chart
     if directory is not None:
         os.makedirs(directory, exist_ok=True)

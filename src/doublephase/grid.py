@@ -232,23 +232,41 @@ def build_torus(dim, sizes, metric_spec="identity", spacings=None):
     return chart, metric
 
 
-def gradient(u: ScalarField) -> VectorField:
-    """Central differences with periodic wrap, second order in h."""
-    vals = u.values
-    chart = u.chart
+def central_difference(vals: np.ndarray, chart: Chart, axis: int) -> np.ndarray:
+    """Periodic central difference along one axis, second order in h.
+
+    The one difference stencil of the package: ``gradient`` stacks it over
+    the axes, and the node residual applies it (it is its own negative
+    adjoint on the periodic grid) as the discrete divergence.
+    """
+    h = chart.spacings[axis]
+    return (np.roll(vals, -1, axis=axis) - np.roll(vals, 1, axis=axis)) / (2.0 * h)
+
+
+def gradient_values(vals: np.ndarray, chart: Chart) -> np.ndarray:
+    """Raw-array core of ``gradient``: components as (*shape, dim), unchecked."""
     comps = np.empty(chart.shape + (chart.dim,))
     for a in range(chart.dim):
-        h = chart.spacings[a]
-        comps[..., a] = (np.roll(vals, -1, axis=a) - np.roll(vals, 1, axis=a)) / (2.0 * h)
-    return VectorField(comps, chart)
+        comps[..., a] = central_difference(vals, chart, a)
+    return comps
+
+
+def norm_g_values(comps: np.ndarray, metric: MetricField) -> np.ndarray:
+    """Raw-array core of ``grad_norm_g``: sqrt(g^{ab} v_a v_b) per node, unchecked."""
+    quad = np.einsum("...ab,...a,...b->...", metric.inv, comps, comps)
+    return np.sqrt(np.maximum(quad, 0.0))
+
+
+def gradient(u: ScalarField) -> VectorField:
+    """Central differences with periodic wrap, second order in h."""
+    return VectorField(gradient_values(u.values, u.chart), u.chart)
 
 
 def grad_norm_g(v: VectorField, metric: MetricField) -> ScalarField:
     """Pointwise Riemannian norm sqrt(g^{ab} v_a v_b)."""
     if v.chart is not metric.chart and v.chart != metric.chart:
         raise ValueError("vector field and metric live on different charts")
-    quad = np.einsum("...ab,...a,...b->...", metric.inv, v.components, v.components)
-    return v.chart.field(np.sqrt(np.maximum(quad, 0.0)))
+    return v.chart.field(norm_g_values(v.components, metric))
 
 
 def integrate(w: ScalarField, metric: MetricField) -> float:

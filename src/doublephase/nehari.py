@@ -16,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import ScalarField, grad_norm_g, gradient, pairwise_sum
-from .problem import PowerNonlinearity, ProblemInstance, _source_mask, gateaux
+from .grid import ScalarField, pairwise_sum
+from .problem import ProblemInstance, _Nodewise, gateaux
 from .spaces import ConstantsEstimate
 
 __all__ = [
@@ -89,43 +89,27 @@ class _RayProfile:
     """Nodewise power decomposition of psi(t u) and J(t u) along one ray."""
 
     def __init__(self, P: ProblemInstance, u: ScalarField, truncated: bool = False):
-        nl = P.nonlinearity
-        if not isinstance(nl, PowerNonlinearity):
-            raise TypeError(
-                "fibering requires the pure power source family; tabulated "
-                "sources only support pointwise evaluation"
-            )
-        vals = u.values
-        mask = _source_mask(vals, truncated)
-        gn = grad_norm_g(gradient(u), P.metric).values
-        au = np.abs(vals)
         w = P.node_weight
-        p = P.exponents.p.values
-        q = P.exponents.q.values
-        mu = P.weight.mu.values
-        a_grad_p = w * gn**p
-        a_grad_q = w * mu * gn**q
-        a_u_q = w * mask * au**q
-        a_u_p = w * mask * au**p
-        a_src = w * mask * nl.amplitude.values * au**nl.beta
-
-        self.p = p.ravel()
-        self.q = q.ravel()
-        self.beta = float(nl.beta)
+        a_grad_p, a_grad_q, a_u_q, a_u_p, a_src = (
+            w * d for d in _Nodewise(P, u.values, truncated).powers()
+        )
+        self.p = P.exponents.p.values.ravel()
+        self.q = P.exponents.q.values.ravel()
+        self.beta = float(P.nonlinearity.beta)
         self.lam = float(P.lam)
         self.coef_p = (a_grad_p + a_u_p).ravel()
         self.coef_q = (a_grad_q - self.lam * a_u_q).ravel()
-        self.j_p = ((a_grad_p + a_u_p) / p).ravel()
-        self.j_q = ((a_grad_q - self.lam * a_u_q) / q).ravel()
+        self.j_p = self.coef_p / self.p
+        self.j_q = self.coef_q / self.q
         self.src = pairwise_sum(a_src)
-        self.j_src = pairwise_sum(a_src) / self.beta
+        self.j_src = self.src / self.beta
         # dimensionless tolerance scale: the five ray integrals at t = 1
         self.scale = (
             pairwise_sum(a_grad_p)
             + pairwise_sum(a_grad_q)
             + self.lam * pairwise_sum(a_u_q)
             + pairwise_sum(a_u_p)
-            + pairwise_sum(a_src)
+            + self.src
         )
 
     def phi(self, t: float) -> float:

@@ -13,18 +13,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Chart, MetricField, ScalarField, grad_norm_g, gradient, integrate
+from .grid import (
+    Chart,
+    MetricField,
+    ScalarField,
+    central_difference,
+    gradient_values,
+    norm_g_values,
+    pairwise_sum,
+)
 from .spaces import ExponentField, WeightField
 
 __all__ = [
     "PowerNonlinearity",
-    "TabulatedNonlinearity",
     "ProblemInstance",
     "EnergyBreakdown",
     "F1Report",
     "F3Report",
-    "f_eval",
-    "F_eval",
     "check_f1",
     "check_f3",
     "energy",
@@ -61,7 +66,6 @@ class PowerNonlinearity:
     beta: float
     amplitude: ScalarField
     a_threshold: float = 1.0
-    verified_family: bool = True
 
     def __post_init__(self):
         if self.beta <= 1.0:
@@ -79,33 +83,6 @@ class PowerNonlinearity:
 
 
 @dataclass(frozen=True)
-class TabulatedNonlinearity:
-    """User-supplied source hook: f given as a callable on node values.
-
-    The primitive is computed by fixed Gauss-Legendre quadrature from 0 to
-    each node value. Hypotheses are not verified for this family; anything
-    built on it carries an "unverified hypotheses" warning.
-    """
-
-    f: object
-    beta: float
-    a_threshold: float = 1.0
-    quad_points: int = 64
-    verified_family: bool = False
-
-    def f_values(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f(u), dtype=float)
-
-    def F_values(self, u: np.ndarray) -> np.ndarray:
-        nodes, weights = np.polynomial.legendre.leggauss(self.quad_points)
-        # map [-1, 1] to [0, u] per node
-        half = 0.5 * u
-        samples = half[..., None] * (nodes + 1.0)
-        vals = np.asarray(self.f(samples), dtype=float)
-        return half * np.einsum("...k,k->...", vals, weights)
-
-
-@dataclass(frozen=True)
 class ProblemInstance:
     """One fully specified instance: grid, exponents, weight, lambda, source."""
 
@@ -114,7 +91,7 @@ class ProblemInstance:
     exponents: ExponentField
     weight: WeightField
     lam: float
-    nonlinearity: object
+    nonlinearity: PowerNonlinearity
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -122,18 +99,19 @@ class ProblemInstance:
         for other in (self.metric.chart, self.exponents.chart, self.weight.chart):
             if other != self.chart:
                 raise ValueError("all fields must share the problem chart")
-        warnings = []
         e = self.exponents
         nl = self.nonlinearity
-        if getattr(nl, "verified_family", False):
-            if nl.amplitude.chart != self.chart:
-                raise ValueError("source amplitude must live on the problem chart")
-            if nl.beta <= e.p_plus:
-                raise ValueError(
-                    f"superlinearity requires beta > p+ = {e.p_plus}, got beta = {nl.beta}"
-                )
-        else:
-            warnings.append("tabulated source: hypotheses unverified")
+        if not isinstance(nl, PowerNonlinearity):
+            raise TypeError(
+                f"the source must be a PowerNonlinearity, got {type(nl).__name__}"
+            )
+        if nl.amplitude.chart != self.chart:
+            raise ValueError("source amplitude must live on the problem chart")
+        if nl.beta <= e.p_plus:
+            raise ValueError(
+                f"superlinearity requires beta > p+ = {e.p_plus}, got beta = {nl.beta}"
+            )
+        warnings = []
         n = self.chart.dim
         if not e.p_plus < n:
             warnings.append(
@@ -162,14 +140,6 @@ class ProblemInstance:
         return replace(self, lam=float(lam))
 
 
-def f_eval(nl, u: ScalarField) -> ScalarField:
-    return u.chart.field(nl.f_values(u.values))
-
-
-def F_eval(nl, u: ScalarField) -> ScalarField:
-    return u.chart.field(nl.F_values(u.values))
-
-
 @dataclass(frozen=True)
 class F1Report:
     passed: bool
@@ -190,13 +160,14 @@ def check_f1(nl, exponents: ExponentField, metric: MetricField, samples=None) ->
     if samples is None:
         A = nl.a_threshold
         samples = (2.0 * A, -2.0 * A, 5.0 * A, -5.0 * A)
+    w = metric.sqrt_det * chart.cell_volume
     worst = 0.0
     for alpha in samples:
         if abs(alpha) <= nl.a_threshold:
             return F1Report(False, math.inf, f"sample {alpha} not above threshold {nl.a_threshold}")
         const = np.full(chart.shape, float(alpha))
-        lhs = integrate(chart.field(nl.F_values(const)), metric)
-        rhs = integrate(chart.field(nl.f_values(const) * alpha / nl.beta), metric)
+        lhs = pairwise_sum(nl.F_values(const) * w)
+        rhs = pairwise_sum(nl.f_values(const) * alpha / nl.beta * w)
         scale = max(abs(lhs), abs(rhs), 1.0)
         if lhs <= 0:
             return F1Report(False, math.inf, f"primitive integral not positive at alpha={alpha}")
@@ -255,10 +226,51 @@ class EnergyBreakdown:
         }
 
 
-def _source_mask(u_vals: np.ndarray, truncated: bool):
-    if not truncated:
-        return 1.0
-    return (u_vals >= 0.0).astype(float)
+class _Nodewise:
+    """Per-node quantities of the energy at one field, computed once.
+
+    The gradient, its metric norm |grad u|_g, the source mask and |u| feed
+    every reduction: the energy terms and the ray profile read the five
+    power densities, the derivative and the node residual read the flux
+    coefficient and the nodewise source. With ``truncated`` the mask
+    restricts the three source terms to {u >= 0}.
+    """
+
+    def __init__(self, P: ProblemInstance, vals: np.ndarray, truncated: bool):
+        self.P = P
+        self.vals = vals
+        self.p = P.exponents.p.values
+        self.q = P.exponents.q.values
+        self.grad = gradient_values(vals, P.chart)
+        self.gn = norm_g_values(self.grad, P.metric)
+        self.mask = (vals >= 0.0).astype(float) if truncated else 1.0
+        self.au = np.abs(vals)
+
+    def powers(self):
+        """gn^p, mu gn^q, mask |u|^q, mask |u|^p and mask a |u|^beta."""
+        P, gn, au, mask = self.P, self.gn, self.au, self.mask
+        nl = P.nonlinearity
+        return (
+            gn**self.p,
+            P.weight.mu.values * gn**self.q,
+            mask * au**self.q,
+            mask * au**self.p,
+            mask * nl.amplitude.values * au**nl.beta,
+        )
+
+    def flux_coef(self) -> np.ndarray:
+        """|grad u|^{p-2} + mu |grad u|^{q-2}, zero where the gradient vanishes."""
+        mu = self.P.weight.mu.values
+        return _power(self.gn, self.p - 2.0) + mu * _power(self.gn, self.q - 2.0)
+
+    def source(self) -> np.ndarray:
+        """Masked -lambda |u|^{q-2} u + |u|^{p-2} u - f(u)."""
+        P, vals, au = self.P, self.vals, self.au
+        return (
+            -P.lam * _power(au, self.q - 2.0) * vals
+            + _power(au, self.p - 2.0) * vals
+            - P.nonlinearity.f_values(vals)
+        ) * self.mask
 
 
 def energy(P: ProblemInstance, u: ScalarField, truncated: bool = False) -> EnergyBreakdown:
@@ -269,19 +281,14 @@ def energy(P: ProblemInstance, u: ScalarField, truncated: bool = False) -> Energ
     gradient terms are untouched. Critical points of the truncated energy
     have no negative-side source, which is what drives them non-negative.
     """
-    vals = u.values
-    p = P.exponents.p.values
-    q = P.exponents.q.values
-    mu = P.weight.mu.values
-    mask = _source_mask(vals, truncated)
-    gn = grad_norm_g(gradient(u), P.metric).values
-    au = np.abs(vals)
-    chart = u.chart
-    grad_p = integrate(chart.field(gn**p / p), P.metric)
-    grad_q = integrate(chart.field(mu * gn**q / q), P.metric)
-    lam_q = integrate(chart.field(P.lam * mask * au**q / q), P.metric)
-    u_p = integrate(chart.field(mask * au**p / p), P.metric)
-    f_term = integrate(chart.field(mask * P.nonlinearity.F_values(vals)), P.metric)
+    nw = _Nodewise(P, u.values, truncated)
+    d_grad_p, d_grad_q, d_u_q, d_u_p, d_src = nw.powers()
+    p, q, w = nw.p, nw.q, P.node_weight
+    grad_p = pairwise_sum(d_grad_p / p * w)
+    grad_q = pairwise_sum(d_grad_q / q * w)
+    lam_q = pairwise_sum(P.lam * d_u_q / q * w)
+    u_p = pairwise_sum(d_u_p / p * w)
+    f_term = pairwise_sum(d_src / P.nonlinearity.beta * w)
     total = grad_p + grad_q - lam_q + u_p - f_term
     return EnergyBreakdown(
         grad_p_term=grad_p,
@@ -301,24 +308,11 @@ def gateaux(P: ProblemInstance, u: ScalarField, phi: ScalarField, truncated: boo
     """
     if phi.chart != u.chart:
         raise ValueError("u and phi must share a chart")
-    vals = u.values
-    p = P.exponents.p.values
-    q = P.exponents.q.values
-    mu = P.weight.mu.values
-    mask = _source_mask(vals, truncated)
-    gu = gradient(u)
-    gphi = gradient(phi)
-    gn = grad_norm_g(gu, P.metric).values
-    coef = _power(gn, p - 2.0) + mu * _power(gn, q - 2.0)
-    bilinear = np.einsum("...ab,...a,...b->...", P.metric.inv, gu.components, gphi.components)
-    au = np.abs(vals)
-    source = (
-        -P.lam * _power(au, q - 2.0) * vals
-        + _power(au, p - 2.0) * vals
-        - P.nonlinearity.f_values(vals)
-    ) * mask
-    dens = coef * bilinear + source * phi.values
-    return integrate(u.chart.field(dens), P.metric)
+    nw = _Nodewise(P, u.values, truncated)
+    gphi = gradient_values(phi.values, phi.chart)
+    bilinear = np.einsum("...ab,...a,...b->...", P.metric.inv, nw.grad, gphi)
+    dens = nw.flux_coef() * bilinear + nw.source() * phi.values
+    return pairwise_sum(dens * P.node_weight)
 
 
 def residual_gradient(P: ProblemInstance, u: ScalarField, truncated: bool = False):
@@ -329,29 +323,13 @@ def residual_gradient(P: ProblemInstance, u: ScalarField, truncated: bool = Fals
     sqrt(integral of r^2 dv), the dual norm of the derivative in the
     w-weighted node pairing; it vanishes exactly at discrete critical points.
     """
-    vals = u.values
-    chart = u.chart
-    p = P.exponents.p.values
-    q = P.exponents.q.values
-    mu = P.weight.mu.values
-    mask = _source_mask(vals, truncated)
-    gu = gradient(u)
-    gn = grad_norm_g(gu, P.metric).values
-    coef = _power(gn, p - 2.0) + mu * _power(gn, q - 2.0)
-    flux = np.einsum("...ab,...b->...a", P.metric.inv, gu.components)
+    nw = _Nodewise(P, u.values, truncated)
     w = P.node_weight
-    div = np.zeros(chart.shape)
-    for a in range(chart.dim):
-        h = chart.spacings[a]
-        dens = w * coef * flux[..., a]
-        div += (np.roll(dens, -1, axis=a) - np.roll(dens, 1, axis=a)) / (2.0 * h)
-    au = np.abs(vals)
-    source = (
-        -P.lam * _power(au, q - 2.0) * vals
-        + _power(au, p - 2.0) * vals
-        - P.nonlinearity.f_values(vals)
-    ) * mask
-    r = -div / w + source
-    r_field = chart.field(r)
-    norm = math.sqrt(max(integrate(chart.field(r * r), P.metric), 0.0))
-    return r_field, norm
+    flux = np.einsum("...ab,...b->...a", P.metric.inv, nw.grad)
+    w_coef = w * nw.flux_coef()
+    div = sum(
+        central_difference(w_coef * flux[..., a], P.chart, a) for a in range(P.chart.dim)
+    )
+    r = -div / w + nw.source()
+    norm = math.sqrt(max(pairwise_sum(r * r * w), 0.0))
+    return P.chart.field(r), norm

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import ScalarField, band_filter, integrate, random_band_limited, substream
+from .grid import ScalarField, band_filter, pairwise_sum, random_band_limited, substream
 from .nehari import (
     NehariClass,
     NoRootError,
@@ -29,7 +29,7 @@ from .nehari import (
     project,
     thresholds,
 )
-from .problem import ProblemInstance, energy, gateaux, residual_gradient
+from .problem import ProblemInstance, energy, residual_gradient
 from .spaces import ConstantsEstimate, estimate_constants
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "ExperimentResult",
     "SweepRow",
     "minimize_on_branch",
-    "truncated_energy",
-    "truncated_gateaux",
     "nonnegativity_certificate",
     "two_solution_experiment",
     "sweep",
@@ -61,7 +59,6 @@ class SolverConfig:
     shrink: float = 0.5
     armijo: float = 1e-4
     residual_tol: float = 1e-6
-    projection_tol: float = 1e-8
     max_backtracks: int = 60
     start_mean: float | None = None
     start_amp: tuple = (0.02, 0.5)
@@ -72,7 +69,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.multistart < 1:
             raise ValueError("multistart must be at least 1")
-        for name in ("step0", "shrink", "armijo", "residual_tol", "projection_tol"):
+        for name in ("step0", "shrink", "armijo", "residual_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_outer_iters < 1 or self.max_backtracks < 1:
@@ -94,7 +91,6 @@ class SolverConfig:
             "shrink": self.shrink,
             "armijo": self.armijo,
             "residual_tol": self.residual_tol,
-            "projection_tol": self.projection_tol,
             "max_backtracks": self.max_backtracks,
             "start_mean": self.resolved_start_mean(),
             "start_amp": list(self.start_amp),
@@ -145,15 +141,6 @@ class BranchError(RuntimeError):
         self.kind = kind  # "empty" or "stalled"
 
 
-def truncated_energy(P: ProblemInstance, u: ScalarField) -> float:
-    """Energy with the source integrated over {u >= 0} only."""
-    return energy(P, u, truncated=True).total
-
-
-def truncated_gateaux(P: ProblemInstance, u: ScalarField, phi: ScalarField) -> float:
-    return gateaux(P, u, phi, truncated=True)
-
-
 @dataclass(frozen=True)
 class Certificate:
     min_u: float
@@ -165,7 +152,7 @@ def nonnegativity_certificate(P: ProblemInstance, u: ScalarField, tol: float = 1
     """Minimum node value and the norm of the negative part min(0, u)."""
     min_u = float(u.values.min())
     neg = np.minimum(u.values, 0.0)
-    norm = math.sqrt(max(integrate(u.chart.field(neg * neg), P.metric), 0.0))
+    norm = math.sqrt(max(pairwise_sum(neg * neg * P.node_weight), 0.0))
     return Certificate(min_u=min_u, negative_part_norm=norm, passed=min_u >= -tol)
 
 
@@ -187,28 +174,21 @@ def _project_onto(P, vals, cfg, local=False):
     Initial projections use the full probe bracket and take the smallest
     matching root. Re-projections inside the descent loop (``local``) first
     search a window around t = 1, where the root continuous with the current
-    iterate lives, and fall back to the full bracket.
+    iterate lives, and fall back to the full bracket. Candidates with
+    non-finite entries are rejected before any projection.
     """
-    try:
-        cand = P.chart.field(vals)
-    except ValueError:
+    if not np.all(np.isfinite(vals)):
         return None
-    if local:
+    cand = P.chart.field(vals)
+    windows = ({"bracket": (0.25, 4.0), "n_grid": 17}, {}) if local else ({},)
+    for window in windows:
         try:
-            result = project(P, cand, truncated=cfg.truncate, bracket=(0.25, 4.0), n_grid=17)
-            t = result.first(cfg.target)
-            if t is not None:
-                return P.chart.field(t * vals)
+            t = project(P, cand, truncated=cfg.truncate, **window).first(cfg.target)
         except (NoRootError, ValueError):
-            pass
-    try:
-        result = project(P, cand, truncated=cfg.truncate)
-    except (NoRootError, ValueError):
-        return None
-    t = result.first(cfg.target)
-    if t is None:
-        return None
-    return P.chart.field(t * vals)
+            continue
+        if t is not None:
+            return P.chart.field(t * vals)
+    return None
 
 
 @dataclass
@@ -228,6 +208,7 @@ def _run_start(P: ProblemInstance, cfg: SolverConfig, index: int) -> _StartOutco
         return _StartOutcome(converged=False, projected=False, note="start did not project")
     J = energy(P, u, truncated=cfg.truncate).total
     frac = cfg.direction_max_mode_frac
+    w = P.node_weight
     prev_u = None
     prev_g = None
     step_bb = None
@@ -238,17 +219,17 @@ def _run_start(P: ProblemInstance, cfg: SolverConfig, index: int) -> _StartOutco
             return _StartOutcome(True, True, u, J, rnorm, it - 1)
         g = r_field.values if frac is None else band_filter(r_field.values, P.chart, frac)
         d = -g
-        slope = integrate(P.chart.field(r_field.values * d), P.metric)
+        slope = pairwise_sum(r_field.values * d * w)
         if slope >= 0.0:
             # filtered direction lost descent (can happen for rough metrics)
             g = r_field.values
             d = -g
-            slope = -integrate(P.chart.field(g * g), P.metric)
+            slope = -pairwise_sum(g * g * w)
         if cfg.use_bb_step and prev_u is not None:
             s = u.values - prev_u
             y = g - prev_g
-            sy = integrate(P.chart.field(s * y), P.metric)
-            ss = integrate(P.chart.field(s * s), P.metric)
+            sy = pairwise_sum(s * y * w)
+            ss = pairwise_sum(s * s * w)
             step_bb = ss / sy if sy > 0 and np.isfinite(sy) else None
         step = cfg.step0 if step_bb is None else float(np.clip(step_bb, 1e-10, 1e4))
         prev_u, prev_g = u.values, g
@@ -418,6 +399,31 @@ class SweepRow:
         ]
 
 
+def _census_sample(chart, seed, j, i) -> ScalarField:
+    """Zero-mean band-limited census sample i at lambda index j."""
+    rng = substream(seed, "sweep-minus", j, i)
+    return random_band_limited(chart, rng, amplitude=float(10.0 ** rng.uniform(-1, 1)))
+
+
+def _census(P: ProblemInstance, fields, target: NehariClass):
+    """(least energy, count) over the fields whose ray meets the target branch.
+
+    Each field counts once, at its smallest root of the target class; the
+    energy is nan when no field does.
+    """
+    theta, found = math.inf, 0
+    for u in fields:
+        try:
+            res = project(P, u)
+        except NoRootError:
+            continue
+        t = res.first(target)
+        if t is not None:
+            found += 1
+            theta = min(theta, _RayProfile(P, u).energy_at(t))
+    return (theta if found else math.nan), found
+
+
 def sweep(
     P: ProblemInstance,
     lambdas,
@@ -437,44 +443,19 @@ def sweep(
         P.exponents, P.weight, P.metric, trials=cfg.constants_trials, seed=cfg.seed
     )
     thr = thresholds(P, consts)
+    plus_cfg = replace(cfg, target=NehariClass.PLUS, truncate=False, start_mean=1.0)
     rows = []
     for j, lam in enumerate(lambdas):
         Pj = P.with_lambda(float(lam))
-        theta_minus = math.inf
-        n_minus = 0
-        for i in range(n_samples):
-            rng = substream(cfg.seed, "sweep-minus", j, i)
-            u = random_band_limited(Pj.chart, rng, amplitude=float(10.0 ** rng.uniform(-1, 1)))
-            try:
-                res = project(Pj, u)
-            except NoRootError:
-                continue
-            profile = _RayProfile(Pj, u)
-            for t, cls in zip(res.t_roots, res.classes):
-                if cls is NehariClass.MINUS:
-                    n_minus += 1
-                    theta_minus = min(theta_minus, profile.energy_at(t))
-                    break
-        theta_plus = math.inf
-        n_plus = 0
-        plus_cfg = replace(cfg, target=NehariClass.PLUS, truncate=False, start_mean=1.0)
-        for i in range(cfg.multistart):
-            u = _start_field(Pj, plus_cfg, i)
-            try:
-                res = project(Pj, u)
-            except NoRootError:
-                continue
-            profile = _RayProfile(Pj, u)
-            for t, cls in zip(res.t_roots, res.classes):
-                if cls is NehariClass.PLUS:
-                    n_plus += 1
-                    theta_plus = min(theta_plus, profile.energy_at(t))
-                    break
+        samples = (_census_sample(Pj.chart, cfg.seed, j, i) for i in range(n_samples))
+        theta_minus, n_minus = _census(Pj, samples, NehariClass.MINUS)
+        starts = (_start_field(Pj, plus_cfg, i) for i in range(cfg.multistart))
+        theta_plus, n_plus = _census(Pj, starts, NehariClass.PLUS)
         rows.append(
             SweepRow(
                 lam=float(lam),
-                theta_plus_estimate=theta_plus if n_plus else math.nan,
-                theta_minus_estimate=theta_minus if n_minus else math.nan,
+                theta_plus_estimate=theta_plus,
+                theta_minus_estimate=theta_minus,
                 n_plus_found=n_plus,
                 n_minus_found=n_minus,
                 lambda_star=thr.lambda_star,

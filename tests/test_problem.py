@@ -24,14 +24,14 @@ class TestNonlinearity:
     def test_zero_at_zero(self, ref):
         nl = ref.nonlinearity
         zero = ref.chart.zeros()
-        assert np.all(dp.f_eval(nl, zero).values == 0.0)
-        assert np.all(dp.F_eval(nl, zero).values == 0.0)
+        assert np.all(nl.f_values(zero.values) == 0.0)
+        assert np.all(nl.F_values(zero.values) == 0.0)
 
     def test_power_arithmetic(self, ref):
         nl = ref.nonlinearity
         u = ref.chart.constant(2.0)
-        assert np.allclose(dp.f_eval(nl, u).values, 8.0)
-        assert np.allclose(dp.F_eval(nl, u).values, 4.0)
+        assert np.allclose(nl.f_values(u.values), 8.0)
+        assert np.allclose(nl.F_values(u.values), 4.0)
 
     def test_primitive_matches_trapezoid_of_f(self, ref):
         nl = ref.nonlinearity
@@ -40,7 +40,7 @@ class TestNonlinearity:
         # f(s) = |s|^{beta-2} s with beta = 4 is |s|^2 s
         f_vals = nl.amplitude.values[:, None] * np.abs(ts) ** 2 * ts
         trap = np.trapezoid(f_vals, ts, axis=1)
-        assert np.allclose(trap, dp.F_eval(nl, u).values, atol=1e-7)
+        assert np.allclose(trap, nl.F_values(u.values), atol=1e-7)
 
     def test_invariants_rejected(self, ref):
         with pytest.raises(ValueError, match="beta"):
@@ -221,22 +221,23 @@ class TestResidual:
             assert r.values[i, j] == pytest.approx(g_dir / w[i, j], rel=1e-9, abs=1e-12)
 
 
-def test_tabulated_nonlinearity_hook():
-    chart, metric = dp.build_torus(1, [64])
-    nl = dp.TabulatedNonlinearity(f=lambda s: np.abs(s) ** 2 * s, beta=4.0)
-    u = chart.field(0.5 + 0.3 * np.sin(2 * np.pi * chart.axis_coords(0)))
-    power = dp.PowerNonlinearity(beta=4.0, amplitude=chart.constant(1.0))
-    assert np.allclose(nl.f_values(u.values), power.f_values(u.values))
-    assert np.allclose(nl.F_values(u.values), power.F_values(u.values), atol=1e-12)
-    P = dp.ProblemInstance(
-        chart=chart,
-        metric=metric,
-        exponents=dp.ExponentField(p=chart.constant(3.0), q=chart.constant(2.0)),
-        weight=dp.WeightField(mu=chart.constant(1.0)),
-        lam=0.5,
-        nonlinearity=nl,
-    )
-    assert any("unverified" in w for w in P.warnings)
+def test_instance_rejects_non_power_source(ref):
+    class CubicSource:
+        beta = 4.0
+        a_threshold = 1.0
+
+        def f_values(self, u):
+            return np.abs(u) ** 2 * u
+
+    with pytest.raises(TypeError, match="PowerNonlinearity"):
+        dp.ProblemInstance(
+            chart=ref.chart,
+            metric=ref.metric,
+            exponents=ref.exponents,
+            weight=ref.weight,
+            lam=0.5,
+            nonlinearity=CubicSource(),
+        )
 
 
 def test_instance_warnings(ref):

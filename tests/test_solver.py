@@ -23,7 +23,7 @@ def _rand(chart, *path, amp=1.0, mean=0.0):
 class TestTruncatedEnergy:
     def test_nonpositive_field_has_no_source(self, instance):
         u = instance.chart.constant(-0.8)
-        val = dp.truncated_energy(instance, u)
+        val = dp.energy(instance, u, truncated=True).total
         assert val == 0.0
         br = dp.energy(instance, u, truncated=True)
         assert br.lambda_q_term == 0.0 and br.u_p_term == 0.0 and br.F_term == 0.0
@@ -31,7 +31,7 @@ class TestTruncatedEnergy:
     def test_nonnegative_field_matches_untruncated(self, instance):
         u = _rand(instance.chart, "pos", amp=0.4, mean=1.0)
         assert np.all(u.values >= 0)
-        assert dp.truncated_energy(instance, u) == dp.energy(instance, u).total
+        assert dp.energy(instance, u, truncated=True).total == dp.energy(instance, u).total
 
     def test_mixed_sign_equals_masked_quadrature(self, instance):
         u = _rand(instance.chart, "mixed", amp=1.0, mean=0.2)
@@ -53,17 +53,19 @@ class TestTruncatedEnergy:
 
     def test_truncated_psi_shares_gateaux_path(self, instance):
         u = _rand(instance.chart, "tpsi", amp=1.0, mean=0.2)
-        assert dp.psi(instance, u, truncated=True) == dp.truncated_gateaux(instance, u, u)
+        assert dp.psi(instance, u, truncated=True) == dp.gateaux(instance, u, u, truncated=True)
 
     def test_derivative_matches_central_difference(self, instance):
         h = 1e-5
         for i in range(20):
             u = _rand(instance.chart, "tfd", i, amp=1.0, mean=0.1)
             phi = _rand(instance.chart, "tfdp", i, amp=1.0)
-            g = dp.truncated_gateaux(instance, u, phi)
+            g = dp.gateaux(instance, u, phi, truncated=True)
             up = instance.chart.field(u.values + h * phi.values)
             dn = instance.chart.field(u.values - h * phi.values)
-            fd = (dp.truncated_energy(instance, up) - dp.truncated_energy(instance, dn)) / (2 * h)
+            J_up = dp.energy(instance, up, truncated=True).total
+            J_dn = dp.energy(instance, dn, truncated=True).total
+            fd = (J_up - J_dn) / (2 * h)
             assert abs(g - fd) <= 1e-6 * (1 + abs(g))
 
 
@@ -79,6 +81,17 @@ class TestCertificate:
         assert not cert.passed
         assert cert.min_u == -1e-3
         assert cert.negative_part_norm > 0
+
+
+class TestProjectOnto:
+    def test_non_finite_candidate_is_dropped(self, instance, quick_cfg):
+        from doublephase.solver import _project_onto
+
+        for bad in (np.nan, np.inf, -np.inf):
+            vals = np.ones(instance.chart.shape)
+            vals[5] = bad
+            for local in (False, True):
+                assert _project_onto(instance, vals, quick_cfg, local) is None
 
 
 class TestMinimizeOnBranch:
