@@ -18,6 +18,7 @@ from .grid import (
     integrate,
     log_holder_check,
     pairwise_sum,
+    pairwise_sum_rows,
     random_band_limited,
     substream,
 )

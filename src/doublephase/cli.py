@@ -128,11 +128,12 @@ def cmd_sweep(args) -> int:
     seed = rc.seed if args.seed is None else args.seed
     P = rc.build_instance(lam=rc.lam if rc.lam is not None else 1.0)
     cfg = replace(rc.build_solver_config(), seed=seed)
+    consts = None
     if rc.lambda_grid is not None:
         lambdas = list(rc.lambda_grid)
     elif rc.lambda_grid_auto is not None:
         consts = estimate_constants(
-            P.exponents, P.weight, P.metric, trials=rc.constants_trials, seed=seed
+            P.exponents, P.weight, P.metric, trials=cfg.constants_trials, seed=cfg.seed
         )
         thr = thresholds(P, consts)
         if thr.lambda_star_star <= 0:
@@ -144,7 +145,7 @@ def cmd_sweep(args) -> int:
     else:
         print("error: sweep needs [problem] lambda_grid", file=sys.stderr)
         return USAGE_ERROR
-    rows = sweep(P, lambdas, cfg)
+    rows = sweep(P, lambdas, cfg, constants=consts)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     with open(csv_path, "w", newline="") as fh:

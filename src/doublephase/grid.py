@@ -25,6 +25,7 @@ __all__ = [
     "integrate",
     "log_holder_check",
     "pairwise_sum",
+    "pairwise_sum_rows",
     "random_band_limited",
     "band_filter",
     "substream",
@@ -40,15 +41,31 @@ def pairwise_sum(values) -> float:
     threading.
     """
     a = np.asarray(values, dtype=float).ravel()
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        even = a.size & ~1
+    return float(_pairwise_tree(a)) if a.size else 0.0
+
+
+def pairwise_sum_rows(values) -> np.ndarray:
+    """``pairwise_sum`` of every row: the same tree along the last axis.
+
+    The tree depends only on the row length, so each row's sum is bitwise
+    equal to ``pairwise_sum`` of that row alone. Rows of length 0 sum to 0.
+    """
+    a = np.asarray(values, dtype=float)
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1])
+    return _pairwise_tree(a.T).T
+
+
+def _pairwise_tree(a: np.ndarray):
+    """The reduction tree of ``pairwise_sum`` along the first axis of a nonempty array."""
+    n = len(a)
+    while n > 1:
+        even = n & ~1
         paired = a[0:even:2] + a[1:even:2]
-        if a.size & 1:
-            paired = np.append(paired, a[-1])
-        a = paired
-    return float(a[0])
+        if n & 1:
+            paired = np.concatenate((paired, a[-1:]))
+        a, n = paired, len(paired)
+    return a[0]
 
 
 def substream(seed, *path) -> np.random.Generator:

@@ -3,10 +3,11 @@
 A nonzero field u is on the constraint set when the ray derivative
 psi(u) = <J'(u), u> vanishes. Along the ray t -> t u every term of psi is an
 explicit power of t (the source is a pure power), so the fibering map and
-its exact t-derivative are cheap nodewise sums. Roots of the fibering map
-are constraint points on the ray; the sign of t phi'(t) there separates the
-local-minimum branch (positive), the local-maximum branch (negative), and
-inflections (zero within tolerance).
+its exact t-derivative are cheap nodewise sums, evaluated for a whole probe
+grid of t values in one array pass. Roots of the fibering map are constraint
+points on the ray, refined by safeguarded Newton steps on the exact phi'; the
+sign of t phi'(t) there separates the local-minimum branch (positive), the
+local-maximum branch (negative), and inflections (zero within tolerance).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import ScalarField, pairwise_sum
+from .grid import ScalarField, pairwise_sum, pairwise_sum_rows
 from .problem import ProblemInstance, _Nodewise, gateaux
 from .spaces import ConstantsEstimate
 
@@ -38,6 +39,10 @@ __all__ = [
 PSI_TOL = 1e-8
 ROOT_TOL = 1e-10
 CLASS_TOL = 1e-9
+# probe evaluations run in row blocks of at most this many (t, node) pairs,
+# which bounds the temporaries on large grids
+PROBE_BLOCK = 2**14
+MAX_REFINE_STEPS = 100
 
 
 class NehariClass(Enum):
@@ -54,6 +59,15 @@ class NotOnNehariError(ValueError):
     """classify() called for a field that does not satisfy the constraint."""
 
 
+def _t_grid(t_values) -> np.ndarray:
+    t = np.asarray(t_values, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError("t grid must be a nonempty 1-d array")
+    if np.any(t <= 0) or np.any(np.diff(t) <= 0):
+        raise ValueError("t grid must be positive and strictly increasing")
+    return t
+
+
 @dataclass(frozen=True)
 class FiberingSample:
     t_values: np.ndarray
@@ -61,11 +75,7 @@ class FiberingSample:
     phi_prime: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t_values, dtype=float)
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("t grid must be a nonempty 1-d array")
-        if np.any(t <= 0) or np.any(np.diff(t) <= 0):
-            raise ValueError("t grid must be positive and strictly increasing")
+        t = _t_grid(self.t_values)
         if len(self.phi) != t.size or len(self.phi_prime) != t.size:
             raise ValueError("phi arrays must match the t grid")
 
@@ -93,43 +103,59 @@ class _RayProfile:
         a_grad_p, a_grad_q, a_u_q, a_u_p, a_src = (
             w * d for d in _Nodewise(P, u.values, truncated).powers()
         )
-        self.p = P.exponents.p.values.ravel()
-        self.q = P.exponents.q.values.ravel()
-        self.beta = float(P.nonlinearity.beta)
-        self.lam = float(P.lam)
-        self.coef_p = (a_grad_p + a_u_p).ravel()
-        self.coef_q = (a_grad_q - self.lam * a_u_q).ravel()
-        self.j_p = self.coef_p / self.p
-        self.j_q = self.coef_q / self.q
-        self.src = pairwise_sum(a_src)
-        self.j_src = self.src / self.beta
+        p = P.exponents.p.values.ravel()
+        q = P.exponents.q.values.ravel()
+        beta = float(P.nonlinearity.beta)
+        lam = float(P.lam)
+        coef_p = (a_grad_p + a_u_p).ravel()
+        coef_q = (a_grad_q - lam * a_u_q).ravel()
+        src = pairwise_sum(a_src)
         # dimensionless tolerance scale: the five ray integrals at t = 1
         self.scale = (
             pairwise_sum(a_grad_p)
             + pairwise_sum(a_grad_q)
-            + self.lam * pairwise_sum(a_u_q)
+            + lam * pairwise_sum(a_u_q)
             + pairwise_sum(a_u_p)
-            + self.src
+            + src
         )
+        # (a, A, b, B, c, C) of sum_i (t^a_i A_i + t^b_i B_i) - t^c C
+        self._phi_terms = (p, coef_p, q, coef_q, beta, src)
+        self._phi_prime_terms = (
+            p - 1.0, p * coef_p, q - 1.0, q * coef_q, beta - 1.0, beta * src
+        )
+        self._energy_terms = (p, coef_p / p, q, coef_q / q, beta, src / beta)
+
+    def _ray_sums(self, t_values, terms) -> np.ndarray:
+        """sum_i (t^a_i A_i + t^b_i B_i) - t^c C for every t of a 1-d array.
+
+        The node sums run in row blocks of at most PROBE_BLOCK elements,
+        each row reduced by the tree of ``pairwise_sum``. The source power
+        t^c is taken with Python float pow, so every value is bitwise the
+        one a single-point call gives.
+        """
+        a, A, b, B, c, C = terms
+        t = np.asarray(t_values, dtype=float)
+        rows = max(1, PROBE_BLOCK // a.size)
+        sums = np.empty(t.size)
+        for start in range(0, t.size, rows):
+            tb = t[start : start + rows, None]
+            sums[start : start + rows] = pairwise_sum_rows(tb**a * A + tb**b * B)
+        return sums - np.array([tv**c for tv in t.tolist()]) * C
+
+    def phi_values(self, t_values) -> np.ndarray:
+        return self._ray_sums(t_values, self._phi_terms)
+
+    def phi_prime_values(self, t_values) -> np.ndarray:
+        return self._ray_sums(t_values, self._phi_prime_terms)
 
     def phi(self, t: float) -> float:
-        t = float(t)
-        return (
-            pairwise_sum(t**self.p * self.coef_p + t**self.q * self.coef_q)
-            - t**self.beta * self.src
-        )
+        return float(self.phi_values((t,))[0])
 
     def phi_prime(self, t: float) -> float:
-        t = float(t)
-        body = self.p * t ** (self.p - 1.0) * self.coef_p + self.q * t ** (self.q - 1.0) * self.coef_q
-        return pairwise_sum(body) - self.beta * t ** (self.beta - 1.0) * self.src
+        return float(self.phi_prime_values((t,))[0])
 
     def energy_at(self, t: float) -> float:
-        t = float(t)
-        return (
-            pairwise_sum(t**self.p * self.j_p + t**self.q * self.j_q)
-            - t**self.beta * self.j_src
-        )
+        return float(self._ray_sums((t,), self._energy_terms)[0])
 
     def classify_root(self, t: float) -> NehariClass:
         sign = t * self.phi_prime(t)
@@ -150,43 +176,50 @@ def fibering(P: ProblemInstance, u: ScalarField, t_grid, truncated: bool = False
     if u.max_abs == 0.0:
         raise ValueError("fibering is defined along rays through nonzero fields")
     profile = _RayProfile(P, u, truncated)
-    t = np.asarray(t_grid, dtype=float)
-    phi = np.array([profile.phi(tv) for tv in t])
-    dphi = np.array([profile.phi_prime(tv) for tv in t])
-    return FiberingSample(t_values=t, phi=phi, phi_prime=dphi)
+    t = _t_grid(t_grid)
+    return FiberingSample(
+        t_values=t, phi=profile.phi_values(t), phi_prime=profile.phi_prime_values(t)
+    )
 
 
 def _refine_root(profile: _RayProfile, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """A root of phi in [lo, hi], where phi changes sign, to |phi| <= ROOT_TOL * scale.
+
+    Safeguarded Newton on the exact phi': start from the end with the
+    smaller |phi|, keep the sign-change bracket, and bisect whenever the
+    Newton step leaves the bracket or phi' vanishes.
+    """
     tol = ROOT_TOL * profile.scale
-    best_t, best_f = (lo, abs(f_lo)) if abs(f_lo) < abs(f_hi) else (hi, abs(f_hi))
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        f_mid = profile.phi(mid)
-        if abs(f_mid) < best_f:
-            best_t, best_f = mid, abs(f_mid)
-        if best_f <= tol:
-            return best_t
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
+    t, f = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
+    best_t, best_f = t, abs(f)
+    for _ in range(MAX_REFINE_STEPS):
+        if best_f <= tol or hi - lo <= 4.0 * np.finfo(float).eps * hi:
             break
+        slope = profile.phi_prime(t)
+        newton = t - f / slope if slope != 0.0 else None
+        t = newton if newton is not None and lo < newton < hi else 0.5 * (lo + hi)
+        f = profile.phi(t)
+        if abs(f) < best_f:
+            best_t, best_f = t, abs(f)
+        if (f > 0) == (f_lo > 0):
+            lo, f_lo = t, f
+        else:
+            hi = t
     return best_t
 
 
 def _roots_on_grid(profile: _RayProfile, t_grid) -> list:
-    phi_vals = [profile.phi(t) for t in t_grid]
-    roots = []
-    for i in range(len(t_grid) - 1):
-        a, b = t_grid[i], t_grid[i + 1]
-        fa, fb = phi_vals[i], phi_vals[i + 1]
-        if fa == 0.0:
-            roots.append(float(a))
-        elif (fa > 0) != (fb > 0):
-            roots.append(_refine_root(profile, float(a), float(b), fa, fb))
-    if phi_vals[-1] == 0.0:
-        roots.append(float(t_grid[-1]))
+    t = np.asarray(t_grid, dtype=float)
+    f = profile.phi_values(t)
+    pos = f > 0
+    changes = np.flatnonzero((f[:-1] == 0.0) | (pos[:-1] != pos[1:]))
+    t, f = t.tolist(), f.tolist()
+    roots = [
+        t[i] if f[i] == 0.0 else _refine_root(profile, t[i], t[i + 1], f[i], f[i + 1])
+        for i in changes.tolist()
+    ]
+    if f[-1] == 0.0:
+        roots.append(t[-1])
     return roots
 
 
@@ -199,10 +232,11 @@ def project(
 ) -> ProjectionResult:
     """All constraint points on the ray through u, smallest t first.
 
-    Sign changes of the fibering map on a log-spaced probe grid are refined
-    by bisection until |phi(t)| <= 1e-10 times the ray scale. Raises
-    NoRootError when the map keeps one sign over the whole bracket, which
-    the superlinear source makes possible only for degenerate rays.
+    The fibering map is evaluated on a log-spaced probe grid in one batched
+    pass; each sign change is refined by safeguarded Newton steps until
+    |phi(t)| <= 1e-10 times the ray scale. Raises NoRootError when the map
+    keeps one sign over the whole bracket, which the superlinear source
+    makes possible only for degenerate rays.
     """
     if u.max_abs == 0.0:
         raise ValueError("cannot project the zero field")
@@ -222,7 +256,7 @@ def project(
     return ProjectionResult(
         t_roots=tuple(roots),
         classes=classes,
-        phi_at_roots=tuple(profile.phi(t) for t in roots),
+        phi_at_roots=tuple(profile.phi_values(roots).tolist()),
         scale=profile.scale,
     )
 

@@ -271,11 +271,11 @@ def minimize_on_branch(
                 f"no start projected onto the {cfg.target.value} branch "
                 f"after {cfg.multistart} starts",
             )
-        best = min((o.residual_norm, i) for i, o in enumerate(outcomes) if o.projected)
+        rnorm, i = min((o.residual_norm, i) for i, o in enumerate(outcomes) if o.projected)
         raise BranchError(
             "stalled",
             f"{cfg.target.value} branch: no start reached residual "
-            f"{cfg.residual_tol:g}; best residual {best[0]:.3e} (start {best[1]})",
+            f"{cfg.residual_tol:g}; best residual {rnorm:.3e} (start {i}: {outcomes[i].note})",
         )
     J_best, index, out = min(converged, key=lambda rec: (rec[0], rec[1]))
     profile = _RayProfile(P, out.u, truncated=cfg.truncate)
@@ -429,6 +429,7 @@ def sweep(
     lambdas,
     cfg: SolverConfig,
     n_samples: int = 64,
+    constants: ConstantsEstimate | None = None,
 ) -> list:
     """Branch census over a lambda grid, without descent.
 
@@ -437,12 +438,14 @@ def sweep(
     the smallness estimates are valid), and the solver's mean-biased start
     ladder is projected to count minimum-branch landings and estimate
     theta_plus. Thresholds are evaluated once (they do not depend on
-    lambda).
+    lambda), from ``constants`` when given and otherwise from a fresh
+    estimate with the solver's trials and seed.
     """
-    consts = estimate_constants(
-        P.exponents, P.weight, P.metric, trials=cfg.constants_trials, seed=cfg.seed
-    )
-    thr = thresholds(P, consts)
+    if constants is None:
+        constants = estimate_constants(
+            P.exponents, P.weight, P.metric, trials=cfg.constants_trials, seed=cfg.seed
+        )
+    thr = thresholds(P, constants)
     plus_cfg = replace(cfg, target=NehariClass.PLUS, truncate=False, start_mean=1.0)
     rows = []
     for j, lam in enumerate(lambdas):

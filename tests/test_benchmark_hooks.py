@@ -20,6 +20,12 @@ POSITIONAL = {
     ("fieldio", "write_field"): ["path", "field"],
     ("grid", "pairwise_sum"): ["values"],
 }
+# class attributes the tracer patches by name
+CLASS_ATTRS = (
+    ("nehari", "_RayProfile", "phi"),
+    ("grid", "ScalarField", "__post_init__"),
+    ("config", "RunConfig", "build_instance"),
+)
 
 
 def _tracer_class():
@@ -46,3 +52,9 @@ def test_wrapped_signatures():
     for (mod, attr), params in POSITIONAL.items():
         fn = getattr(importlib.import_module(f"doublephase.{mod}"), attr)
         assert list(inspect.signature(fn).parameters) == params, f"{mod}.{attr}"
+
+
+def test_patched_class_attributes_exist():
+    for mod, cls_name, attr in CLASS_ATTRS:
+        cls = getattr(importlib.import_module(f"doublephase.{mod}"), cls_name)
+        assert callable(getattr(cls, attr, None)), f"{mod}.{cls_name}.{attr}"

@@ -145,6 +145,41 @@ class TestSweep:
             assert float(row["theta_minus_estimate"]) > 0
             assert int(row["n_minus_found"]) > 0
 
+    def test_auto_grid_estimates_constants_once(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from doublephase import cli, solver
+        from doublephase.config import parse_config
+
+        cfg = tmp_path / "auto.cfg"
+        cfg.write_text(
+            REF_CFG.replace("lambda_grid = 0.05 0.125 0.24", "lambda_grid = auto 2").replace(
+                "multistart = 3", "multistart = 2"
+            )
+        )
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return dp.estimate_constants(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_constants", counted)
+        monkeypatch.setattr(solver, "estimate_constants", counted)
+        out = tmp_path / "auto"
+        assert main(["sweep", "--config", str(cfg), "--seed", "42", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        # the CSV is the one a sweep that estimates its own constants writes
+        rc = parse_config(str(cfg))
+        P = rc.build_instance(lam=rc.lam)
+        lambdas = json.loads((out / "sweep_meta.json").read_text())["lambdas"]
+        expected = dp.sweep(P, lambdas, replace(rc.build_solver_config(), seed=42))
+        assert len(calls) == 2
+        rows = _read_rows(out / "sweep.csv")
+        assert [list(r.values()) for r in rows] == [
+            [repr(v) if isinstance(v, float) else str(v) for v in row.to_csv_row()]
+            for row in expected
+        ]
+
 
 class TestProject:
     def test_golden_field(self, tmp_path):

@@ -181,6 +181,20 @@ def test_pairwise_sum_matches_fsum():
     assert dp.pairwise_sum([]) == 0.0
 
 
+def test_pairwise_sum_rows_bitwise_equal_to_pairwise_sum():
+    rng = dp.substream(1, "psum-rows")
+    for n in (1, 2, 3, 63, 64, 65, 1024):
+        rows = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-3, 3, size=(5, 1))
+        sums = dp.pairwise_sum_rows(rows)
+        assert sums.shape == (5,)
+        for row, total in zip(rows, sums):
+            assert total == dp.pairwise_sum(row)
+    # the tree runs along the last axis only
+    block = rng.standard_normal((2, 3, 65))
+    assert dp.pairwise_sum_rows(block)[1, 2] == dp.pairwise_sum(block[1, 2])
+    assert dp.pairwise_sum_rows(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+
+
 def _scan_log_holder(field):
     """Independent exhaustive pair scan (plain python loops)."""
     chart = field.chart

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import doublephase as dp
+from doublephase.config import parse_config
+from doublephase.nehari import ROOT_TOL, _RayProfile, _refine_root
+from doublephase.problem import _Nodewise
 from conftest import make_calibrated_ray, make_reference_instance
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -61,6 +64,57 @@ class TestPsiAndFibering:
             dp.fibering(reference_instance, u, [-1.0, 1.0])
         with pytest.raises(ValueError):
             dp.fibering(reference_instance, reference_instance.chart.zeros(), [1.0])
+
+
+def _one_point_phi(P, u, t):
+    """phi(t) as one pairwise_sum over the nodes, the unbatched formula."""
+    w = P.node_weight
+    grad_p, grad_q, u_q, u_p, src = (w * d for d in _Nodewise(P, u.values, False).powers())
+    p, q = P.exponents.p.values, P.exponents.q.values
+    body = t**p * (grad_p + u_p) + t**q * (grad_q - P.lam * u_q)
+    return dp.pairwise_sum(body) - t ** float(P.nonlinearity.beta) * dp.pairwise_sum(src)
+
+
+class TestBatchedProbe:
+    @pytest.mark.parametrize("which", ["reference", "variable_default"])
+    def test_batched_phi_bitwise_equals_one_point_phi(self, which):
+        if which == "reference":
+            P = make_reference_instance(lam=0.1)
+        else:
+            P = parse_config(None).build_instance(lam=0.05)
+        u = _rand(P.chart, "batch", which, amp=0.7, mean=0.4)
+        profile = _RayProfile(P, u)
+        # 600 probe points span several row blocks at these grid sizes
+        ts = np.geomspace(1e-6, 1e6, 600)
+        batched = profile.phi_values(ts)
+        for t, value in zip(ts.tolist(), batched.tolist()):
+            assert value == profile.phi(t)
+            assert value == _one_point_phi(P, u, t)
+
+
+class TestRefineRoot:
+    def test_newton_root_inside_bracket(self, golden_ray):
+        P, u = golden_ray
+        profile = _RayProfile(P, u)
+        lo, hi = 1.5, 1.7
+        t = _refine_root(profile, lo, hi, profile.phi(lo), profile.phi(hi))
+        assert lo <= t <= hi
+        assert abs(profile.phi(t)) <= ROOT_TOL * profile.scale
+        assert t == pytest.approx(GOLDEN, abs=1e-12)
+
+    def test_bisection_fallback_when_newton_leaves_bracket(self):
+        # phi(t) = 2 t^3 - t^2 / 2 - t^4 has roots 1 -+ sqrt(1/2); from the
+        # left end of [0.05, 1] the first Newton step lands below the bracket
+        P, u = make_calibrated_ray(2.0, -0.5, 1.0, lam=40.0)
+        profile = _RayProfile(P, u)
+        lo, hi = 0.05, 1.0
+        f_lo, f_hi = profile.phi(lo), profile.phi(hi)
+        assert abs(f_lo) < abs(f_hi)
+        assert lo - f_lo / profile.phi_prime(lo) < lo
+        t = _refine_root(profile, lo, hi, f_lo, f_hi)
+        assert lo <= t <= hi
+        assert abs(profile.phi(t)) <= ROOT_TOL * profile.scale
+        assert t == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-9)
 
 
 class TestProject:

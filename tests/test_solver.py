@@ -152,6 +152,13 @@ class TestMinimizeOnBranch:
             dp.minimize_on_branch(P, cfg)
         assert err.value.kind in ("empty", "stalled")
 
+    def test_stalled_error_says_why_the_best_start_ended(self, instance):
+        cfg = dp.SolverConfig(seed=7, multistart=2, max_outer_iters=1, target=dp.NehariClass.MINUS)
+        with pytest.raises(dp.BranchError) as err:
+            dp.minimize_on_branch(instance, cfg)
+        assert err.value.kind == "stalled"
+        assert "iteration cap reached" in str(err.value)
+
 
 @pytest.fixture(scope="module")
 def result(instance, quick_cfg):
