@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import re
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -42,14 +43,16 @@ class ConfigError(ValueError):
     """Bad configuration; message carries path:line when determinable."""
 
 
-def _option_line(text: str, section: str, option: str) -> int:
-    """Best-effort line anchor for an option inside a section."""
+def _option_line(text: str, section: str, option: str | None = None) -> int:
+    """Best-effort line anchor for an option inside a section, or for its header."""
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         text = line.strip()
         if text.startswith("[") and text.endswith("]"):
             current = text[1:-1].strip()
-        elif current == section and text.split("=")[0].strip() == option:
+            if option is None and current == section:
+                return lineno
+        elif current == section and re.split("[=:]", text)[0].strip().lower() == option:
             return lineno
     return 0
 
@@ -177,8 +180,30 @@ def field_from_spec(spec: str, chart: Chart) -> ScalarField:
     raise ConfigError(f"unknown field spec kind {kind!r} in {spec!r}")
 
 
+def _flag(raw: str) -> bool:
+    return raw.strip().lower() in ("1", "true", "yes", "on")
+
+
+def _numbers(caster):
+    """Caster of a whitespace-separated list of numbers."""
+    return lambda raw: tuple(caster(t) for t in raw.split())
+
+
+def _lambda_grid(raw: str):
+    """The point count N of ``auto [N]`` (N defaults to 8), else the strictly increasing grid."""
+    tokens = raw.split()
+    if tokens and tokens[0] == "auto":
+        if len(tokens) > 2:
+            raise ValueError(f"'auto' takes at most one point count, got {raw!r}")
+        return int(tokens[1]) if len(tokens) == 2 else 8
+    grid = tuple(float(t) for t in tokens)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("must be strictly increasing")
+    return grid
+
+
 _SOLVER_KEYS = {
-    "truncate": bool,
+    "truncate": _flag,
     "multistart": int,
     "max_outer_iters": int,
     "step0": float,
@@ -187,8 +212,30 @@ _SOLVER_KEYS = {
     "residual_tol": float,
     "max_backtracks": int,
     "start_mean": float,
-    "use_bb_step": bool,
+    "use_bb_step": _flag,
     "direction_max_mode_frac": float,
+}
+# section -> option -> (RunConfig attribute, caster): every option parse_config
+# reads and the only ones it accepts; [solver] options go to RunConfig.solver
+_OPTIONS = {
+    "chart": {
+        "dim": ("dim", int),
+        "sizes": ("sizes", _numbers(int)),
+        "spacings": ("spacings", _numbers(float)),
+        "metric": ("metric_spec", str),
+    },
+    "exponents": {"p": ("p_spec", str), "q": ("q_spec", str)},
+    "weight": {"mu": ("mu_spec", str)},
+    "nonlinearity": {
+        "beta": ("beta", float),
+        "amplitude": ("amplitude_spec", str),
+        "a_threshold": ("a_threshold", float),
+    },
+    "problem": {"lambda": ("lam", float), "lambda_grid": ("lambda_grid", _lambda_grid)},
+    "solver": {key: ("solver", caster) for key, caster in _SOLVER_KEYS.items()},
+    "verify": {"trials": ("verify_trials", int)},
+    "constants": {"trials": ("constants_trials", int)},
+    "run": {"seed": ("seed", int)},
 }
 
 
@@ -213,57 +260,34 @@ def parse_config(path: str | None = None) -> RunConfig:
         line = _option_line(text, section, option)
         return ConfigError(f"{path}:{line}: [{section}] {option}{message}")
 
-    def get(section, option, caster, default):
-        if not parser.has_option(section, option):
-            return default
-        raw = parser.get(section, option)
-        try:
-            if caster is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
-            return caster(raw)
-        except ValueError as exc:
-            raise error(section, option, f": {exc}") from exc
+    for section in ([parser.default_section] if parser.defaults() else []) + parser.sections():
+        if section not in _OPTIONS:
+            raise ConfigError(
+                f"{path}:{_option_line(text, section)}: unknown section [{section}]; "
+                "known sections: " + ", ".join(_OPTIONS)
+            )
+        for option in parser.options(section):
+            if option not in _OPTIONS[section]:
+                known = ", ".join(_OPTIONS[section])
+                raise error(section, option, f": unknown option; known options: {known}")
 
     rc = RunConfig(path=path)
-    rc.dim = get("chart", "dim", int, rc.dim)
-    if parser.has_option("chart", "sizes"):
-        rc.sizes = tuple(int(t) for t in parser.get("chart", "sizes").split())
-    else:
-        rc.sizes = tuple([64] * rc.dim) if rc.dim > 1 else rc.sizes
-    if parser.has_option("chart", "spacings"):
-        rc.spacings = tuple(float(t) for t in parser.get("chart", "spacings").split())
-    rc.metric_spec = parser.get("chart", "metric", fallback=rc.metric_spec)
-
-    rc.p_spec = parser.get("exponents", "p", fallback=rc.p_spec)
-    rc.q_spec = parser.get("exponents", "q", fallback=rc.q_spec)
-    rc.mu_spec = parser.get("weight", "mu", fallback=rc.mu_spec)
-    rc.amplitude_spec = parser.get("nonlinearity", "amplitude", fallback=rc.amplitude_spec)
-    rc.beta = get("nonlinearity", "beta", float, rc.beta)
-    rc.a_threshold = get("nonlinearity", "a_threshold", float, rc.a_threshold)
-
-    if parser.has_option("problem", "lambda"):
-        rc.lam = get("problem", "lambda", float, None)
-    if parser.has_option("problem", "lambda_grid"):
-        raw = parser.get("problem", "lambda_grid").split()
-        if raw and raw[0] == "auto":
-            rc.lambda_grid_auto = int(raw[1]) if len(raw) > 1 else 8
-        else:
+    for section, options in _OPTIONS.items():
+        for option, (attr, caster) in options.items():
+            if not parser.has_option(section, option):
+                continue
             try:
-                grid = tuple(float(t) for t in raw)
+                value = caster(parser.get(section, option))
             except ValueError as exc:
-                raise error("problem", "lambda_grid", f": {exc}") from exc
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise error("problem", "lambda_grid", " must be strictly increasing")
-            rc.lambda_grid = grid
-
-    if parser.has_section("solver"):
-        for key, caster in _SOLVER_KEYS.items():
-            if parser.has_option("solver", key):
-                rc.solver[key] = get("solver", key, caster, None)
-
-    rc.verify_trials = get("verify", "trials", int, rc.verify_trials)
-    rc.constants_trials = get("constants", "trials", int, rc.constants_trials)
-    rc.seed = get("run", "seed", int, rc.seed)
+                raise error(section, option, f": {exc}") from exc
+            if attr == "solver":
+                rc.solver[option] = value
+            else:
+                setattr(rc, attr, value)
+    if rc.dim > 1 and not parser.has_option("chart", "sizes"):
+        rc.sizes = (64,) * rc.dim
+    if isinstance(rc.lambda_grid, int):
+        rc.lambda_grid_auto, rc.lambda_grid = rc.lambda_grid, None
 
     rc.echo = {s: dict(parser.items(s)) for s in parser.sections()}
 

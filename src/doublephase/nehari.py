@@ -12,7 +12,7 @@ local-maximum branch (negative), and inflections (zero within tolerance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -86,6 +86,8 @@ class ProjectionResult:
     classes: tuple
     phi_at_roots: tuple
     scale: float
+    # the ray profile the roots were found on, for energies along the ray
+    profile: _RayProfile | None = field(default=None, compare=False, repr=False)
 
     def first(self, target: NehariClass):
         """Smallest projection root of the requested class, or None."""
@@ -183,11 +185,17 @@ def fibering(P: ProblemInstance, u: ScalarField, t_grid, truncated: bool = False
 
 
 def _refine_root(profile: _RayProfile, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """A root of phi in [lo, hi], where phi changes sign, to |phi| <= ROOT_TOL * scale.
+    """A root of phi in [lo, hi], where phi changes sign.
 
     Safeguarded Newton on the exact phi': start from the end with the
     smaller |phi|, keep the sign-change bracket, and bisect whenever the
-    Newton step leaves the bracket or phi' vanishes.
+    Newton step leaves the bracket or phi' vanishes. Stops at
+    |phi| <= ROOT_TOL * scale, or when the bracket reaches float resolution
+    (hi - lo <= 4 eps hi), or after MAX_REFINE_STEPS steps. The scale is
+    the ray's size at t = 1, while the rounding noise of phi grows like
+    t^beta, so for roots at large t on small-amplitude rays the bracket
+    stop comes first and |phi| at the returned root can exceed the
+    tolerance by orders of magnitude.
     """
     tol = ROOT_TOL * profile.scale
     t, f = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
@@ -234,9 +242,12 @@ def project(
 
     The fibering map is evaluated on a log-spaced probe grid in one batched
     pass; each sign change is refined by safeguarded Newton steps until
-    |phi(t)| <= 1e-10 times the ray scale. Raises NoRootError when the map
-    keeps one sign over the whole bracket, which the superlinear source
-    makes possible only for degenerate rays.
+    |phi(t)| <= 1e-10 times the ray scale or the bracket reaches float
+    resolution, whichever comes first (see ``_refine_root``), so
+    ``phi_at_roots`` can exceed that tolerance for roots at large t. The
+    result carries the ray profile the roots were found on. Raises
+    NoRootError when the map keeps one sign over the whole bracket, which
+    the superlinear source makes possible only for degenerate rays.
     """
     if u.max_abs == 0.0:
         raise ValueError("cannot project the zero field")
@@ -258,6 +269,7 @@ def project(
         classes=classes,
         phi_at_roots=tuple(profile.phi_values(roots).tolist()),
         scale=profile.scale,
+        profile=profile,
     )
 
 
@@ -309,14 +321,7 @@ class Thresholds:
     constants: ConstantsEstimate
 
     def to_dict(self):
-        return {
-            "lambda_star": self.lambda_star,
-            "lambda_star_star": self.lambda_star_star,
-            "lambda_bar": self.lambda_bar,
-            "star_clamped": self.star_clamped,
-            "star_star_degenerate": self.star_star_degenerate,
-            "constants": self.constants.to_dict(),
-        }
+        return asdict(self)
 
 
 def thresholds(P: ProblemInstance, consts: ConstantsEstimate) -> Thresholds:

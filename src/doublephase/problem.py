@@ -9,7 +9,7 @@ are ever assembled (weak formulation); the operator itself never is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -216,14 +216,7 @@ class EnergyBreakdown:
     total: float
 
     def to_dict(self):
-        return {
-            "grad_p_term": self.grad_p_term,
-            "grad_q_term": self.grad_q_term,
-            "lambda_q_term": self.lambda_q_term,
-            "u_p_term": self.u_p_term,
-            "F_term": self.F_term,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 class _Nodewise:

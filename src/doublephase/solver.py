@@ -80,25 +80,6 @@ class SolverConfig:
             return float(self.start_mean)
         return 1.0 if self.truncate else 0.0
 
-    def to_dict(self):
-        return {
-            "target": self.target.value,
-            "truncate": self.truncate,
-            "multistart": self.multistart,
-            "seed": self.seed,
-            "max_outer_iters": self.max_outer_iters,
-            "step0": self.step0,
-            "shrink": self.shrink,
-            "armijo": self.armijo,
-            "residual_tol": self.residual_tol,
-            "max_backtracks": self.max_backtracks,
-            "start_mean": self.resolved_start_mean(),
-            "start_amp": list(self.start_amp),
-            "direction_max_mode_frac": self.direction_max_mode_frac,
-            "use_bb_step": self.use_bb_step,
-            "constants_trials": self.constants_trials,
-        }
-
 
 @dataclass(frozen=True)
 class SolutionReport:
@@ -420,7 +401,7 @@ def _census(P: ProblemInstance, fields, target: NehariClass):
         t = res.first(target)
         if t is not None:
             found += 1
-            theta = min(theta, _RayProfile(P, u).energy_at(t))
+            theta = min(theta, res.profile.energy_at(t))
     return (theta if found else math.nan), found
 
 

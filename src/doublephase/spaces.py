@@ -7,7 +7,7 @@ functional constants that feed the branch thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -15,10 +15,13 @@ from .grid import (
     Chart,
     MetricField,
     ScalarField,
-    band_filter,
+    _band_mask,
+    _mode_grids,
     grad_norm_g,
     gradient,
+    gradient_values,
     integrate,
+    norm_g_values,
     pairwise_sum,
     random_band_limited,
     substream,
@@ -178,10 +181,8 @@ def sobolev_norm(u: ScalarField, e: ScalarField, metric: MetricField) -> float:
     return luxemburg_norm(u, e, metric) + luxemburg_norm(gnorm, e, metric)
 
 
-def holder_factor(e: ExponentField | ScalarField) -> float:
+def holder_factor(e: ScalarField) -> float:
     """The constant 1 + 1/e- + 1/e+ used on the right of the Hoelder bound."""
-    if isinstance(e, ExponentField):
-        return 1.0 + 1.0 / e.q_minus + 1.0 / e.q_plus
     vals = e.values
     return 1.0 + 1.0 / float(vals.min()) + 1.0 / float(vals.max())
 
@@ -318,14 +319,7 @@ class ConstantsEstimate:
             raise ValueError("estimated constants must be positive")
 
     def to_dict(self):
-        return {
-            "c_poincare": self.c_poincare,
-            "D_embed": self.D_embed,
-            "c1_embed": self.c1_embed,
-            "r_q": self.r_q,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _inverse_gradient_smoother(chart: Chart, max_mode_frac: float):
@@ -334,13 +328,10 @@ def _inverse_gradient_smoother(chart: Chart, max_mode_frac: float):
     Used only to propose candidate extremal fields; every ratio is evaluated
     with the true metric norms afterwards.
     """
-    grids = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in chart.shape], indexing="ij")
     symbol = np.zeros(chart.shape)
-    for g_k, n, h in zip(grids, chart.shape, chart.spacings):
+    for g_k, n, h in zip(_mode_grids(chart), chart.shape, chart.spacings):
         symbol = symbol + (np.sin(2.0 * np.pi * g_k / n) / h) ** 2
-    mask = np.ones(chart.shape, dtype=bool)
-    for g_k, n in zip(grids, chart.shape):
-        mask &= np.abs(g_k) <= int(n * max_mode_frac)
+    mask = _band_mask(chart, max_mode_frac)
     mask[(0,) * chart.dim] = False
     inv_symbol = np.where(mask, 1.0 / np.where(symbol > 0, symbol, 1.0), 0.0)
 
@@ -350,6 +341,28 @@ def _inverse_gradient_smoother(chart: Chart, max_mode_frac: float):
         return out / peak if peak > 0 else out
 
     return smooth
+
+
+def _candidate_ratios(
+    u: ScalarField, exponents: ExponentField, weight: WeightField, metric: MetricField
+):
+    """(Poincare, embedding, weighted) ratios of one candidate field.
+
+    Each of ||u||_q, || |grad u|_g ||_q and ||u||_p is computed once; the
+    Sobolev norm s is the sum of the first two, in the order of
+    ``sobolev_norm``. A ratio with a vanishing denominator is 0.
+    """
+    q = exponents.q
+    gnorm = u.chart.field(norm_g_values(gradient_values(u.values, u.chart), metric))
+    norm_q = luxemburg_norm(u, q, metric)
+    norm_grad = luxemburg_norm(gnorm, q, metric)
+    norm_p = luxemburg_norm(u, exponents.p, metric)
+    poincare = norm_q / norm_grad if norm_grad != 0.0 else 0.0
+    s = norm_q + norm_grad
+    if s == 0.0:
+        return poincare, 0.0, 0.0
+    unit = u.chart.field(u.values / s)
+    return poincare, norm_p / s, weighted_modular(unit, q, weight, metric)
 
 
 def estimate_constants(
@@ -367,49 +380,28 @@ def estimate_constants(
     plus mean-shifted and constant candidates drive the embedding ratios
     (whose suprema admit constant fields). The best Poincare candidate is
     refined by repeated inverse-Laplacian smoothing, which converges to the
-    extremal low mode for constant exponents. Deterministic given the seed;
-    with the same seed, more trials can only increase the estimates.
+    extremal low mode for constant exponents. Every candidate costs three
+    Luxemburg norms. Deterministic given the seed; with the same seed, more
+    trials can only increase the estimates.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     chart = exponents.chart
-    p, q = exponents.p, exponents.q
-
-    def poincare_ratio(field):
-        ng = luxemburg_norm(grad_norm_g(gradient(field), metric), q, metric)
-        if ng == 0.0:
-            return 0.0
-        return luxemburg_norm(field, q, metric) / ng
-
-    def embed_ratio(field):
-        s = sobolev_norm(field, q, metric)
-        if s == 0.0:
-            return 0.0
-        return luxemburg_norm(field, p, metric) / s
-
-    def weighted_ratio(field):
-        s = sobolev_norm(field, q, metric)
-        if s == 0.0:
-            return 0.0
-        unit = chart.field(field.values / s)
-        return weighted_modular(unit, q, weight, metric)
-
-    ones = chart.constant(1.0)
     c_best, c_field = 0.0, None
-    d_best = embed_ratio(ones)
-    c1_best = weighted_ratio(ones)
+    _, d_best, c1_best = _candidate_ratios(chart.constant(1.0), exponents, weight, metric)
     for i in range(trials):
         rng = substream(seed, "constants", i)
         amp = float(10.0 ** rng.uniform(-1.0, 0.5))
         osc = random_band_limited(chart, rng, max_mode_frac, amplitude=amp)
-        ratio = poincare_ratio(osc)
-        if ratio > c_best:
-            c_best, c_field = ratio, osc
-        d_best = max(d_best, embed_ratio(osc))
-        c1_best = max(c1_best, weighted_ratio(osc))
+        c_ratio, d_ratio, c1_ratio = _candidate_ratios(osc, exponents, weight, metric)
+        if c_ratio > c_best:
+            c_best, c_field = c_ratio, osc
+        d_best = max(d_best, d_ratio)
+        c1_best = max(c1_best, c1_ratio)
         shifted = chart.field(osc.values + float(rng.uniform(0.1, 2.0)))
-        d_best = max(d_best, embed_ratio(shifted))
-        c1_best = max(c1_best, weighted_ratio(shifted))
+        _, d_ratio, c1_ratio = _candidate_ratios(shifted, exponents, weight, metric)
+        d_best = max(d_best, d_ratio)
+        c1_best = max(c1_best, c1_ratio)
 
     if c_field is not None and refine_iters > 0:
         smooth = _inverse_gradient_smoother(chart, max_mode_frac)
@@ -417,14 +409,15 @@ def estimate_constants(
         for _ in range(refine_iters):
             vals = smooth(vals)
             candidate = chart.field(vals)
-            c_best = max(c_best, poincare_ratio(candidate))
-            d_best = max(d_best, embed_ratio(candidate))
+            c_ratio, d_ratio, _ = _candidate_ratios(candidate, exponents, weight, metric)
+            c_best = max(c_best, c_ratio)
+            d_best = max(d_best, d_ratio)
 
     return ConstantsEstimate(
         c_poincare=c_best,
         D_embed=d_best,
         c1_embed=c1_best,
-        r_q=holder_factor(exponents),
+        r_q=holder_factor(exponents.q),
         trials=trials,
         seed=int(seed),
     )

@@ -88,3 +88,74 @@ def test_parse_echo_and_defaults(tmp_path):
     assert rc.echo["chart"]["sizes"] == "64"
     inst = rc.build_instance()
     assert inst.exponents.p_plus == 3.0  # default exponents
+
+
+BASE_CFG = "[chart]\ndim = 1\nsizes = 64\n\n[problem]\nlambda = 0.5\n"
+
+
+def _parse_error(tmp_path, text):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        parse_config(str(cfg))
+    return str(info.value)
+
+
+class TestUnknownKeys:
+    def test_unknown_option_is_line_anchored(self, tmp_path):
+        msg = _parse_error(tmp_path, BASE_CFG + "\n[solver]\nmultistart = 3\nmultistrat = 2\n")
+        assert "c.cfg:10:" in msg and "[solver] multistrat" in msg and "unknown option" in msg
+
+    def test_unknown_option_in_known_section(self, tmp_path):
+        msg = _parse_error(tmp_path, BASE_CFG.replace("sizes = 64", "sizes = 64\nsize = 32"))
+        assert "c.cfg:4:" in msg and "[chart] size" in msg
+
+    def test_unknown_section_is_line_anchored(self, tmp_path):
+        msg = _parse_error(tmp_path, BASE_CFG + "\n[slover]\nmultistart = 3\n")
+        assert "c.cfg:8:" in msg and "unknown section [slover]" in msg
+
+    def test_default_section_is_rejected(self, tmp_path):
+        msg = _parse_error(tmp_path, "[DEFAULT]\nseed = 3\n\n" + BASE_CFG)
+        assert "c.cfg:1:" in msg and "[DEFAULT]" in msg
+
+    def test_shipped_configs_use_known_keys(self):
+        from pathlib import Path
+
+        reference = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
+        assert parse_config(str(reference)).lam == 0.125
+        sections = {"chart", "exponents", "weight", "nonlinearity", "problem", "solver"}
+        assert parse_config(None).echo.keys() == sections | {"verify", "constants"}
+
+
+class TestListCasts:
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("sizes = 64", "sizes = 64 x", 3),
+            ("sizes = 64", "sizes: 64 x", 3),
+            ("sizes = 64", "sizes = 64\nspacings = 0.1 y", 4),
+            ("lambda = 0.5", "lambda = 0.5\nlambda_grid = auto x", 7),
+            ("lambda = 0.5", "lambda = 0.5\nlambda_grid = auto 8 9", 7),
+        ],
+    )
+    def test_bad_list_value_is_line_anchored(self, tmp_path, old, new, line):
+        msg = _parse_error(tmp_path, BASE_CFG.replace(old, new))
+        option = new.splitlines()[-1].split("=")[0].split(":")[0].strip()
+        assert f"c.cfg:{line}: [" in msg and f"] {option}:" in msg
+
+    def test_auto_grid_point_count(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CFG + "lambda_grid = auto 5\n")
+        assert parse_config(str(cfg)).lambda_grid_auto == 5
+        cfg.write_text(BASE_CFG + "lambda_grid = auto\n")
+        rc = parse_config(str(cfg))
+        assert (rc.lambda_grid_auto, rc.lambda_grid) == (8, None)
+
+    def test_sizes_and_spacings_parse(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        chart = "dim = 2\nsizes = 8 16\nspacings = 0.125 0.0625"
+        cfg.write_text(BASE_CFG.replace("dim = 1\nsizes = 64", chart))
+        rc = parse_config(str(cfg))
+        assert rc.sizes == (8, 16) and rc.spacings == (0.125, 0.0625)
+        cfg.write_text(BASE_CFG.replace("dim = 1\nsizes = 64", "dim = 2"))
+        assert parse_config(str(cfg)).sizes == (64, 64)

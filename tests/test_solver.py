@@ -208,3 +208,27 @@ class TestSweep:
     def test_plus_found_below_fold(self, instance, quick_cfg):
         rows = dp.sweep(instance, [0.125], quick_cfg, n_samples=16)
         assert rows[0].n_plus_found > 0
+
+    def test_census_builds_one_ray_profile_per_projection(self, instance, quick_cfg, monkeypatch):
+        from doublephase import nehari, solver
+
+        counts = {"project": 0, "profile": 0}
+        project, init = nehari.project, nehari._RayProfile.__init__
+
+        def counted_project(*args, **kwargs):
+            counts["project"] += 1
+            return project(*args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            counts["profile"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "project", counted_project)
+        monkeypatch.setattr(nehari._RayProfile, "__init__", counted_init)
+        consts = dp.estimate_constants(
+            instance.exponents, instance.weight, instance.metric, trials=100, seed=7
+        )
+        rows = dp.sweep(instance, [0.125], quick_cfg, n_samples=16, constants=consts)
+        assert counts["project"] == 16 + quick_cfg.multistart
+        assert counts["profile"] == counts["project"]
+        assert rows[0].n_minus_found > 0 and rows[0].n_plus_found > 0

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import doublephase as dp
-from doublephase.spaces import holder_factor
+from doublephase import spaces
+from doublephase.spaces import holder_factor, luxemburg_norm
+from conftest import make_variable_instance
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +321,113 @@ class TestEstimateConstants:
         a = dp.estimate_constants(e, w, metric, trials=100, seed=3)
         b = dp.estimate_constants(e, w, metric, trials=100, seed=3)
         assert a == b
+
+
+def _reference_estimate(exponents, weight, metric, trials, seed, max_mode_frac=0.25):
+    """The constants search written with one closure per ratio, each computing its own norms."""
+    chart = exponents.chart
+    p, q = exponents.p, exponents.q
+
+    def poincare_ratio(field):
+        ng = dp.luxemburg_norm(dp.grad_norm_g(dp.gradient(field), metric), q, metric)
+        if ng == 0.0:
+            return 0.0
+        return dp.luxemburg_norm(field, q, metric) / ng
+
+    def embed_ratio(field):
+        s = dp.sobolev_norm(field, q, metric)
+        if s == 0.0:
+            return 0.0
+        return dp.luxemburg_norm(field, p, metric) / s
+
+    def weighted_ratio(field):
+        s = dp.sobolev_norm(field, q, metric)
+        if s == 0.0:
+            return 0.0
+        return dp.weighted_modular(chart.field(field.values / s), q, weight, metric)
+
+    def smoother():
+        grids = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in chart.shape], indexing="ij")
+        symbol = np.zeros(chart.shape)
+        for g_k, n, h in zip(grids, chart.shape, chart.spacings):
+            symbol = symbol + (np.sin(2.0 * np.pi * g_k / n) / h) ** 2
+        mask = np.ones(chart.shape, dtype=bool)
+        for g_k, n in zip(grids, chart.shape):
+            mask &= np.abs(g_k) <= int(n * max_mode_frac)
+        mask[(0,) * chart.dim] = False
+        inv_symbol = np.where(mask, 1.0 / np.where(symbol > 0, symbol, 1.0), 0.0)
+
+        def smooth(values):
+            out = np.fft.ifftn(np.fft.fftn(values) * inv_symbol).real
+            peak = np.max(np.abs(out))
+            return out / peak if peak > 0 else out
+
+        return smooth
+
+    ones = chart.constant(1.0)
+    c_best, c_field = 0.0, None
+    d_best = embed_ratio(ones)
+    c1_best = weighted_ratio(ones)
+    for i in range(trials):
+        rng = dp.substream(seed, "constants", i)
+        amp = float(10.0 ** rng.uniform(-1.0, 0.5))
+        osc = dp.random_band_limited(chart, rng, max_mode_frac, amplitude=amp)
+        ratio = poincare_ratio(osc)
+        if ratio > c_best:
+            c_best, c_field = ratio, osc
+        d_best = max(d_best, embed_ratio(osc))
+        c1_best = max(c1_best, weighted_ratio(osc))
+        shifted = chart.field(osc.values + float(rng.uniform(0.1, 2.0)))
+        d_best = max(d_best, embed_ratio(shifted))
+        c1_best = max(c1_best, weighted_ratio(shifted))
+    smooth = smoother()
+    vals = c_field.values
+    for _ in range(40):
+        vals = smooth(vals)
+        candidate = chart.field(vals)
+        c_best = max(c_best, poincare_ratio(candidate))
+        d_best = max(d_best, embed_ratio(candidate))
+    return dp.ConstantsEstimate(
+        c_poincare=c_best,
+        D_embed=d_best,
+        c1_embed=c1_best,
+        r_q=1.0 + 1.0 / exponents.q_minus + 1.0 / exponents.q_plus,
+        trials=trials,
+        seed=seed,
+    )
+
+
+def _anisotropic_2d():
+    chart, metric = dp.build_torus(2, [16, 16], metric_spec=[[1.0, 0.3], [0.3, 2.0]])
+    e = dp.ExponentField(p=chart.constant(3.0), q=chart.constant(2.0))
+    return e, dp.WeightField(mu=chart.constant(1.0)), metric
+
+
+def _variable_1d():
+    P = make_variable_instance()
+    return P.exponents, P.weight, P.metric
+
+
+@pytest.mark.parametrize("make", [_variable_1d, _anisotropic_2d], ids=["variable1d", "aniso2d"])
+def test_estimate_equals_one_closure_per_ratio_reference(make):
+    e, w, metric = make()
+    got = dp.estimate_constants(e, w, metric, trials=100, seed=5)
+    assert got == _reference_estimate(e, w, metric, trials=100, seed=5)
+
+
+def test_estimate_computes_three_norms_per_candidate(monkeypatch):
+    e, w, metric = _variable_1d()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return luxemburg_norm(*args)
+
+    monkeypatch.setattr(spaces, "luxemburg_norm", counted)
+    trials, refine_iters = 100, 7
+    dp.estimate_constants(e, w, metric, trials=trials, seed=5, refine_iters=refine_iters)
+    # the constant field, an oscillating and a shifted sample per trial, the refinement steps
+    assert len(calls) == 3 * (1 + 2 * trials + refine_iters)
 
 
 def test_said_embedding_estimate_holds():
