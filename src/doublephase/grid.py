@@ -2,7 +2,10 @@
 
 Everything is dimension-generic (1 to 3 axes) and periodic, so a grid models
 a flat or curved-metric torus. All reductions go through ``pairwise_sum`` so
-results are bit-reproducible at a fixed thread count.
+results are bit-reproducible at a fixed thread count. The one exception
+lives outside this module: the ray profile in ``nehari`` groups node
+coefficients by exponent value with ``np.bincount``, a sequential sum in
+node order that is just as reproducible.
 """
 
 from __future__ import annotations

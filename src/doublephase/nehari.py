@@ -2,18 +2,21 @@
 
 A nonzero field u is on the constraint set when the ray derivative
 psi(u) = <J'(u), u> vanishes. Along the ray t -> t u every term of psi is an
-explicit power of t (the source is a pure power), so the fibering map and
-its exact t-derivative are cheap nodewise sums, evaluated for a whole probe
-grid of t values in one array pass. Roots of the fibering map are constraint
-points on the ray, refined by safeguarded Newton steps on the exact phi'; the
-sign of t phi'(t) there separates the local-minimum branch (positive), the
-local-maximum branch (negative), and inflections (zero within tolerance).
+explicit power of t (the source is a pure power), so the ray profile sums
+the node coefficients once per distinct exponent: the fibering map, its
+exact t-derivative and the energy J(t u) then cost one term per distinct
+exponent, for a whole probe grid of t values in one array pass. Roots of
+the fibering map are constraint points on the ray, refined by safeguarded
+Newton steps on the exact phi'; the sign of t phi'(t) there separates the
+local-minimum branch (positive), the local-maximum branch (negative), and
+inflections (zero within tolerance).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,9 +42,9 @@ __all__ = [
 PSI_TOL = 1e-8
 ROOT_TOL = 1e-10
 CLASS_TOL = 1e-9
-# probe evaluations run in row blocks of at most this many (t, node) pairs,
-# which bounds the temporaries on large grids
-PROBE_BLOCK = 2**14
+# probe evaluations run in row blocks of at most this many (t, term) pairs,
+# which bounds the temporaries when exponents vary on large grids
+PROBE_BLOCK = 2**15
 MAX_REFINE_STEPS = 100
 
 
@@ -98,19 +101,23 @@ class ProjectionResult:
 
 
 class _RayProfile:
-    """Nodewise power decomposition of psi(t u) and J(t u) along one ray."""
+    """Power decomposition of psi(t u) and J(t u) along one ray.
+
+    Every node term is a pure power of t, so the nodewise coefficients are
+    summed once per distinct exponent: phi(t) = sum_k t^e_k C_k - t^beta S,
+    with e_k running over the distinct values of p and then of q. A ray
+    costs as many terms as there are distinct exponents, 2 on constant
+    exponents and at most twice the node count otherwise.
+    """
 
     def __init__(self, P: ProblemInstance, u: ScalarField, truncated: bool = False):
         w = P.node_weight
         a_grad_p, a_grad_q, a_u_q, a_u_p, a_src = (
             w * d for d in _Nodewise(P, u.values, truncated).powers()
         )
-        p = P.exponents.p.values.ravel()
-        q = P.exponents.q.values.ravel()
+        e = P.exponents
         beta = float(P.nonlinearity.beta)
         lam = float(P.lam)
-        coef_p = (a_grad_p + a_u_p).ravel()
-        coef_q = (a_grad_q - lam * a_u_q).ravel()
         src = pairwise_sum(a_src)
         # dimensionless tolerance scale: the five ray integrals at t = 1
         self.scale = (
@@ -120,29 +127,34 @@ class _RayProfile:
             + pairwise_sum(a_u_p)
             + src
         )
-        # (a, A, b, B, c, C) of sum_i (t^a_i A_i + t^b_i B_i) - t^c C
-        self._phi_terms = (p, coef_p, q, coef_q, beta, src)
-        self._phi_prime_terms = (
-            p - 1.0, p * coef_p, q - 1.0, q * coef_q, beta - 1.0, beta * src
-        )
-        self._energy_terms = (p, coef_p / p, q, coef_q / q, beta, src / beta)
+        # grouped sums in node order: fixed, whatever the thread count
+        (p_distinct, p_index), (q_distinct, q_index) = e.p_groups, e.q_groups
+        coef = np.concatenate((
+            np.bincount(p_index, weights=(a_grad_p + a_u_p).ravel()),
+            np.bincount(q_index, weights=(a_grad_q - lam * a_u_q).ravel()),
+        ))
+        expo = np.concatenate((p_distinct, q_distinct))
+        # (e, C, c, S) of sum_k t^e_k C_k - t^c S
+        self._phi_terms = (expo, coef, beta, src)
+        self._phi_prime_terms = (expo - 1.0, expo * coef, beta - 1.0, beta * src)
+        self._energy_terms = (expo, coef / expo, beta, src / beta)
 
     def _ray_sums(self, t_values, terms) -> np.ndarray:
-        """sum_i (t^a_i A_i + t^b_i B_i) - t^c C for every t of a 1-d array.
+        """sum_k t^e_k C_k - t^c S for every t of a 1-d array.
 
-        The node sums run in row blocks of at most PROBE_BLOCK elements,
-        each row reduced by the tree of ``pairwise_sum``. The source power
-        t^c is taken with Python float pow, so every value is bitwise the
-        one a single-point call gives.
+        The term sums run in row blocks of at most PROBE_BLOCK (t, term)
+        pairs, each row reduced by the tree of ``pairwise_sum``. The source
+        power t^c is taken with Python float pow, so every value is bitwise
+        the one a single-point call gives.
         """
-        a, A, b, B, c, C = terms
+        expo, coef, c, S = terms
         t = np.asarray(t_values, dtype=float)
-        rows = max(1, PROBE_BLOCK // a.size)
+        rows = max(1, PROBE_BLOCK // expo.size)
         sums = np.empty(t.size)
         for start in range(0, t.size, rows):
             tb = t[start : start + rows, None]
-            sums[start : start + rows] = pairwise_sum_rows(tb**a * A + tb**b * B)
-        return sums - np.array([tv**c for tv in t.tolist()]) * C
+            sums[start : start + rows] = pairwise_sum_rows(tb**expo * coef)
+        return sums - np.array([tv**c for tv in t.tolist()]) * S
 
     def phi_values(self, t_values) -> np.ndarray:
         return self._ray_sums(t_values, self._phi_terms)
@@ -231,6 +243,14 @@ def _roots_on_grid(profile: _RayProfile, t_grid) -> list:
     return roots
 
 
+@lru_cache(maxsize=8)
+def _probe_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """The read-only log-spaced probe grid of ``project``, built once per bracket."""
+    t = np.geomspace(lo, hi, n)
+    t.setflags(write=False)
+    return t
+
+
 def project(
     P: ProblemInstance,
     u: ScalarField,
@@ -240,8 +260,8 @@ def project(
 ) -> ProjectionResult:
     """All constraint points on the ray through u, smallest t first.
 
-    The fibering map is evaluated on a log-spaced probe grid in one batched
-    pass; each sign change is refined by safeguarded Newton steps until
+    The fibering map is evaluated on a log-spaced probe grid (built once
+    per bracket and point count) in one batched pass; each sign change is refined by safeguarded Newton steps until
     |phi(t)| <= 1e-10 times the ray scale or the bracket reaches float
     resolution, whichever comes first (see ``_refine_root``), so
     ``phi_at_roots`` can exceed that tolerance for roots at large t. The
@@ -254,8 +274,7 @@ def project(
     profile = _RayProfile(P, u, truncated)
     if profile.scale == 0.0:
         raise NoRootError("ray profile vanishes identically (source fully truncated)")
-    t_grid = np.geomspace(bracket[0], bracket[1], n_grid)
-    roots = _roots_on_grid(profile, t_grid)
+    roots = _roots_on_grid(profile, _probe_grid(bracket[0], bracket[1], n_grid))
     if not roots:
         raise NoRootError(
             "fibering map has constant sign on the probe bracket "

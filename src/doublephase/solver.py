@@ -29,7 +29,7 @@ from .nehari import (
     project,
     thresholds,
 )
-from .problem import ProblemInstance, energy, residual_gradient
+from .problem import ProblemInstance, residual_gradient
 from .spaces import ConstantsEstimate, estimate_constants
 
 __all__ = [
@@ -150,13 +150,16 @@ def _start_field(P: ProblemInstance, cfg: SolverConfig, index: int) -> ScalarFie
 
 
 def _project_onto(P, vals, cfg, local=False):
-    """Scale a candidate onto the target branch; None when no matching root.
+    """Scale a candidate onto the target branch: (field, energy), or None.
 
     Initial projections use the full probe bracket and take the smallest
     matching root. Re-projections inside the descent loop (``local``) first
     search a window around t = 1, where the root continuous with the current
     iterate lives, and fall back to the full bracket. Candidates with
-    non-finite entries are rejected before any projection.
+    non-finite entries are rejected before any projection, and None is
+    returned when no window has a matching root. The energy J(t u) is read
+    from the ray profile the projection built: every term is homogeneous in
+    t, and for t > 0 the truncation mask of t u is the mask of u.
     """
     if not np.all(np.isfinite(vals)):
         return None
@@ -164,11 +167,12 @@ def _project_onto(P, vals, cfg, local=False):
     windows = ({"bracket": (0.25, 4.0), "n_grid": 17}, {}) if local else ({},)
     for window in windows:
         try:
-            t = project(P, cand, truncated=cfg.truncate, **window).first(cfg.target)
+            res = project(P, cand, truncated=cfg.truncate, **window)
         except (NoRootError, ValueError):
             continue
+        t = res.first(cfg.target)
         if t is not None:
-            return P.chart.field(t * vals)
+            return P.chart.field(t * vals), res.profile.energy_at(t)
     return None
 
 
@@ -184,10 +188,10 @@ class _StartOutcome:
 
 
 def _run_start(P: ProblemInstance, cfg: SolverConfig, index: int) -> _StartOutcome:
-    u = _project_onto(P, _start_field(P, cfg, index).values, cfg)
-    if u is None:
+    start = _project_onto(P, _start_field(P, cfg, index).values, cfg)
+    if start is None:
         return _StartOutcome(converged=False, projected=False, note="start did not project")
-    J = energy(P, u, truncated=cfg.truncate).total
+    u, J = start
     frac = cfg.direction_max_mode_frac
     w = P.node_weight
     prev_u = None
@@ -216,11 +220,11 @@ def _run_start(P: ProblemInstance, cfg: SolverConfig, index: int) -> _StartOutco
         prev_u, prev_g = u.values, g
         accepted = False
         for _ in range(cfg.max_backtracks):
-            cand = _project_onto(P, u.values + step * d, cfg, local=True)
-            if cand is None:
+            trial = _project_onto(P, u.values + step * d, cfg, local=True)
+            if trial is None:
                 step *= cfg.shrink
                 continue
-            J_cand = energy(P, cand, truncated=cfg.truncate).total
+            cand, J_cand = trial
             if J_cand <= J + cfg.armijo * step * slope:
                 u, J = cand, J_cand
                 accepted = True

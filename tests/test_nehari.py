@@ -67,29 +67,79 @@ class TestPsiAndFibering:
 
 
 def _one_point_phi(P, u, t):
-    """phi(t) as one pairwise_sum over the nodes, the unbatched formula."""
+    """phi(t) as one pairwise_sum over the nodes, and the sum of |terms|."""
     w = P.node_weight
     grad_p, grad_q, u_q, u_p, src = (w * d for d in _Nodewise(P, u.values, False).powers())
     p, q = P.exponents.p.values, P.exponents.q.values
-    body = t**p * (grad_p + u_p) + t**q * (grad_q - P.lam * u_q)
-    return dp.pairwise_sum(body) - t ** float(P.nonlinearity.beta) * dp.pairwise_sum(src)
+    body_p = t**p * (grad_p + u_p)
+    body_q = t**q * (grad_q - P.lam * u_q)
+    body_src = t ** float(P.nonlinearity.beta) * src
+    value = dp.pairwise_sum(body_p + body_q) - dp.pairwise_sum(body_src)
+    magnitude = dp.pairwise_sum(np.abs(body_p) + np.abs(body_q) + np.abs(body_src))
+    return value, magnitude
+
+
+def _anisotropic_instance(n=32, lam=0.2):
+    chart, metric = dp.build_torus(2, [n, n], metric_spec=[[1.0, 0.3], [0.3, 2.0]])
+    return dp.ProblemInstance(
+        chart=chart,
+        metric=metric,
+        exponents=dp.ExponentField(p=chart.constant(3.0), q=chart.constant(2.0)),
+        weight=dp.WeightField(mu=chart.constant(1.0)),
+        lam=lam,
+        nonlinearity=dp.PowerNonlinearity(beta=4.0, amplitude=chart.constant(1.0)),
+    )
+
+
+INSTANCES = {
+    "reference": lambda: make_reference_instance(lam=0.1),
+    "variable_default": lambda: parse_config(None).build_instance(lam=0.05),
+    "aniso32": _anisotropic_instance,
+}
 
 
 class TestBatchedProbe:
     @pytest.mark.parametrize("which", ["reference", "variable_default"])
     def test_batched_phi_bitwise_equals_one_point_phi(self, which):
-        if which == "reference":
-            P = make_reference_instance(lam=0.1)
-        else:
-            P = parse_config(None).build_instance(lam=0.05)
+        P = INSTANCES[which]()
         u = _rand(P.chart, "batch", which, amp=0.7, mean=0.4)
         profile = _RayProfile(P, u)
-        # 600 probe points span several row blocks at these grid sizes
+        # on the variable default (74 terms) 600 points span two row blocks
         ts = np.geomspace(1e-6, 1e6, 600)
         batched = profile.phi_values(ts)
+        eps = np.finfo(float).eps
         for t, value in zip(ts.tolist(), batched.tolist()):
             assert value == profile.phi(t)
-            assert value == _one_point_phi(P, u, t)
+            # the profile sums the node terms per distinct exponent, in
+            # another order than one pairwise tree over the nodes
+            expected, magnitude = _one_point_phi(P, u, t)
+            assert abs(value - expected) <= 8.0 * eps * magnitude
+
+
+class TestGroupedProfile:
+    @pytest.mark.parametrize("which", ["reference", "variable_default", "aniso32"])
+    def test_one_term_per_distinct_exponent(self, which):
+        P = INSTANCES[which]()
+        u = _rand(P.chart, "terms", which, amp=0.7, mean=0.4)
+        expo = _RayProfile(P, u)._phi_terms[0]
+        p, q = P.exponents.p.values, P.exponents.q.values
+        assert expo.size == np.unique(p).size + np.unique(q).size
+        if which != "variable_default":
+            assert expo.size == 2
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    @pytest.mark.parametrize("which", ["reference", "variable_default", "aniso32"])
+    def test_energy_at_matches_energy_along_the_ray(self, which, truncated):
+        P = INSTANCES[which]()
+        u = _rand(P.chart, "ray", which, amp=0.7, mean=0.2)
+        assert np.any(u.values < 0)
+        profile = _RayProfile(P, u, truncated)
+        for t in (0.3, 1.0, 2.7):
+            br = dp.energy(P, P.chart.field(t * u.values), truncated)
+            magnitude = (
+                br.grad_p_term + br.grad_q_term + br.lambda_q_term + br.u_p_term + br.F_term
+            )
+            assert profile.energy_at(t) == pytest.approx(br.total, abs=1e-13 * magnitude)
 
 
 class TestRefineRoot:

@@ -93,6 +93,30 @@ class TestProjectOnto:
             for local in (False, True):
                 assert _project_onto(instance, vals, quick_cfg, local) is None
 
+    @pytest.mark.parametrize("target", [dp.NehariClass.PLUS, dp.NehariClass.MINUS])
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_energy_is_the_energy_of_the_projected_field(self, instance, quick_cfg, target, truncate):
+        from dataclasses import replace
+
+        from doublephase.solver import _project_onto
+
+        cfg = replace(quick_cfg, target=target, truncate=truncate)
+        checked = 0
+        for i in range(6):
+            vals = _rand(instance.chart, "onto", i, amp=0.02, mean=0.6).values
+            for local in (False, True):
+                out = _project_onto(instance, vals, cfg, local)
+                if out is None:
+                    continue
+                u, J = out
+                br = dp.energy(instance, u, truncated=truncate)
+                magnitude = (
+                    br.grad_p_term + br.grad_q_term + br.lambda_q_term + br.u_p_term + br.F_term
+                )
+                assert J == pytest.approx(br.total, abs=1e-13 * magnitude)
+                checked += 1
+        assert checked >= 6
+
 
 class TestMinimizeOnBranch:
     def test_minus_branch_converges(self, instance, quick_cfg):
