@@ -206,14 +206,8 @@ _SOLVER_KEYS = {
     "truncate": _flag,
     "multistart": int,
     "max_outer_iters": int,
-    "step0": float,
-    "shrink": float,
-    "armijo": float,
     "residual_tol": float,
-    "max_backtracks": int,
     "start_mean": float,
-    "use_bb_step": _flag,
-    "direction_max_mode_frac": float,
 }
 # section -> option -> (RunConfig attribute, caster): every option parse_config
 # reads and the only ones it accepts; [solver] options go to RunConfig.solver

@@ -120,13 +120,7 @@ class _RayProfile:
         lam = float(P.lam)
         src = pairwise_sum(a_src)
         # dimensionless tolerance scale: the five ray integrals at t = 1
-        self.scale = (
-            pairwise_sum(a_grad_p)
-            + pairwise_sum(a_grad_q)
-            + lam * pairwise_sum(a_u_q)
-            + pairwise_sum(a_u_p)
-            + src
-        )
+        self.scale = pairwise_sum(a_grad_p + a_grad_q + lam * a_u_q + a_u_p + a_src)
         # grouped sums in node order: fixed, whatever the thread count
         (p_distinct, p_index), (q_distinct, q_index) = e.p_groups, e.q_groups
         coef = np.concatenate((

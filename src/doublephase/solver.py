@@ -6,7 +6,7 @@ re-projection after every step, until the residual norm passes the stop
 threshold. Multistart runs are independent and merged deterministically.
 
 The descent direction is spectrally confined to the resolved band
-(|k| <= n/4 per axis by default): the periodic central-difference gradient
+(|k| <= n/4 per axis): the periodic central-difference gradient
 annihilates the two-node checkerboard, so unfiltered descent on the
 truncated energy can fall into grid-artifact critical points carrying
 negative checkerboard nodes. The reported residual norm is always the
@@ -45,6 +45,15 @@ __all__ = [
     "sweep",
 ]
 
+# backtracking line search: the first step before a Barzilai-Borwein step
+# exists, the shrink factor, the Armijo constant and the backtracks allowed
+# per iteration; and the band that confines the descent direction
+STEP0 = 1.0
+SHRINK = 0.5
+ARMIJO = 1e-4
+MAX_BACKTRACKS = 60
+DIRECTION_MAX_MODE_FRAC = 0.25
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -55,25 +64,18 @@ class SolverConfig:
     multistart: int = 8
     seed: int = 0
     max_outer_iters: int = 5000
-    step0: float = 1.0
-    shrink: float = 0.5
-    armijo: float = 1e-4
     residual_tol: float = 1e-6
-    max_backtracks: int = 60
     start_mean: float | None = None
     start_amp: tuple = (0.02, 0.5)
-    direction_max_mode_frac: float | None = 0.25
-    use_bb_step: bool = True
     constants_trials: int = 200
 
     def __post_init__(self):
         if self.multistart < 1:
             raise ValueError("multistart must be at least 1")
-        for name in ("step0", "shrink", "armijo", "residual_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_outer_iters < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration budgets must be positive")
+        if self.residual_tol <= 0:
+            raise ValueError("residual_tol must be positive")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be at least 1")
 
     def resolved_start_mean(self) -> float:
         if self.start_mean is not None:
@@ -192,7 +194,6 @@ def _run_start(P: ProblemInstance, cfg: SolverConfig, index: int) -> _StartOutco
     if start is None:
         return _StartOutcome(converged=False, projected=False, note="start did not project")
     u, J = start
-    frac = cfg.direction_max_mode_frac
     w = P.node_weight
     prev_u = None
     prev_g = None
@@ -202,7 +203,7 @@ def _run_start(P: ProblemInstance, cfg: SolverConfig, index: int) -> _StartOutco
         r_field, rnorm = residual_gradient(P, u, truncated=cfg.truncate)
         if rnorm <= cfg.residual_tol:
             return _StartOutcome(True, True, u, J, rnorm, it - 1)
-        g = r_field.values if frac is None else band_filter(r_field.values, P.chart, frac)
+        g = band_filter(r_field.values, P.chart, DIRECTION_MAX_MODE_FRAC)
         d = -g
         slope = pairwise_sum(r_field.values * d * w)
         if slope >= 0.0:
@@ -210,26 +211,26 @@ def _run_start(P: ProblemInstance, cfg: SolverConfig, index: int) -> _StartOutco
             g = r_field.values
             d = -g
             slope = -pairwise_sum(g * g * w)
-        if cfg.use_bb_step and prev_u is not None:
+        if prev_u is not None:
             s = u.values - prev_u
             y = g - prev_g
             sy = pairwise_sum(s * y * w)
             ss = pairwise_sum(s * s * w)
             step_bb = ss / sy if sy > 0 and np.isfinite(sy) else None
-        step = cfg.step0 if step_bb is None else float(np.clip(step_bb, 1e-10, 1e4))
+        step = STEP0 if step_bb is None else float(np.clip(step_bb, 1e-10, 1e4))
         prev_u, prev_g = u.values, g
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = _project_onto(P, u.values + step * d, cfg, local=True)
             if trial is None:
-                step *= cfg.shrink
+                step *= SHRINK
                 continue
             cand, J_cand = trial
-            if J_cand <= J + cfg.armijo * step * slope:
+            if J_cand <= J + ARMIJO * step * slope:
                 u, J = cand, J_cand
                 accepted = True
                 break
-            step *= cfg.shrink
+            step *= SHRINK
         if not accepted:
             return _StartOutcome(False, True, u, J, rnorm, it, note="backtracking stalled")
     return _StartOutcome(False, True, u, J, rnorm, cfg.max_outer_iters, note="iteration cap reached")

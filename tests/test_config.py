@@ -103,8 +103,10 @@ def _parse_error(tmp_path, text):
 
 class TestUnknownKeys:
     def test_unknown_option_is_line_anchored(self, tmp_path):
-        msg = _parse_error(tmp_path, BASE_CFG + "\n[solver]\nmultistart = 3\nmultistrat = 2\n")
-        assert "c.cfg:10:" in msg and "[solver] multistrat" in msg and "unknown option" in msg
+        for option in ("multistrat = 2", "use_bb_step = false"):
+            msg = _parse_error(tmp_path, BASE_CFG + f"\n[solver]\nmultistart = 3\n{option}\n")
+            name = option.split()[0]
+            assert "c.cfg:10:" in msg and f"[solver] {name}" in msg and "unknown option" in msg
 
     def test_unknown_option_in_known_section(self, tmp_path):
         msg = _parse_error(tmp_path, BASE_CFG.replace("sizes = 64", "sizes = 64\nsize = 32"))

@@ -118,7 +118,7 @@ def test_luxemburg_defining_equation(torus, variable_q):
 
 
 @settings(max_examples=50, deadline=None)
-@given(t=st.floats(min_value=1e-3, max_value=1e3))
+@given(t=st.floats(min_value=1e-12, max_value=1e12))
 def test_luxemburg_homogeneity(t):
     chart, metric = dp.build_torus(1, [32])
     x = chart.axis_coords(0)
@@ -127,6 +127,52 @@ def test_luxemburg_homogeneity(t):
     base = dp.luxemburg_norm(u, e, metric)
     scaled = dp.luxemburg_norm(chart.field(t * u.values), e, metric)
     assert scaled == pytest.approx(t * base, rel=1e-10)
+
+
+_GRIDS = {
+    "1d": lambda: dp.build_torus(1, [64]),
+    "2d": lambda: dp.build_torus(2, [16, 12], metric_spec=[[2.0, 0.5], [0.5, 1.0]]),
+    "3d": lambda: dp.build_torus(3, [8, 8, 6]),
+}
+
+
+@pytest.mark.parametrize("support", ["random", "one_node"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["luxemburg", "weighted"])
+@pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+def test_norm_puts_modular_at_one(grid, variable, weighted, support):
+    chart, metric = _GRIDS[grid]()
+    x = chart.coords()[0]
+    e = chart.field(1.7 + 0.2 * np.sin(2 * np.pi * x)) if variable else chart.constant(2.5)
+    w = dp.WeightField(mu=chart.field(1.0 + 0.5 * np.cos(2 * np.pi * x)))
+    for i in range(3):
+        rng = dp.substream(5, "unit-modular", grid, i)
+        amp = float(10 ** rng.uniform(-2, 2))
+        if support == "random":
+            u = dp.random_band_limited(chart, rng, amplitude=amp)
+        else:
+            vals = np.zeros(chart.shape)
+            vals.flat[int(rng.integers(vals.size))] = amp
+            u = chart.field(vals)
+        if weighted:
+            nu = dp.weighted_norm(u, e, w, metric)
+            rho = dp.weighted_modular(chart.field(u.values / nu), e, w, metric)
+        else:
+            nu = dp.luxemburg_norm(u, e, metric)
+            rho = dp.modular(chart.field(u.values / nu), e, metric)
+        assert abs(rho - 1.0) <= 1e-14
+
+
+def test_norm_with_widely_spread_exponents():
+    chart, metric = dp.build_torus(1, [64])
+    e_vals = np.full(64, 2.0)
+    e_vals[5] = 1001.0
+    u_vals = np.zeros(64)
+    u_vals[0], u_vals[5] = 1.0, 0.99
+    e = chart.field(e_vals)
+    nu = dp.luxemburg_norm(chart.field(u_vals), e, metric)
+    assert math.isfinite(nu)
+    assert abs(dp.modular(chart.field(u_vals / nu), e, metric) - 1.0) <= 1e-12
 
 
 def test_weighted_reduces_to_unweighted(torus, variable_q):
