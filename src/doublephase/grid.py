@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -355,22 +356,29 @@ def log_holder_check(
     )
 
 
-def _mode_grids(chart: Chart):
+@lru_cache(maxsize=16)
+def _spectrum(chart: Chart, max_mode_frac: float = 0.25):
+    """Read-only Fourier tables (modes, mask, stencil), built once per chart and band.
+
+    modes holds the integer mode number k_a of every axis, broadcast to the
+    chart shape; mask keeps |k_a| <= floor(n_a * frac) on every axis; and
+    stencil holds s_a = sin(2 pi k_a / n_a) / h_a per axis: the central
+    difference multiplies mode k by i s_a.
+    """
     freqs = [np.fft.fftfreq(n, d=1.0 / n) for n in chart.shape]
-    return np.meshgrid(*freqs, indexing="ij")
-
-
-def _band_mask(chart: Chart, max_mode_frac: float) -> np.ndarray:
+    modes = tuple(np.meshgrid(*freqs, indexing="ij"))
     mask = np.ones(chart.shape, dtype=bool)
-    for grid_k, n in zip(_mode_grids(chart), chart.shape):
-        mask &= np.abs(grid_k) <= int(n * max_mode_frac)
-    return mask
+    for k, n in zip(modes, chart.shape):
+        mask &= np.abs(k) <= int(n * max_mode_frac)
+    stencil = tuple(np.sin(2.0 * np.pi * k / n) / h for k, n, h in zip(modes, chart.shape, chart.spacings))
+    for arr in (*modes, mask, *stencil):
+        arr.setflags(write=False)
+    return modes, mask, stencil
 
 
 def band_filter(values: np.ndarray, chart: Chart, max_mode_frac: float = 0.25) -> np.ndarray:
     """Fourier truncation keeping modes |k_a| <= floor(n_a * frac) per axis."""
-    mask = _band_mask(chart, max_mode_frac)
-    return np.fft.ifftn(np.fft.fftn(values) * mask).real
+    return np.fft.ifftn(np.fft.fftn(values) * _spectrum(chart, max_mode_frac)[1]).real
 
 
 def random_band_limited(
@@ -385,13 +393,9 @@ def random_band_limited(
     The oscillating part has (near) zero mean and peak amplitude
     ``amplitude``; ``mean`` is added afterwards.
     """
-    grids = _mode_grids(chart)
-    mask = _band_mask(chart, max_mode_frac)
-    ksq = np.zeros(chart.shape)
-    for g_k in grids:
-        ksq = ksq + g_k**2
+    modes, mask, _ = _spectrum(chart, max_mode_frac)
     coef = rng.standard_normal(chart.shape) + 1j * rng.standard_normal(chart.shape)
-    coef = np.where(mask, coef / (1.0 + ksq), 0.0)
+    coef = np.where(mask, coef / (1.0 + sum(k**2 for k in modes)), 0.0)
     coef[(0,) * chart.dim] = 0.0
     u = np.fft.ifftn(coef).real
     peak = float(np.max(np.abs(u)))

@@ -1,16 +1,18 @@
 """Constrained minimization on the two constraint branches.
 
 Projected descent: from a band-limited random start, scale onto the target
-branch, then repeat backtracking steps along the negative node residual with
-re-projection after every step, until the residual norm passes the stop
+branch, then repeat backtracking steps along the negative Sobolev gradient,
+re-projecting after every step, until the residual norm passes the stop
 threshold. Multistart runs are independent and merged deterministically.
 
-The descent direction is spectrally confined to the resolved band
-(|k| <= n/4 per axis): the periodic central-difference gradient
-annihilates the two-node checkerboard, so unfiltered descent on the
-truncated energy can fall into grid-artifact critical points carrying
-negative checkerboard nodes. The reported residual norm is always the
-unfiltered one.
+The direction is the band-limited H^1 gradient of the node residual r,
+d = -F^-1[mask / (1 + sigma) F r], where sigma is the symbol of the
+central-difference -div(g_bar grad) with g_bar the node mean of the inverse
+metric, so unit steps fit and iteration counts do not grow with the grid.
+The mask keeps |k| <= n/4 per axis: the central-difference gradient
+annihilates the two-node checkerboard, and unfiltered descent on the
+truncated energy can fall into critical points with negative checkerboard
+nodes. The reported residual norm is always the unfiltered one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import ScalarField, band_filter, pairwise_sum, random_band_limited, substream
+from .grid import ScalarField, _spectrum, pairwise_sum, pairwise_sum_rows, random_band_limited, substream
 from .nehari import (
     NehariClass,
     NoRootError,
@@ -45,9 +47,8 @@ __all__ = [
     "sweep",
 ]
 
-# backtracking line search: the first step before a Barzilai-Borwein step
-# exists, the shrink factor, the Armijo constant and the backtracks allowed
-# per iteration; and the band that confines the descent direction
+# backtracking line search: the unit first trial of every iteration, the shrink
+# factor, the Armijo constant and the backtracks allowed; the direction's band
 STEP0 = 1.0
 SHRINK = 0.5
 ARMIJO = 1e-4
@@ -189,49 +190,46 @@ class _StartOutcome:
     note: str = ""
 
 
+def _sobolev_filter(P: ProblemInstance) -> np.ndarray:
+    """mask(k) / (1 + sigma(k)), sigma(k) = sum_ab g_bar^{ab} s_a s_b; the 1 is the L^2 part."""
+    _, mask, s = _spectrum(P.chart, DIRECTION_MAX_MODE_FRAC)
+    dim = P.chart.dim
+    g_bar = pairwise_sum_rows(P.metric.inv.reshape(-1, dim * dim).T).reshape(dim, dim) / P.chart.n_nodes
+    return mask / (1.0 + sum(g_bar[a, b] * s[a] * s[b] for a in range(dim) for b in range(dim)))
+
+
 def _run_start(P: ProblemInstance, cfg: SolverConfig, index: int) -> _StartOutcome:
+    """Sobolev-gradient descent from start ``index``.
+
+    Each iteration tries a unit step and halves it until the re-projected
+    candidate passes the Armijo test. Where the filtered direction does not
+    descend (rough metrics), that iteration uses -r.
+    """
     start = _project_onto(P, _start_field(P, cfg, index).values, cfg)
     if start is None:
         return _StartOutcome(converged=False, projected=False, note="start did not project")
     u, J = start
     w = P.node_weight
-    prev_u = None
-    prev_g = None
-    step_bb = None
+    multiplier = _sobolev_filter(P)
     rnorm = math.inf
     for it in range(1, cfg.max_outer_iters + 1):
         r_field, rnorm = residual_gradient(P, u, truncated=cfg.truncate)
         if rnorm <= cfg.residual_tol:
             return _StartOutcome(True, True, u, J, rnorm, it - 1)
-        g = band_filter(r_field.values, P.chart, DIRECTION_MAX_MODE_FRAC)
-        d = -g
-        slope = pairwise_sum(r_field.values * d * w)
+        r = r_field.values
+        d = -np.fft.ifftn(np.fft.fftn(r) * multiplier).real
+        slope = pairwise_sum(r * d * w)
         if slope >= 0.0:
-            # filtered direction lost descent (can happen for rough metrics)
-            g = r_field.values
-            d = -g
-            slope = -pairwise_sum(g * g * w)
-        if prev_u is not None:
-            s = u.values - prev_u
-            y = g - prev_g
-            sy = pairwise_sum(s * y * w)
-            ss = pairwise_sum(s * s * w)
-            step_bb = ss / sy if sy > 0 and np.isfinite(sy) else None
-        step = STEP0 if step_bb is None else float(np.clip(step_bb, 1e-10, 1e4))
-        prev_u, prev_g = u.values, g
-        accepted = False
+            d = -r
+            slope = -pairwise_sum(r * r * w)
+        step = STEP0
         for _ in range(MAX_BACKTRACKS):
             trial = _project_onto(P, u.values + step * d, cfg, local=True)
-            if trial is None:
-                step *= SHRINK
-                continue
-            cand, J_cand = trial
-            if J_cand <= J + ARMIJO * step * slope:
-                u, J = cand, J_cand
-                accepted = True
+            if trial is not None and trial[1] <= J + ARMIJO * step * slope:
+                u, J = trial
                 break
             step *= SHRINK
-        if not accepted:
+        else:
             return _StartOutcome(False, True, u, J, rnorm, it, note="backtracking stalled")
     return _StartOutcome(False, True, u, J, rnorm, cfg.max_outer_iters, note="iteration cap reached")
 

@@ -18,8 +18,7 @@ from .grid import (
     Chart,
     MetricField,
     ScalarField,
-    _band_mask,
-    _mode_grids,
+    _spectrum,
     grad_norm_g,
     gradient,
     gradient_values,
@@ -345,10 +344,9 @@ def _inverse_gradient_smoother(chart: Chart, max_mode_frac: float):
     Used only to propose candidate extremal fields; every ratio is evaluated
     with the true metric norms afterwards.
     """
-    symbol = np.zeros(chart.shape)
-    for g_k, n, h in zip(_mode_grids(chart), chart.shape, chart.spacings):
-        symbol = symbol + (np.sin(2.0 * np.pi * g_k / n) / h) ** 2
-    mask = _band_mask(chart, max_mode_frac)
+    _, band, stencil = _spectrum(chart, max_mode_frac)
+    symbol = sum(s_a**2 for s_a in stencil)
+    mask = band.copy()
     mask[(0,) * chart.dim] = False
     inv_symbol = np.where(mask, 1.0 / np.where(symbol > 0, symbol, 1.0), 0.0)
 

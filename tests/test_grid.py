@@ -279,3 +279,26 @@ def test_band_filter_keeps_low_modes():
     vals = np.sin(2 * np.pi * x) + np.cos(2 * np.pi * 30 * x)
     out = dp.band_filter(vals, chart, 0.25)
     assert np.allclose(out, np.sin(2 * np.pi * x), atol=1e-12)
+
+
+def test_spectral_tables_are_cached_and_read_only():
+    from doublephase.grid import _spectrum
+
+    chart, _ = dp.build_torus(2, [8, 12])
+    tables = _spectrum(chart, 0.25)
+    assert _spectrum(chart, 0.25) is tables
+    modes, mask, stencil = tables
+    for arr in (*modes, mask, *stencil):
+        with pytest.raises(ValueError):
+            arr[(0, 0)] = 1
+
+
+def test_stencil_factors_are_the_central_difference_symbol():
+    from doublephase.grid import _spectrum, central_difference
+
+    chart, _ = dp.build_torus(3, [8, 12, 6], spacings=(0.3, 0.1, 0.7))
+    u = dp.substream(4, "stencil").standard_normal(chart.shape)
+    _, _, stencil = _spectrum(chart)
+    for a, s_a in enumerate(stencil):
+        expected = np.fft.ifftn(1j * s_a * np.fft.fftn(u)).real
+        assert np.allclose(central_difference(u, chart, a), expected, atol=1e-12)

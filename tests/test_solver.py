@@ -184,6 +184,58 @@ class TestMinimizeOnBranch:
         assert "iteration cap reached" in str(err.value)
 
 
+def _torus2d_instance(n, metric_spec):
+    """p = 3, q = 2, beta = 4, lambda = 1/8 on an n x n torus: the constant
+    critical points of the 1-D reference instance, whatever the metric."""
+    chart, metric = dp.build_torus(2, [n, n], metric_spec)
+    return dp.ProblemInstance(
+        chart=chart,
+        metric=metric,
+        exponents=dp.ExponentField(p=chart.constant(3.0), q=chart.constant(2.0)),
+        weight=dp.WeightField(mu=chart.constant(1.0)),
+        lam=0.125,
+        nonlinearity=dp.PowerNonlinearity(beta=4.0, amplitude=chart.constant(1.0)),
+    )
+
+
+def _start0_iterations(P, target):
+    from doublephase.solver import _run_start
+
+    cfg = dp.SolverConfig(seed=7, target=target, max_outer_iters=500)
+    out = _run_start(P, cfg, 0)
+    assert out.converged, out.note
+    return out.iterations
+
+
+@pytest.mark.parametrize("target", [dp.NehariClass.PLUS, dp.NehariClass.MINUS])
+class TestGridIndependence:
+    def test_reference_instance_n64_to_n256(self, target):
+        coarse = _start0_iterations(make_reference_instance(lam=0.125, n=64), target)
+        fine = _start0_iterations(make_reference_instance(lam=0.125, n=256), target)
+        assert fine <= 2 * coarse
+
+    def test_anisotropic_metric_32_to_64(self, target):
+        g = np.array([[1.0, 0.3], [0.3, 2.0]])
+        coarse = _start0_iterations(_torus2d_instance(32, g), target)
+        fine = _start0_iterations(_torus2d_instance(64, g), target)
+        assert fine <= 2 * coarse
+
+
+@pytest.mark.parametrize("target", [dp.NehariClass.PLUS, dp.NehariClass.MINUS])
+def test_per_node_metric_reaches_constant_critical_points(target):
+    n = 32
+    x, y = dp.build_torus(2, [n, n])[0].coords()
+    g = np.empty((n, n, 2, 2))
+    g[..., 0, 0] = 1.0 + 0.5 * np.sin(2 * np.pi * x)
+    g[..., 1, 1] = 2.0 + 0.8 * np.cos(2 * np.pi * (x + y))
+    g[..., 0, 1] = g[..., 1, 0] = 0.3 * np.sin(2 * np.pi * y)
+    P = _torus2d_instance(n, g)
+    rep = dp.minimize_on_branch(P, dp.SolverConfig(seed=7, target=target, multistart=2))
+    sign = 1.0 if target is dp.NehariClass.MINUS else -1.0
+    assert rep.nehari_class is target
+    assert np.max(np.abs(rep.u.values - (1 + sign * np.sqrt(0.5)) / 2)) <= 1e-6
+
+
 @pytest.fixture(scope="module")
 def result(instance, quick_cfg):
     return dp.two_solution_experiment(instance, quick_cfg)
