@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import os
 import re
 from dataclasses import dataclass, field as dc_field
 
@@ -24,7 +23,6 @@ import numpy as np
 
 from .fieldio import read_field, read_metric
 from .grid import Chart, MetricField, ScalarField
-from .nehari import NehariClass
 from .problem import PowerNonlinearity, ProblemInstance
 from .solver import SolverConfig
 from .spaces import ExponentField, WeightField
@@ -34,7 +32,6 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "field_from_spec",
-    "serialize_instance",
     "default_config_text",
 ]
 
@@ -130,11 +127,11 @@ class RunConfig:
             ),
         )
 
-    def build_solver_config(self, target=NehariClass.MINUS) -> SolverConfig:
+    def build_solver_config(self) -> SolverConfig:
         kw = dict(self.solver)
         kw.setdefault("seed", self.seed)
         kw.setdefault("constants_trials", self.constants_trials)
-        return SolverConfig(target=target, **kw)
+        return SolverConfig(**kw)
 
 
 def field_from_spec(spec: str, chart: Chart) -> ScalarField:
@@ -292,70 +289,6 @@ def parse_config(path: str | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return rc
-
-
-def _field_spec_for(values, name, directory, chart):
-    from .fieldio import write_field
-
-    if np.ptp(values) == 0.0:
-        return f"constant {format(float(values.flat[0]), '.17g')}"
-    if directory is None:
-        raise ConfigError(f"non-constant {name} needs a directory for its field file")
-    path = os.path.join(directory, f"{name}.field")
-    write_field(path, chart.field(values))
-    return f"file {path}"
-
-
-def serialize_instance(P, directory=None) -> str:
-    """Render a problem instance back to the run-configuration text.
-
-    Constant fields inline; non-constant fields and metrics are written as
-    grid files under ``directory`` and referenced by path. Parsing the
-    result reproduces the instance bit for bit.
-    """
-    from .fieldio import write_metric
-
-    nl = P.nonlinearity
-    chart = P.chart
-    if directory is not None:
-        os.makedirs(directory, exist_ok=True)
-    eye = np.broadcast_to(np.eye(chart.dim), chart.shape + (chart.dim, chart.dim))
-    if np.array_equal(P.metric.g, eye):
-        metric_spec = "identity"
-    elif all(np.ptp(P.metric.g[..., a, b]) == 0.0 for a in range(chart.dim) for b in range(chart.dim)):
-        iu = np.triu_indices(chart.dim)
-        node = P.metric.g.reshape(-1, chart.dim, chart.dim)[0]
-        metric_spec = "constant " + " ".join(format(float(v), ".17g") for v in node[iu])
-    else:
-        if directory is None:
-            raise ConfigError("a per-node metric needs a directory for its table file")
-        path = os.path.join(directory, "metric.field")
-        write_metric(path, P.metric)
-        metric_spec = f"file {path}"
-    lines = [
-        "[chart]",
-        f"dim = {chart.dim}",
-        "sizes = " + " ".join(str(s) for s in chart.sizes),
-        "spacings = " + " ".join(format(h, ".17g") for h in chart.spacings),
-        f"metric = {metric_spec}",
-        "",
-        "[exponents]",
-        f"p = {_field_spec_for(P.exponents.p.values, 'p', directory, chart)}",
-        f"q = {_field_spec_for(P.exponents.q.values, 'q', directory, chart)}",
-        "",
-        "[weight]",
-        f"mu = {_field_spec_for(P.weight.mu.values, 'mu', directory, chart)}",
-        "",
-        "[nonlinearity]",
-        f"beta = {format(nl.beta, '.17g')}",
-        f"amplitude = {_field_spec_for(nl.amplitude.values, 'amplitude', directory, chart)}",
-        f"a_threshold = {format(nl.a_threshold, '.17g')}",
-        "",
-        "[problem]",
-        f"lambda = {format(P.lam, '.17g')}",
-        "",
-    ]
-    return "\n".join(lines)
 
 
 def default_config_text() -> str:

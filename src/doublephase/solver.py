@@ -5,14 +5,18 @@ branch, then repeat backtracking steps along the negative Sobolev gradient,
 re-projecting after every step, until the residual norm passes the stop
 threshold. Multistart runs are independent and merged deterministically.
 
-The direction is the band-limited H^1 gradient of the node residual r,
-d = -F^-1[mask / (1 + sigma) F r], where sigma is the symbol of the
-central-difference -div(g_bar grad) with g_bar the node mean of the inverse
-metric, so unit steps fit and iteration counts do not grow with the grid.
-The mask keeps |k| <= n/4 per axis: the central-difference gradient
-annihilates the two-node checkerboard, and unfiltered descent on the
-truncated energy can fall into critical points with negative checkerboard
-nodes. The reported residual norm is always the unfiltered one.
+The direction is the band-limited H^1 gradient of the derivative vector
+w r, the node residual r times the node weight w:
+d = -F^-1[mask / (1 + sigma) F(r w / w_bar)], where w_bar is the node mean
+of w and sigma is the symbol of the central-difference -div(g_bar grad) with
+g_bar the node mean of the inverse metric, so unit steps fit and iteration
+counts do not grow with the grid. The filter is real, even and non-negative,
+so the slope sum_i w_i r_i d_i = -w_bar^-1 <w r, filter * (w r)> is never
+positive, on any metric: every direction descends. The mask keeps
+|k| <= n/4 per axis: the central-difference gradient annihilates the
+two-node checkerboard, and unfiltered descent on the truncated energy can
+fall into critical points with negative checkerboard nodes. The reported
+residual norm is always the unfiltered one.
 """
 
 from __future__ import annotations
@@ -191,7 +195,10 @@ class _StartOutcome:
 
 
 def _sobolev_filter(P: ProblemInstance) -> np.ndarray:
-    """mask(k) / (1 + sigma(k)), sigma(k) = sum_ab g_bar^{ab} s_a s_b; the 1 is the L^2 part."""
+    """mask(k) / (1 + sigma(k)), sigma(k) = sum_ab g_bar^{ab} s_a s_b; the 1 is the L^2 part.
+
+    It filters w r / w_bar, the derivative in the slope's pairing, not r.
+    """
     _, mask, s = _spectrum(P.chart, DIRECTION_MAX_MODE_FRAC)
     dim = P.chart.dim
     g_bar = pairwise_sum_rows(P.metric.inv.reshape(-1, dim * dim).T).reshape(dim, dim) / P.chart.n_nodes
@@ -201,9 +208,9 @@ def _sobolev_filter(P: ProblemInstance) -> np.ndarray:
 def _run_start(P: ProblemInstance, cfg: SolverConfig, index: int) -> _StartOutcome:
     """Sobolev-gradient descent from start ``index``.
 
-    Each iteration tries a unit step and halves it until the re-projected
-    candidate passes the Armijo test. Where the filtered direction does not
-    descend (rough metrics), that iteration uses -r.
+    Each iteration filters w r / w_bar (``_sobolev_filter``), tries a unit
+    step and halves it until the re-projected candidate passes the Armijo
+    test. On constant weights w / w_bar is 1 (to rounding), so d filters r.
     """
     start = _project_onto(P, _start_field(P, cfg, index).values, cfg)
     if start is None:
@@ -211,17 +218,15 @@ def _run_start(P: ProblemInstance, cfg: SolverConfig, index: int) -> _StartOutco
     u, J = start
     w = P.node_weight
     multiplier = _sobolev_filter(P)
+    w_rel = w / (pairwise_sum(w) / P.chart.n_nodes)
     rnorm = math.inf
     for it in range(1, cfg.max_outer_iters + 1):
         r_field, rnorm = residual_gradient(P, u, truncated=cfg.truncate)
         if rnorm <= cfg.residual_tol:
             return _StartOutcome(True, True, u, J, rnorm, it - 1)
         r = r_field.values
-        d = -np.fft.ifftn(np.fft.fftn(r) * multiplier).real
+        d = -np.fft.ifftn(np.fft.fftn(r * w_rel) * multiplier).real
         slope = pairwise_sum(r * d * w)
-        if slope >= 0.0:
-            d = -r
-            slope = -pairwise_sum(r * r * w)
         step = STEP0
         for _ in range(MAX_BACKTRACKS):
             trial = _project_onto(P, u.values + step * d, cfg, local=True)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import doublephase as dp
-from doublephase.config import ConfigError, field_from_spec, parse_config, serialize_instance
-from conftest import make_variable_instance
+from doublephase.config import ConfigError, field_from_spec, parse_config
 
 
 @pytest.fixture()
@@ -45,39 +44,6 @@ class TestFieldSpecs:
         dp.write_field(path, u)
         f = field_from_spec(f"file {path}", chart)
         assert np.array_equal(f.values, u.values)
-
-
-class TestSerializeInstance:
-    def test_constant_instance_round_trip(self, tmp_path):
-        from conftest import make_reference_instance
-
-        P = make_reference_instance(lam=0.125)
-        text = serialize_instance(P)
-        cfg_path = tmp_path / "ref.cfg"
-        cfg_path.write_text(text)
-        back = parse_config(str(cfg_path)).build_instance()
-        assert back.lam == P.lam
-        assert np.array_equal(back.exponents.p.values, P.exponents.p.values)
-        assert np.array_equal(back.weight.mu.values, P.weight.mu.values)
-        assert np.array_equal(back.metric.g, P.metric.g)
-
-    def test_variable_instance_round_trip(self, tmp_path):
-        P = make_variable_instance(lam=0.7)
-        text = serialize_instance(P, directory=str(tmp_path / "fields"))
-        cfg_path = tmp_path / "var.cfg"
-        cfg_path.write_text(text)
-        back = parse_config(str(cfg_path)).build_instance()
-        assert np.array_equal(back.exponents.p.values, P.exponents.p.values)
-        assert np.array_equal(back.exponents.q.values, P.exponents.q.values)
-        assert np.array_equal(back.weight.mu.values, P.weight.mu.values)
-        assert np.array_equal(
-            back.nonlinearity.amplitude.values, P.nonlinearity.amplitude.values
-        )
-
-    def test_variable_without_directory_rejected(self):
-        P = make_variable_instance(lam=0.7)
-        with pytest.raises(ConfigError, match="directory"):
-            serialize_instance(P)
 
 
 def test_parse_echo_and_defaults(tmp_path):

@@ -184,10 +184,10 @@ class TestMinimizeOnBranch:
         assert "iteration cap reached" in str(err.value)
 
 
-def _torus2d_instance(n, metric_spec):
-    """p = 3, q = 2, beta = 4, lambda = 1/8 on an n x n torus: the constant
+def _torus_instance(dim, n, metric_spec):
+    """p = 3, q = 2, beta = 4, lambda = 1/8 on an n^dim torus: the constant
     critical points of the 1-D reference instance, whatever the metric."""
-    chart, metric = dp.build_torus(2, [n, n], metric_spec)
+    chart, metric = dp.build_torus(dim, [n] * dim, metric_spec)
     return dp.ProblemInstance(
         chart=chart,
         metric=metric,
@@ -216,20 +216,50 @@ class TestGridIndependence:
 
     def test_anisotropic_metric_32_to_64(self, target):
         g = np.array([[1.0, 0.3], [0.3, 2.0]])
-        coarse = _start0_iterations(_torus2d_instance(32, g), target)
-        fine = _start0_iterations(_torus2d_instance(64, g), target)
+        coarse = _start0_iterations(_torus_instance(2, 32, g), target)
+        fine = _start0_iterations(_torus_instance(2, 64, g), target)
         assert fine <= 2 * coarse
 
 
-@pytest.mark.parametrize("target", [dp.NehariClass.PLUS, dp.NehariClass.MINUS])
-def test_per_node_metric_reaches_constant_critical_points(target):
+def _per_node_metric():
     n = 32
     x, y = dp.build_torus(2, [n, n])[0].coords()
     g = np.empty((n, n, 2, 2))
     g[..., 0, 0] = 1.0 + 0.5 * np.sin(2 * np.pi * x)
     g[..., 1, 1] = 2.0 + 0.8 * np.cos(2 * np.pi * (x + y))
     g[..., 0, 1] = g[..., 1, 0] = 0.3 * np.sin(2 * np.pi * y)
-    P = _torus2d_instance(n, g)
+    return _torus_instance(2, n, g)
+
+
+def _conformal_metric(dim, n):
+    """g = c^2 I with c = 1 + 0.9 sin(2 pi x), times cos(2 pi y) in 2-D: the
+    volume element c^dim, and with it the node weight, varies 19^dim-fold."""
+    coords = dp.build_torus(dim, [n] * dim)[0].coords()
+    wave = np.sin(2 * np.pi * coords[0])
+    if dim == 2:
+        wave = wave * np.cos(2 * np.pi * coords[1])
+    c = 1.0 + 0.9 * wave
+    return _torus_instance(dim, n, (c * c)[..., None, None] * np.eye(dim))
+
+
+_METRICS = {
+    "per_node": _per_node_metric,
+    "conformal1d": lambda: _conformal_metric(1, 64),
+    "conformal2d": lambda: _conformal_metric(2, 32),
+}
+
+
+# the per-node cases keep the bare target ids that existing test selections name
+@pytest.mark.parametrize(
+    "metric, target",
+    [
+        pytest.param(m, t, id=str(t) if m == "per_node" else f"{m}-{t}")
+        for m in _METRICS
+        for t in (dp.NehariClass.PLUS, dp.NehariClass.MINUS)
+    ],
+)
+def test_per_node_metric_reaches_constant_critical_points(metric, target):
+    P = _METRICS[metric]()
     rep = dp.minimize_on_branch(P, dp.SolverConfig(seed=7, target=target, multistart=2))
     sign = 1.0 if target is dp.NehariClass.MINUS else -1.0
     assert rep.nehari_class is target
