@@ -186,14 +186,26 @@ def _numbers(caster):
     return lambda raw: tuple(caster(t) for t in raw.split())
 
 
+def _lambda(raw: str) -> float:
+    lam = float(raw)
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"must be finite and positive, got {raw.strip()}")
+    return lam
+
+
 def _lambda_grid(raw: str):
     """The point count N of ``auto [N]`` (N defaults to 8), else the strictly increasing grid."""
     tokens = raw.split()
     if tokens and tokens[0] == "auto":
         if len(tokens) > 2:
             raise ValueError(f"'auto' takes at most one point count, got {raw!r}")
-        return int(tokens[1]) if len(tokens) == 2 else 8
-    grid = tuple(float(t) for t in tokens)
+        count = int(tokens[1]) if len(tokens) == 2 else 8
+        if count < 1:
+            raise ValueError(f"'auto' needs at least 1 point, got {count}")
+        return count
+    if not tokens:
+        raise ValueError("needs at least one lambda")
+    grid = tuple(_lambda(t) for t in tokens)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("must be strictly increasing")
     return grid
@@ -222,7 +234,7 @@ _OPTIONS = {
         "amplitude": ("amplitude_spec", str),
         "a_threshold": ("a_threshold", float),
     },
-    "problem": {"lambda": ("lam", float), "lambda_grid": ("lambda_grid", _lambda_grid)},
+    "problem": {"lambda": ("lam", _lambda), "lambda_grid": ("lambda_grid", _lambda_grid)},
     "solver": {key: ("solver", caster) for key, caster in _SOLVER_KEYS.items()},
     "verify": {"trials": ("verify_trials", int)},
     "constants": {"trials": ("constants_trials", int)},

@@ -254,19 +254,24 @@ def build_torus(dim, sizes, metric_spec="identity", spacings=None):
 
 
 def central_difference(vals: np.ndarray, chart: Chart, axis: int) -> np.ndarray:
-    """Periodic central difference along one axis, second order in h.
+    """Periodic central difference along one chart axis, second order in h.
 
     The one difference stencil of the package: ``gradient`` stacks it over
     the axes, and the node residual applies it (it is its own negative
-    adjoint on the periodic grid) as the discrete divergence.
+    adjoint on the periodic grid) as the discrete divergence. The chart
+    axes are the trailing ones, so ``vals`` may carry leading stack axes.
     """
     h = chart.spacings[axis]
+    axis -= chart.dim
     return (np.roll(vals, -1, axis=axis) - np.roll(vals, 1, axis=axis)) / (2.0 * h)
 
 
 def gradient_values(vals: np.ndarray, chart: Chart) -> np.ndarray:
-    """Raw-array core of ``gradient``: components as (*shape, dim), unchecked."""
-    comps = np.empty(chart.shape + (chart.dim,))
+    """Raw-array core of ``gradient``: components as (*vals.shape, dim), unchecked.
+
+    Leading axes of ``vals`` before the chart shape are a stack of fields.
+    """
+    comps = np.empty(vals.shape + (chart.dim,))
     for a in range(chart.dim):
         comps[..., a] = central_difference(vals, chart, a)
     return comps
@@ -391,14 +396,34 @@ def random_band_limited(
     """Random smooth field with modes |k_a| <= floor(n_a * frac) per axis.
 
     The oscillating part has (near) zero mean and peak amplitude
-    ``amplitude``; ``mean`` is added afterwards.
+    ``amplitude``; ``mean`` is added afterwards. The one-field case of
+    ``random_band_limited_values``.
+    """
+    return chart.field(random_band_limited_values(chart, (rng,), (amplitude,), max_mode_frac, mean)[0])
+
+
+def random_band_limited_values(
+    chart: Chart,
+    rngs,
+    amplitudes,
+    max_mode_frac: float = 0.25,
+    mean: float = 0.0,
+) -> np.ndarray:
+    """Raw-array core of ``random_band_limited``: one field per generator, stacked.
+
+    Field i draws its coefficients from ``rngs[i]`` alone and has peak
+    oscillation ``amplitudes[i]``; one inverse FFT over the trailing chart
+    axes serves the whole (len(rngs), *shape) stack, and each field is
+    bitwise the one a single-field call gives.
     """
     modes, mask, _ = _spectrum(chart, max_mode_frac)
-    coef = rng.standard_normal(chart.shape) + 1j * rng.standard_normal(chart.shape)
+    coef = np.empty((len(rngs),) + chart.shape, dtype=complex)
+    for i, rng in enumerate(rngs):
+        coef[i] = rng.standard_normal(chart.shape) + 1j * rng.standard_normal(chart.shape)
     coef = np.where(mask, coef / (1.0 + sum(k**2 for k in modes)), 0.0)
-    coef[(0,) * chart.dim] = 0.0
-    u = np.fft.ifftn(coef).real
-    peak = float(np.max(np.abs(u)))
-    if peak > 0:
-        u = u * (amplitude / peak)
-    return chart.field(u + mean)
+    coef[(Ellipsis,) + (0,) * chart.dim] = 0.0
+    axes = tuple(range(-chart.dim, 0))
+    u = np.fft.ifftn(coef, axes=axes).real
+    peaks = np.abs(u).max(axis=axes).tolist()
+    scale = [amp / peak if peak > 0 else 1.0 for amp, peak in zip(amplitudes, peaks)]
+    return u * np.reshape(scale, (-1,) + (1,) * chart.dim) + mean

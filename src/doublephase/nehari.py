@@ -5,22 +5,25 @@ psi(u) = <J'(u), u> vanishes. Along the ray t -> t u every term of psi is an
 explicit power of t (the source is a pure power), so the ray profile sums
 the node coefficients once per distinct exponent: the fibering map, its
 exact t-derivative and the energy J(t u) then cost one term per distinct
-exponent, for a whole probe grid of t values in one array pass. Roots of
-the fibering map are constraint points on the ray, refined by safeguarded
-Newton steps on the exact phi'; the sign of t phi'(t) there separates the
-local-minimum branch (positive), the local-maximum branch (negative), and
-inflections (zero within tolerance).
+exponent. A profile holds a whole stack of rays: one array pass evaluates
+the fibering map of every ray on a shared probe grid, and one lane-wise
+loop refines every sign change of every ray by safeguarded Newton steps on
+the exact phi'. The roots are the constraint points on each ray; the sign
+of t phi'(t) there separates the local-minimum branch (positive), the
+local-maximum branch (negative), and inflections (zero within tolerance).
+A single field is the one-ray stack, which is what ``project`` uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import ScalarField, pairwise_sum, pairwise_sum_rows
+from .grid import ScalarField, pairwise_sum_rows
 from .problem import ProblemInstance, _Nodewise, gateaux
 from .spaces import ConstantsEstimate
 
@@ -42,10 +45,15 @@ __all__ = [
 PSI_TOL = 1e-8
 ROOT_TOL = 1e-10
 CLASS_TOL = 1e-9
-# probe evaluations run in row blocks of at most this many (t, term) pairs,
-# which bounds the temporaries when exponents vary on large grids
-PROBE_BLOCK = 2**15
+# stack passes run in blocks of at most this many values per temporary: (ray,
+# node) values when a profile is built, (ray, t, term) products when rays are
+# probed or refined; this bounds the memory of large stacks and of variable
+# exponents
+PROBE_BLOCK = 2**11
 MAX_REFINE_STEPS = 100
+# the full bracket of ``project`` and its probe grid size
+PROBE_BRACKET = (1e-6, 1e6)
+PROBE_POINTS = 256
 
 
 class NehariClass(Enum):
@@ -100,61 +108,143 @@ class ProjectionResult:
         return None
 
 
+@lru_cache(maxsize=8)
+def _probe_grid(lo: float, hi: float, n: int, beta: float):
+    """The read-only log-spaced probe grid of a bracket and its source powers t^beta.
+
+    Built once per bracket, point count and source exponent; the powers are
+    taken with Python float pow, as every source power of ``_ray_sums``.
+    """
+    t = np.geomspace(lo, hi, n)
+    src_pow = np.array([tv**beta for tv in t.tolist()])
+    for arr in (t, src_pow):
+        arr.setflags(write=False)
+    return t, src_pow
+
+
+# branch of a root by its code: sign of t phi'(t) beyond CLASS_TOL * scale, plus one
+_BRANCHES = (NehariClass.MINUS, NehariClass.ZERO, NehariClass.PLUS)
+# Newton refinement stops when the bracket is this narrow, relative to hi
+_BRACKET_RES = 4.0 * np.finfo(float).eps
+
+
+def _ray_sums(terms, t) -> np.ndarray:
+    """Each function f of a lane term table at the lanes' t: shape (len(t), F).
+
+    ``terms`` is (e, C, c, S) with e of shape (F, K), C of shape
+    (len(t), F, K), c a length-F sequence and S of shape (len(t), F): lane
+    i evaluates sum_k t_i^e_fk C_ifk - t_i^c_f S_if. Lanes run in blocks of
+    at most PROBE_BLOCK (t, term) products, each row reduced by the tree of
+    ``pairwise_sum``. The powers run along the term axis, as in a
+    single-point call (the power loop along the lanes, with one exponent
+    for all, can round differently), and the source power t^c is taken
+    with Python float pow, so every value is bitwise the one a single-point
+    call gives.
+    """
+    expo, coef, src_expo, src = terms
+    step = max(1, PROBE_BLOCK // expo.size)
+    if t.size > step:
+        return np.concatenate([
+            _ray_sums((expo, coef[b : b + step], src_expo, src[b : b + step]), t[b : b + step])
+            for b in range(0, t.size, step)
+        ])
+    sums = pairwise_sum_rows(t[:, None, None] ** expo * coef)
+    src_pow = np.array([tv**c for tv in t.tolist() for c in src_expo]).reshape(sums.shape)
+    return sums - src_pow * src
+
+
+def _join(blocks):
+    """Concatenate per-block tuples of arrays into one tuple, field by field."""
+    if len(blocks) == 1:
+        return blocks[0]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _node_sums(P: ProblemInstance, vals: np.ndarray, truncated: bool):
+    """(source integral, scale, grouped coefficients) of each ray through ``vals``.
+
+    ``vals`` is one field or a stack of fields. The scale is the ray's five
+    integrals at t = 1, a dimensionless tolerance scale; the coefficients are
+    grouped sums in node order, one bincount over (ray, exponent) bins, so
+    each row's sums are those of that ray alone, whatever the thread count.
+    """
+    rays = len(vals) if vals.ndim > P.chart.dim else 1
+    w = P.node_weight
+    # the powers are fresh arrays, weighted in place
+    a_grad_p, a_grad_q, a_u_q, a_u_p, a_src = (
+        np.multiply(d, w, out=d).reshape(rays, w.size) for d in _Nodewise(P, vals, truncated).powers()
+    )
+    lam = float(P.lam)
+    src, scale = pairwise_sum_rows(np.array((a_src, a_grad_p + a_grad_q + lam * a_u_q + a_u_p + a_src)))
+    expo, index = P.exponents.groups
+    coef = np.bincount(
+        (np.arange(rays)[:, None] * expo.size + index).ravel(),
+        weights=np.concatenate((a_grad_p + a_u_p, a_grad_q - lam * a_u_q), axis=1).ravel(),
+        minlength=rays * expo.size,
+    ).reshape(rays, expo.size)
+    return src, scale, coef
+
+
 class _RayProfile:
-    """Power decomposition of psi(t u) and J(t u) along one ray.
+    """Power decomposition of psi(t u) and J(t u) along a stack of rays.
 
     Every node term is a pure power of t, so the nodewise coefficients are
     summed once per distinct exponent: phi(t) = sum_k t^e_k C_k - t^beta S,
     with e_k running over the distinct values of p and then of q. A ray
     costs as many terms as there are distinct exponents, 2 on constant
-    exponents and at most twice the node count otherwise.
+    exponents and at most twice the node count otherwise. ``u`` is one
+    field or an array of field values with one leading stack axis; row i of
+    the profile is ray i, and the point methods (``phi``, ``energy_at``,
+    ``classify_root``, ...) are those of a one-ray profile.
     """
 
-    def __init__(self, P: ProblemInstance, u: ScalarField, truncated: bool = False):
-        w = P.node_weight
-        a_grad_p, a_grad_q, a_u_q, a_u_p, a_src = (
-            w * d for d in _Nodewise(P, u.values, truncated).powers()
-        )
-        e = P.exponents
+    def __init__(self, P: ProblemInstance, u, truncated: bool = False):
+        vals = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
+        if vals.ndim == P.chart.dim:
+            blocks = (vals,)
+        else:
+            step = max(1, PROBE_BLOCK // P.chart.n_nodes)
+            blocks = [vals[b : b + step] for b in range(0, max(len(vals), 1), step)]
+        src, self.scales, coef = _join([_node_sums(P, v, truncated) for v in blocks])
+        expo = P.exponents.groups[0]
         beta = float(P.nonlinearity.beta)
-        lam = float(P.lam)
-        src = pairwise_sum(a_src)
-        # dimensionless tolerance scale: the five ray integrals at t = 1
-        self.scale = pairwise_sum(a_grad_p + a_grad_q + lam * a_u_q + a_u_p + a_src)
-        # grouped sums in node order: fixed, whatever the thread count
-        (p_distinct, p_index), (q_distinct, q_index) = e.p_groups, e.q_groups
-        coef = np.concatenate((
-            np.bincount(p_index, weights=(a_grad_p + a_u_p).ravel()),
-            np.bincount(q_index, weights=(a_grad_q - lam * a_u_q).ravel()),
-        ))
-        expo = np.concatenate((p_distinct, q_distinct))
-        # (e, C, c, S) of sum_k t^e_k C_k - t^c S
+        # (e, C, c, S) of phi = sum_k t^e_k C_k - t^c S, with C and S one row per ray
         self._phi_terms = (expo, coef, beta, src)
-        self._phi_prime_terms = (expo - 1.0, expo * coef, beta - 1.0, beta * src)
-        self._energy_terms = (expo, coef / expo, beta, src / beta)
+        # phi and phi' in one term table of ``_ray_sums`` (rows per ray, not
+        # yet per lane): every evaluation of the refinement needs both
+        self._pair_terms = (
+            np.array((expo, expo - 1.0)),
+            np.array((coef, expo * coef)).transpose(1, 0, 2),
+            (beta, beta - 1.0),
+            np.array((src, beta * src)).T,
+        )
 
-    def _ray_sums(self, t_values, terms) -> np.ndarray:
-        """sum_k t^e_k C_k - t^c S for every t of a 1-d array.
+    @cached_property
+    def _energy_terms(self):
+        expo, coef, beta, src = self._phi_terms
+        return expo[None], (coef / expo)[:, None], (beta,), (src / beta)[:, None]
 
-        The term sums run in row blocks of at most PROBE_BLOCK (t, term)
-        pairs, each row reduced by the tree of ``pairwise_sum``. The source
-        power t^c is taken with Python float pow, so every value is bitwise
-        the one a single-point call gives.
-        """
-        expo, coef, c, S = terms
+    @staticmethod
+    def _lanes(terms, rays):
+        """A term table with one lane per entry of rays: lane i on ray rays[i]."""
+        expo, coef, src_expo, src = terms
+        return expo, coef[rays], src_expo, src[rays]
+
+    @property
+    def scale(self) -> float:
+        """The tolerance scale of a one-ray profile."""
+        (scale,) = self.scales
+        return float(scale)
+
+    def _one_ray(self, terms, t_values) -> np.ndarray:
         t = np.asarray(t_values, dtype=float)
-        rows = max(1, PROBE_BLOCK // expo.size)
-        sums = np.empty(t.size)
-        for start in range(0, t.size, rows):
-            tb = t[start : start + rows, None]
-            sums[start : start + rows] = pairwise_sum_rows(tb**expo * coef)
-        return sums - np.array([tv**c for tv in t.tolist()]) * S
+        return _ray_sums(self._lanes(terms, np.zeros(t.size, dtype=np.intp)), t)
 
     def phi_values(self, t_values) -> np.ndarray:
-        return self._ray_sums(t_values, self._phi_terms)
+        return self._one_ray(self._pair_terms, t_values)[:, 0]
 
     def phi_prime_values(self, t_values) -> np.ndarray:
-        return self._ray_sums(t_values, self._phi_prime_terms)
+        return self._one_ray(self._pair_terms, t_values)[:, 1]
 
     def phi(self, t: float) -> float:
         return float(self.phi_values((t,))[0])
@@ -163,16 +253,147 @@ class _RayProfile:
         return float(self.phi_prime_values((t,))[0])
 
     def energy_at(self, t: float) -> float:
-        return float(self._ray_sums((t,), self._energy_terms)[0])
+        return float(self._one_ray(self._energy_terms, (t,))[0, 0])
+
+    def energy_values(self, rays, t) -> np.ndarray:
+        """J(t[i] u) on ray rays[i]."""
+        return _ray_sums(self._lanes(self._energy_terms, rays), t)[:, 0]
+
+    def _branch_codes(self, rays, t, slope) -> np.ndarray:
+        """Index into _BRANCHES of the roots t on rays, where phi' = slope."""
+        sign = t * slope
+        tol = CLASS_TOL * self.scales[rays]
+        return (sign > tol) + 1 - (sign < -tol)
 
     def classify_root(self, t: float) -> NehariClass:
-        sign = t * self.phi_prime(t)
-        tol = CLASS_TOL * self.scale
-        if sign > tol:
-            return NehariClass.PLUS
-        if sign < -tol:
-            return NehariClass.MINUS
-        return NehariClass.ZERO
+        code = self._branch_codes(np.zeros(1, dtype=np.intp), t, self.phi_prime(t))
+        return _BRANCHES[code[0]]
+
+    def _events(self, t_pow, src_pow, block: slice):
+        """Root events of the rays in ``block`` on one shared probe grid.
+
+        t_pow and src_pow hold the grid's powers t^e_k and t^beta. An event
+        is phi exactly 0 at a node, or else a sign change in the cell from
+        the node to the next; it comes as (ray, node, end node, phi at node,
+        phi at end), where the end is the node itself for an exact 0. Events
+        are in (ray, node) order.
+        """
+        _, coef, _, src = self._phi_terms
+        f = pairwise_sum_rows(t_pow * coef[block, None])
+        f -= src_pow * src[block, None]
+        # a vanishing profile is exactly 0 on the whole grid: no root there
+        zero = (f == 0.0) & (self.scales[block] != 0.0)[:, None]
+        pos = f > 0
+        event = zero.copy()
+        event[:, :-1] |= pos[:, :-1] != pos[:, 1:]
+        rays, node = np.nonzero(event)
+        end = node + ~zero[rays, node]
+        return rays + block.start, node, end, f[rays, node], f[rays, end]
+
+    def refine_roots(self, rays, lo, hi, f_lo, f_hi) -> np.ndarray:
+        """A root of phi in each bracket [lo[i], hi[i]] of ray rays[i], where phi changes sign.
+
+        One lane per bracket, every lane taking its own safeguarded Newton
+        steps on the exact phi': start from the end with the smaller |phi|,
+        keep the sign-change bracket, and bisect whenever the Newton step
+        leaves the bracket or phi' vanishes. A lane stops at
+        |phi| <= ROOT_TOL * scale, or when its bracket reaches float
+        resolution (hi - lo <= 4 eps hi), or after MAX_REFINE_STEPS steps,
+        and returns the point of least |phi| it saw; finished lanes leave
+        the loop. The scale is the ray's size at t = 1, while the rounding
+        noise of phi grows like t^beta, so for roots at large t on
+        small-amplitude rays the bracket stop comes first and |phi| at the
+        returned root can exceed the tolerance by orders of magnitude.
+        """
+        roots = np.empty(len(rays))
+        if not roots.size:
+            return roots
+        lane = np.arange(len(rays))
+        expo, coef, src_expo, src = self._lanes(self._pair_terms, rays)
+        tol = ROOT_TOL * self.scales[rays]
+        from_lo = np.abs(f_lo) < np.abs(f_hi)
+        t = np.where(from_lo, lo, hi)
+        f = np.where(from_lo, f_lo, f_hi)
+        # the sign of phi at lo never changes: lo only moves to points of that sign
+        lo_pos = f_lo > 0
+        # lane state updated in place below, so owned copies
+        lo, hi, best_t, best_f = np.array(lo), np.array(hi), t.copy(), np.abs(f)
+        slope = _ray_sums((expo, coef, src_expo, src), t)[:, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(MAX_REFINE_STEPS):
+                done = (best_f <= tol) | (hi - lo <= _BRACKET_RES * hi)
+                n_done = np.count_nonzero(done)
+                if n_done == done.size:
+                    break
+                if n_done:
+                    roots[lane[done]] = best_t[done]
+                    live = ~done
+                    lane, coef, src, tol, t, f, slope, lo, hi, lo_pos, best_t, best_f = (
+                        a[live]
+                        for a in (lane, coef, src, tol, t, f, slope, lo, hi, lo_pos, best_t, best_f)
+                    )
+                # a zero slope makes the step infinite or nan, which fails the bracket test
+                newton = t - f / slope
+                t = 0.5 * (lo + hi)
+                np.copyto(t, newton, where=(lo < newton) & (newton < hi))
+                # phi at the new point, and phi' there for the next step
+                f, slope = _ray_sums((expo, coef, src_expo, src), t).T
+                abs_f = np.abs(f)
+                better = abs_f < best_f
+                np.copyto(best_t, t, where=better)
+                np.copyto(best_f, abs_f, where=better)
+                same = (f > 0) == lo_pos
+                np.copyto(lo, t, where=same)
+                np.copyto(hi, t, where=~same)
+        roots[lane] = best_t
+        return roots
+
+    def constraint_points(self, bracket=PROBE_BRACKET, n_grid: int = PROBE_POINTS) -> "_RayRoots":
+        """Every constraint point on every ray within the bracket.
+
+        phi is probed on one log-spaced grid of ``n_grid`` points over the
+        bracket, shared by all rays; each sign-change cell is refined by
+        ``refine_roots`` (all cells of all rays in one lane-wise loop), and
+        a grid point where phi is exactly 0 is a root as it stands. Rays
+        whose profile vanishes identically (scale 0) have no roots. Roots
+        come by ray, then by increasing t, without repeats, with their
+        branch codes and phi values from one evaluation of phi and phi'.
+        """
+        expo, coef, beta, _ = self._phi_terms
+        t_grid, src_pow = _probe_grid(bracket[0], bracket[1], n_grid, beta)
+        t_pow = t_grid[:, None] ** expo
+        # rays in blocks of at most PROBE_BLOCK (ray, t, term) products, or
+        # one ray when a single ray's grid is larger
+        step = max(1, PROBE_BLOCK // t_pow.size)
+        rays, node, end, f_node, f_end = _join([
+            self._events(t_pow, src_pow, slice(b, b + step))
+            for b in range(0, max(len(coef), 1), step)
+        ])
+        t = self.refine_roots(rays, t_grid[node], t_grid[end], f_node, f_end)
+        # lanes that stop on a shared node return the same root
+        repeat = (t[1:] == t[:-1]) & (rays[1:] == rays[:-1])
+        if repeat.any():
+            keep = np.concatenate(([True], ~repeat))
+            rays, t = rays[keep], t[keep]
+        phi, slope = _ray_sums(self._lanes(self._pair_terms, rays), t).T
+        return _RayRoots(rays, t, self._branch_codes(rays, t, slope), phi)
+
+
+class _RayRoots(NamedTuple):
+    """Constraint points of a ray stack, by ray and then by increasing t."""
+
+    rays: np.ndarray
+    t: np.ndarray
+    codes: np.ndarray
+    phi: np.ndarray
+
+    def first(self, target: NehariClass):
+        """(rays, t) of each ray's smallest root of the requested class."""
+        hit = self.codes == _BRANCHES.index(target)
+        rays, t = self.rays[hit], self.t[hit]
+        first = np.ones(rays.size, dtype=bool)
+        first[1:] = rays[1:] != rays[:-1]
+        return rays[first], t[first]
 
 
 def psi(P: ProblemInstance, u: ScalarField, truncated: bool = False) -> float:
@@ -190,98 +411,44 @@ def fibering(P: ProblemInstance, u: ScalarField, t_grid, truncated: bool = False
     )
 
 
-def _refine_root(profile: _RayProfile, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """A root of phi in [lo, hi], where phi changes sign.
-
-    Safeguarded Newton on the exact phi': start from the end with the
-    smaller |phi|, keep the sign-change bracket, and bisect whenever the
-    Newton step leaves the bracket or phi' vanishes. Stops at
-    |phi| <= ROOT_TOL * scale, or when the bracket reaches float resolution
-    (hi - lo <= 4 eps hi), or after MAX_REFINE_STEPS steps. The scale is
-    the ray's size at t = 1, while the rounding noise of phi grows like
-    t^beta, so for roots at large t on small-amplitude rays the bracket
-    stop comes first and |phi| at the returned root can exceed the
-    tolerance by orders of magnitude.
-    """
-    tol = ROOT_TOL * profile.scale
-    t, f = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
-    best_t, best_f = t, abs(f)
-    for _ in range(MAX_REFINE_STEPS):
-        if best_f <= tol or hi - lo <= 4.0 * np.finfo(float).eps * hi:
-            break
-        slope = profile.phi_prime(t)
-        newton = t - f / slope if slope != 0.0 else None
-        t = newton if newton is not None and lo < newton < hi else 0.5 * (lo + hi)
-        f = profile.phi(t)
-        if abs(f) < best_f:
-            best_t, best_f = t, abs(f)
-        if (f > 0) == (f_lo > 0):
-            lo, f_lo = t, f
-        else:
-            hi = t
-    return best_t
-
-
-def _roots_on_grid(profile: _RayProfile, t_grid) -> list:
-    t = np.asarray(t_grid, dtype=float)
-    f = profile.phi_values(t)
-    pos = f > 0
-    changes = np.flatnonzero((f[:-1] == 0.0) | (pos[:-1] != pos[1:]))
-    t, f = t.tolist(), f.tolist()
-    roots = [
-        t[i] if f[i] == 0.0 else _refine_root(profile, t[i], t[i + 1], f[i], f[i + 1])
-        for i in changes.tolist()
-    ]
-    if f[-1] == 0.0:
-        roots.append(t[-1])
-    return roots
-
-
-@lru_cache(maxsize=8)
-def _probe_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """The read-only log-spaced probe grid of ``project``, built once per bracket."""
-    t = np.geomspace(lo, hi, n)
-    t.setflags(write=False)
-    return t
-
-
 def project(
     P: ProblemInstance,
     u: ScalarField,
     truncated: bool = False,
-    bracket=(1e-6, 1e6),
-    n_grid: int = 256,
+    bracket=PROBE_BRACKET,
+    n_grid: int = PROBE_POINTS,
 ) -> ProjectionResult:
     """All constraint points on the ray through u, smallest t first.
 
-    The fibering map is evaluated on a log-spaced probe grid (built once
-    per bracket and point count) in one batched pass; each sign change is refined by safeguarded Newton steps until
-    |phi(t)| <= 1e-10 times the ray scale or the bracket reaches float
-    resolution, whichever comes first (see ``_refine_root``), so
-    ``phi_at_roots`` can exceed that tolerance for roots at large t. The
-    result carries the ray profile the roots were found on. Raises
-    NoRootError when the map keeps one sign over the whole bracket, which
-    the superlinear source makes possible only for degenerate rays.
+    The one-ray case of ``_RayProfile.constraint_points``: the fibering map
+    is probed on a log-spaced grid over the bracket (built once per bracket
+    and point count), and each sign change is refined by safeguarded Newton
+    steps until |phi(t)| <= 1e-10 times the ray scale or the bracket
+    reaches float resolution, whichever comes first (see
+    ``_RayProfile.refine_roots``), so ``phi_at_roots`` can exceed that
+    tolerance for roots at large t. The result carries the ray profile the
+    roots were found on. Raises NoRootError when the map keeps one sign over
+    the whole bracket, which the superlinear source makes possible only for
+    degenerate rays.
     """
     if u.max_abs == 0.0:
         raise ValueError("cannot project the zero field")
     profile = _RayProfile(P, u, truncated)
-    if profile.scale == 0.0:
+    scale = profile.scale
+    if scale == 0.0:
         raise NoRootError("ray profile vanishes identically (source fully truncated)")
-    roots = _roots_on_grid(profile, _probe_grid(bracket[0], bracket[1], n_grid))
-    if not roots:
+    roots = profile.constraint_points(bracket, n_grid)
+    if not roots.t.size:
         raise NoRootError(
             "fibering map has constant sign on the probe bracket "
             f"[{bracket[0]:g}, {bracket[1]:g}]: phi({bracket[0]:g}) = "
             f"{profile.phi(bracket[0]):.3e}, phi({bracket[1]:g}) = {profile.phi(bracket[1]):.3e}"
         )
-    roots = sorted(set(roots))
-    classes = tuple(profile.classify_root(t) for t in roots)
     return ProjectionResult(
-        t_roots=tuple(roots),
-        classes=classes,
-        phi_at_roots=tuple(profile.phi_values(roots).tolist()),
-        scale=profile.scale,
+        t_roots=tuple(roots.t.tolist()),
+        classes=tuple(_BRANCHES[code] for code in roots.codes.tolist()),
+        phi_at_roots=tuple(roots.phi.tolist()),
+        scale=scale,
         profile=profile,
     )
 

@@ -94,8 +94,8 @@ class ProblemInstance:
     nonlinearity: PowerNonlinearity
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lambda must be finite and positive, got {self.lam}")
         for other in (self.metric.chart, self.exponents.chart, self.weight.chart):
             if other != self.chart:
                 raise ValueError("all fields must share the problem chart")

@@ -26,8 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import ScalarField, _spectrum, pairwise_sum, pairwise_sum_rows, random_band_limited, substream
+from .grid import ScalarField, _spectrum, pairwise_sum, pairwise_sum_rows, random_band_limited_values, substream
 from .nehari import (
+    PROBE_BLOCK,
     NehariClass,
     NoRootError,
     Thresholds,
@@ -144,15 +145,19 @@ def nonnegativity_certificate(P: ProblemInstance, u: ScalarField, tol: float = 1
     return Certificate(min_u=min_u, negative_part_norm=norm, passed=min_u >= -tol)
 
 
-def _start_field(P: ProblemInstance, cfg: SolverConfig, index: int) -> ScalarField:
-    rng = substream(cfg.seed, "start", index)
+def _start_values(P: ProblemInstance, cfg: SolverConfig, indices) -> np.ndarray:
+    """Band-limited start fields ``indices``, stacked; start i draws from its own substream."""
     lo, hi = cfg.start_amp
     if cfg.multistart > 1:
-        amp = float(np.geomspace(lo, hi, cfg.multistart)[index])
+        amps = np.geomspace(lo, hi, cfg.multistart).tolist()
     else:
-        amp = float(math.sqrt(lo * hi))
-    return random_band_limited(
-        P.chart, rng, max_mode_frac=0.25, amplitude=amp, mean=cfg.resolved_start_mean()
+        amps = [math.sqrt(lo * hi)]
+    return random_band_limited_values(
+        P.chart,
+        [substream(cfg.seed, "start", i) for i in indices],
+        [amps[i] for i in indices],
+        max_mode_frac=0.25,
+        mean=cfg.resolved_start_mean(),
     )
 
 
@@ -212,7 +217,7 @@ def _run_start(P: ProblemInstance, cfg: SolverConfig, index: int) -> _StartOutco
     step and halves it until the re-projected candidate passes the Armijo
     test. On constant weights w / w_bar is 1 (to rounding), so d filters r.
     """
-    start = _project_onto(P, _start_field(P, cfg, index).values, cfg)
+    start = _project_onto(P, _start_values(P, cfg, [index])[0], cfg)
     if start is None:
         return _StartOutcome(converged=False, projected=False, note="start did not project")
     u, J = start
@@ -388,29 +393,33 @@ class SweepRow:
         ]
 
 
-def _census_sample(chart, seed, j, i) -> ScalarField:
-    """Zero-mean band-limited census sample i at lambda index j."""
-    rng = substream(seed, "sweep-minus", j, i)
-    return random_band_limited(chart, rng, amplitude=float(10.0 ** rng.uniform(-1, 1)))
+def _census_samples(chart, seed, j, n) -> np.ndarray:
+    """Zero-mean band-limited census samples 0 .. n-1 at lambda index j, stacked.
+
+    Built in blocks of PROBE_BLOCK (sample, node) values, so that only one
+    block's generators and coefficients are alive at a time.
+    """
+    stack = np.empty((n,) + chart.shape)
+    step = max(1, PROBE_BLOCK // chart.n_nodes)
+    for b in range(0, n, step):
+        rngs = [substream(seed, "sweep-minus", j, i) for i in range(b, min(n, b + step))]
+        # each sample draws its amplitude from its substream before its coefficients
+        amps = [float(10.0 ** rng.uniform(-1, 1)) for rng in rngs]
+        stack[b : b + len(rngs)] = random_band_limited_values(chart, rngs, amps)
+    return stack
 
 
-def _census(P: ProblemInstance, fields, target: NehariClass):
-    """(least energy, count) over the fields whose ray meets the target branch.
+def _census(P: ProblemInstance, stack: np.ndarray, target: NehariClass):
+    """(least energy, count) over the stacked fields whose ray meets the target branch.
 
     Each field counts once, at its smallest root of the target class; the
-    energy is nan when no field does.
+    energy is nan when no field does. The whole stack is projected at once.
     """
-    theta, found = math.inf, 0
-    for u in fields:
-        try:
-            res = project(P, u)
-        except NoRootError:
-            continue
-        t = res.first(target)
-        if t is not None:
-            found += 1
-            theta = min(theta, res.profile.energy_at(t))
-    return (theta if found else math.nan), found
+    profile = _RayProfile(P, stack)
+    rays, t = profile.constraint_points().first(target)
+    if not rays.size:
+        return math.nan, 0
+    return min(profile.energy_values(rays, t).tolist()), int(rays.size)
 
 
 def sweep(
@@ -426,9 +435,12 @@ def sweep(
     maximum-branch level theta_minus (zero-mean rays are the family on which
     the smallness estimates are valid), and the solver's mean-biased start
     ladder is projected to count minimum-branch landings and estimate
-    theta_plus. Thresholds are evaluated once (they do not depend on
-    lambda), from ``constants`` when given and otherwise from a fresh
-    estimate with the solver's trials and seed.
+    theta_plus. Each family is built as one stack (every field draws from
+    its own substream, as a single-field call would) and projected onto the
+    full bracket at once, so a lambda costs two ray profiles; the rows are
+    bitwise those of projecting every field alone. Thresholds are evaluated
+    once (they do not depend on lambda), from ``constants`` when given and
+    otherwise from a fresh estimate with the solver's trials and seed.
     """
     if constants is None:
         constants = estimate_constants(
@@ -439,9 +451,11 @@ def sweep(
     rows = []
     for j, lam in enumerate(lambdas):
         Pj = P.with_lambda(float(lam))
-        samples = (_census_sample(Pj.chart, cfg.seed, j, i) for i in range(n_samples))
+        samples = _census_samples(Pj.chart, cfg.seed, j, n_samples)
         theta_minus, n_minus = _census(Pj, samples, NehariClass.MINUS)
-        starts = (_start_field(Pj, plus_cfg, i) for i in range(cfg.multistart))
+        # free this lambda's samples before the next lambda draws its own
+        del samples
+        starts = _start_values(Pj, plus_cfg, range(cfg.multistart))
         theta_plus, n_plus = _census(Pj, starts, NehariClass.PLUS)
         rows.append(
             SweepRow(

@@ -56,10 +56,9 @@ class ExponentField:
     """The exponent pair p(x), q(x) with cached extrema and distinct values.
 
     Construction enforces the ordering 1 < q- <= q+ < p- <= p+, so the
-    distinct values of p and of q (``p_groups``, ``q_groups``) are disjoint
-    sets. The upper bound p+ < dim is deliberately not enforced here; at
-    desk scale it rarely holds and is surfaced as an instance warning
-    instead.
+    distinct values of p and of q (``groups``) are disjoint sets. The upper
+    bound p+ < dim is deliberately not enforced here; at desk scale it
+    rarely holds and is surfaced as an instance warning instead.
     """
 
     p: ScalarField
@@ -82,25 +81,20 @@ class ExponentField:
     # computed on first use: only ray profiles need them, and the first sort
     # in a process adds about 0.35 MB of peak memory to the norm-only paths
     @cached_property
-    def p_groups(self):
-        """(sorted distinct values of p, each flat node's index into them)."""
-        return _groups(self.p.values)
-
-    @cached_property
-    def q_groups(self):
-        """(sorted distinct values of q, each flat node's index into them)."""
-        return _groups(self.q.values)
+    def groups(self):
+        """(sorted distinct values of p, then those of q; the index into them
+        of each flat node's p, then of each flat node's q)."""
+        p_distinct, p_index = np.unique(self.p.values.ravel(), return_inverse=True)
+        q_distinct, q_index = np.unique(self.q.values.ravel(), return_inverse=True)
+        distinct = np.concatenate((p_distinct, q_distinct))
+        index = np.concatenate((p_index, p_distinct.size + q_index))
+        for arr in (distinct, index):
+            arr.setflags(write=False)
+        return distinct, index
 
     @property
     def chart(self) -> Chart:
         return self.p.chart
-
-
-def _groups(values: np.ndarray):
-    distinct, index = np.unique(values.ravel(), return_inverse=True)
-    distinct.setflags(write=False)
-    index.setflags(write=False)
-    return distinct, index
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,25 @@ class TestConfigErrors:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         assert "ordering" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, old, new, line",
+        [
+            ("solve", "lambda = 0.125", "lambda = nan", 18),
+            ("solve", "lambda = 0.125", "lambda = inf", 18),
+            ("sweep", "lambda_grid = 0.05 0.125 0.24", "lambda_grid = nan", 19),
+            ("sweep", "lambda_grid = 0.05 0.125 0.24", "lambda_grid = 0.1 inf", 19),
+            ("sweep", "lambda_grid = 0.05 0.125 0.24", "lambda_grid = auto 0", 19),
+            ("sweep", "lambda_grid = 0.05 0.125 0.24", "lambda_grid = auto -2", 19),
+        ],
+    )
+    def test_bad_lambda_rejected_before_any_run(self, tmp_path, capsys, command, old, new, line):
+        cfg = tmp_path / "lam.cfg"
+        cfg.write_text(REF_CFG.replace(old, new))
+        out = tmp_path / "x"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"lam.cfg:{line}: [problem]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_decreasing_lambda_grid_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(REF_CFG.replace("lambda_grid = 0.05 0.125 0.24", "lambda_grid = 0.3 0.2"))

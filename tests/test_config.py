@@ -104,6 +104,14 @@ class TestListCasts:
             ("sizes = 64", "sizes = 64\nspacings = 0.1 y", 4),
             ("lambda = 0.5", "lambda = 0.5\nlambda_grid = auto x", 7),
             ("lambda = 0.5", "lambda = 0.5\nlambda_grid = auto 8 9", 7),
+            ("lambda = 0.5", "lambda = nan", 6),
+            ("lambda = 0.5", "lambda = inf", 6),
+            ("lambda = 0.5", "lambda = 0", 6),
+            ("lambda = 0.5", "lambda = 0.5\nlambda_grid = nan", 7),
+            ("lambda = 0.5", "lambda = 0.5\nlambda_grid = 0.1 inf", 7),
+            ("lambda = 0.5", "lambda = 0.5\nlambda_grid = -0.1 0.1", 7),
+            ("lambda = 0.5", "lambda = 0.5\nlambda_grid = auto 0", 7),
+            ("lambda = 0.5", "lambda = 0.5\nlambda_grid = auto -2", 7),
         ],
     )
     def test_bad_list_value_is_line_anchored(self, tmp_path, old, new, line):

@@ -273,6 +273,36 @@ def test_random_band_limited_is_band_limited_and_deterministic():
     assert np.max(np.abs(u1.values - 1.0)) == pytest.approx(2.0, rel=1e-12)
 
 
+STACK_CHARTS = (([64], 0.25), ([12, 8], 0.25), ([8, 6, 4], 0.5))
+
+
+@pytest.mark.parametrize("sizes, frac", STACK_CHARTS)
+def test_stacked_band_limited_builder_equals_per_field(sizes, frac):
+    from doublephase.grid import random_band_limited_values
+
+    chart, _ = dp.build_torus(len(sizes), sizes)
+    amps = [0.1 * (i + 1) for i in range(5)]
+    stack = random_band_limited_values(
+        chart, [dp.substream(3, "stack", i) for i in range(5)], amps, frac, mean=0.4
+    )
+    assert stack.shape == (5,) + chart.shape
+    for i, amp in enumerate(amps):
+        alone = dp.random_band_limited(chart, dp.substream(3, "stack", i), frac, amplitude=amp, mean=0.4)
+        assert stack[i].tobytes() == alone.values.tobytes()
+
+
+@pytest.mark.parametrize("sizes, frac", STACK_CHARTS)
+def test_stacked_gradient_values_equal_per_field(sizes, frac):
+    from doublephase.grid import gradient_values
+
+    chart, _ = dp.build_torus(len(sizes), sizes, spacings=[0.3 + 0.1 * a for a in range(len(sizes))])
+    stack = dp.substream(4, "grad").standard_normal((3, 2) + chart.shape)
+    grads = gradient_values(stack, chart)
+    assert grads.shape == stack.shape + (chart.dim,)
+    for idx in np.ndindex(3, 2):
+        assert grads[idx].tobytes() == gradient_values(stack[idx], chart).tobytes()
+
+
 def test_band_filter_keeps_low_modes():
     chart, _ = dp.build_torus(1, [64])
     x = chart.axis_coords(0)

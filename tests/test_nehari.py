@@ -5,7 +5,7 @@ import pytest
 
 import doublephase as dp
 from doublephase.config import parse_config
-from doublephase.nehari import ROOT_TOL, _RayProfile, _refine_root
+from doublephase.nehari import PROBE_BLOCK, ROOT_TOL, _BRANCHES, _RayProfile
 from doublephase.problem import _Nodewise
 from conftest import make_calibrated_ray, make_reference_instance
 
@@ -142,12 +142,139 @@ class TestGroupedProfile:
             assert profile.energy_at(t) == pytest.approx(br.total, abs=1e-13 * magnitude)
 
 
+def _project_rows(P, stack, truncated, window):
+    """Per-ray ``project`` of every row: (roots, classes, phi at roots, J at roots), or None."""
+    out = []
+    for vals in stack:
+        try:
+            res = dp.project(P, P.chart.field(vals), truncated, **window)
+        except dp.NoRootError:
+            out.append(None)
+            continue
+        energies = tuple(res.profile.energy_at(t) for t in res.t_roots)
+        out.append((res.t_roots, res.classes, res.phi_at_roots, energies))
+    return out
+
+
+def _stack_rows(P, stack, truncated, window):
+    """The same four per row, from one stacked projection."""
+    profile = _RayProfile(P, stack, truncated)
+    roots = profile.constraint_points(**window)
+    energies = profile.energy_values(roots.rays, roots.t)
+    out = []
+    for i in range(len(stack)):
+        ray = roots.rays == i
+        if not ray.any():
+            out.append(None)
+            continue
+        out.append((
+            tuple(roots.t[ray].tolist()),
+            tuple(_BRANCHES[c] for c in roots.codes[ray].tolist()),
+            tuple(roots.phi[ray].tolist()),
+            tuple(energies[ray].tolist()),
+        ))
+    return out
+
+
+def _ray_stack(P, tag, n):
+    """n band-limited rays: amplitudes from 0.03 to 3 around means from -1.5 to 1.5.
+
+    Every other ray is scaled onto its first constraint point, so that the
+    local window around t = 1 has roots too.
+    """
+    rows = []
+    for i in range(n):
+        rng = dp.substream(31, "stack", tag, i)
+        amp = float(10.0 ** rng.uniform(-1.5, 0.5))
+        u = dp.random_band_limited(P.chart, rng, amplitude=amp, mean=float(rng.uniform(-1.5, 1.5)))
+        if i % 2:
+            try:
+                u = P.chart.field(dp.project(P, u).t_roots[0] * u.values)
+            except dp.NoRootError:
+                pass
+        rows.append(u.values)
+    return np.array(rows)
+
+
+WINDOWS = {"full": {}, "local": {"bracket": (0.25, 4.0), "n_grid": 17}}
+
+
+class TestStackedProjection:
+    @pytest.mark.parametrize("window", ["full", "local"])
+    @pytest.mark.parametrize("truncated", [False, True])
+    @pytest.mark.parametrize("which", ["reference", "variable_default", "aniso32"])
+    def test_stack_equals_per_ray_projection(self, which, truncated, window):
+        P = INSTANCES[which]()
+        stack = _ray_stack(P, which, 12)
+        per_ray = _project_rows(P, stack, truncated, WINDOWS[window])
+        assert any(per_ray)
+        assert repr(_stack_rows(P, stack, truncated, WINDOWS[window])) == repr(per_ray)
+
+    def test_rows_do_not_depend_on_neighbours(self):
+        # truncated reference rays with 0, 1 and 2 roots, and a constant
+        # negative ray whose truncated profile vanishes (scale 0)
+        P = make_reference_instance(lam=0.1)
+        near_constant = _rand(P.chart, "mix", amp=0.05, mean=1.0).values
+        stack = np.concatenate((_ray_stack(P, "mix", 16), [near_constant, np.full(P.chart.shape, -0.5)]))
+        alone = [_stack_rows(P, row[None], True, {})[0] for row in stack]
+        assert {0 if r is None else len(r[0]) for r in alone} == {0, 1, 2}
+        assert _RayProfile(P, stack[-1:], True).scales[0] == 0.0
+        assert repr(alone) == repr(_project_rows(P, stack, True, {}))
+        assert repr(_stack_rows(P, stack, True, {})) == repr(alone)
+        assert repr(_stack_rows(P, stack[::-1], True, {})) == repr(alone[::-1])
+
+    @pytest.mark.parametrize("lam", [0.12, 0.18, 0.26, 0.39])
+    def test_census_stacks_equal_per_ray_projection(self, lam):
+        # start ladders (near-constant rays, several roots each) and zero-mean
+        # samples with the reference's integer exponents: a power loop that
+        # ran along the lanes, with one exponent for all, would round some
+        # roots and energies differently
+        P = make_reference_instance(lam=lam)
+        amps = np.geomspace(0.02, 0.5, 8)
+        for seed in range(4):
+            ladder = np.array([
+                dp.random_band_limited(P.chart, dp.substream(seed, "start", i), amplitude=a, mean=1.0).values
+                for i, a in enumerate(amps)
+            ])
+            assert repr(_stack_rows(P, ladder, False, {})) == repr(_project_rows(P, ladder, False, {}))
+        samples = np.array([
+            _rand(P.chart, "census", i, amp=float(10.0 ** (i / 32.0 - 1.0))).values for i in range(64)
+        ])
+        assert repr(_stack_rows(P, samples, False, {})) == repr(_project_rows(P, samples, False, {}))
+
+    def test_empty_stack_has_no_roots(self):
+        P = make_reference_instance(lam=0.1)
+        roots = _RayProfile(P, np.empty((0,) + P.chart.shape)).constraint_points()
+        assert roots.t.size == 0 and roots.first(dp.NehariClass.MINUS)[0].size == 0
+
+    def test_stack_larger_than_one_probe_block(self):
+        # 74 terms per ray: the profile is built over several ray blocks, the
+        # probe takes one ray per block, and the roots fill more than one
+        # lane block of the refinement
+        P = INSTANCES["variable_default"]()
+        stack = _ray_stack(P, "blocks", 240)
+        terms = _RayProfile(P, stack[:1])._phi_terms[0].size
+        roots = _RayProfile(P, stack).constraint_points()
+        assert stack.size > PROBE_BLOCK
+        assert 256 * terms > PROBE_BLOCK
+        assert roots.t.size > PROBE_BLOCK // (2 * terms)
+        assert repr(_stack_rows(P, stack, False, {})) == repr(_project_rows(P, stack, False, {}))
+
+
+def _refine_one_lane(profile, lo, hi, f_lo, f_hi):
+    """The lane-wise refiner driven with a single lane on ray 0."""
+    (t,) = profile.refine_roots(
+        np.zeros(1, dtype=np.intp), np.array([lo]), np.array([hi]), np.array([f_lo]), np.array([f_hi])
+    )
+    return t
+
+
 class TestRefineRoot:
     def test_newton_root_inside_bracket(self, golden_ray):
         P, u = golden_ray
         profile = _RayProfile(P, u)
         lo, hi = 1.5, 1.7
-        t = _refine_root(profile, lo, hi, profile.phi(lo), profile.phi(hi))
+        t = _refine_one_lane(profile, lo, hi, profile.phi(lo), profile.phi(hi))
         assert lo <= t <= hi
         assert abs(profile.phi(t)) <= ROOT_TOL * profile.scale
         assert t == pytest.approx(GOLDEN, abs=1e-12)
@@ -161,7 +288,7 @@ class TestRefineRoot:
         f_lo, f_hi = profile.phi(lo), profile.phi(hi)
         assert abs(f_lo) < abs(f_hi)
         assert lo - f_lo / profile.phi_prime(lo) < lo
-        t = _refine_root(profile, lo, hi, f_lo, f_hi)
+        t = _refine_one_lane(profile, lo, hi, f_lo, f_hi)
         assert lo <= t <= hi
         assert abs(profile.phi(t)) <= ROOT_TOL * profile.scale
         assert t == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-9)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,9 @@ def test_instance_warnings(ref):
     assert any("inapplicable" in w for w in ref.warnings)
     with pytest.raises(ValueError, match="lambda"):
         make_reference_instance(lam=-1.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0])
+def test_lambda_must_be_finite_and_positive(lam):
+    with pytest.raises(ValueError, match="lambda must be finite and positive"):
+        make_reference_instance(lam=lam)

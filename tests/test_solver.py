@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -316,25 +318,55 @@ class TestSweep:
         assert rows[0].n_plus_found > 0
 
     def test_census_builds_one_ray_profile_per_projection(self, instance, quick_cfg, monkeypatch):
-        from doublephase import nehari, solver
+        # each lambda projects its samples and its start ladder as two stacks,
+        # one profile each; the rows equal a census of per-ray projections
+        from doublephase import nehari
 
-        counts = {"project": 0, "profile": 0}
-        project, init = nehari.project, nehari._RayProfile.__init__
-
-        def counted_project(*args, **kwargs):
-            counts["project"] += 1
-            return project(*args, **kwargs)
+        counts = {"profile": 0}
+        init = nehari._RayProfile.__init__
 
         def counted_init(self, *args, **kwargs):
             counts["profile"] += 1
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "project", counted_project)
-        monkeypatch.setattr(nehari._RayProfile, "__init__", counted_init)
         consts = dp.estimate_constants(
             instance.exponents, instance.weight, instance.metric, trials=100, seed=7
         )
-        rows = dp.sweep(instance, [0.125], quick_cfg, n_samples=16, constants=consts)
-        assert counts["project"] == 16 + quick_cfg.multistart
-        assert counts["profile"] == counts["project"]
+        lambdas = [0.125, 0.2]
+        monkeypatch.setattr(nehari._RayProfile, "__init__", counted_init)
+        rows = dp.sweep(instance, lambdas, quick_cfg, n_samples=16, constants=consts)
+        monkeypatch.undo()
+        assert counts["profile"] == 2 * len(lambdas)
         assert rows[0].n_minus_found > 0 and rows[0].n_plus_found > 0
+
+        def per_ray_census(P, fields, target):
+            theta, found = math.inf, 0
+            for u in fields:
+                try:
+                    res = dp.project(P, u)
+                except dp.NoRootError:
+                    continue
+                t = res.first(target)
+                if t is not None:
+                    found += 1
+                    theta = min(theta, res.profile.energy_at(t))
+            return (theta if found else math.nan), found
+
+        amps = np.geomspace(*quick_cfg.start_amp, quick_cfg.multistart)
+        for j, (lam, row) in enumerate(zip(lambdas, rows)):
+            P = instance.with_lambda(lam)
+            samples = []
+            for i in range(16):
+                rng = dp.substream(quick_cfg.seed, "sweep-minus", j, i)
+                amp = float(10.0 ** rng.uniform(-1, 1))
+                samples.append(dp.random_band_limited(P.chart, rng, amplitude=amp))
+            starts = [
+                dp.random_band_limited(
+                    P.chart, dp.substream(quick_cfg.seed, "start", i), amplitude=float(amps[i]), mean=1.0
+                )
+                for i in range(quick_cfg.multistart)
+            ]
+            theta_minus, n_minus = per_ray_census(P, samples, dp.NehariClass.MINUS)
+            theta_plus, n_plus = per_ray_census(P, starts, dp.NehariClass.PLUS)
+            assert repr((row.theta_minus_estimate, row.n_minus_found)) == repr((theta_minus, n_minus))
+            assert repr((row.theta_plus_estimate, row.n_plus_found)) == repr((theta_plus, n_plus))
