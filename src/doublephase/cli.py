@@ -1,9 +1,10 @@
 """Command-line front end: verify, solve, sweep, project.
 
 Every artifact embeds the resolved configuration and the seed, so any run
-can be replayed exactly. Exit codes: 0 success, 1 error (including any
-failing verify property or malformed input), 2 usage error or inconclusive
-solve.
+can be replayed exactly; the one exception is the wall-clock record
+``timing.json`` that ``solve`` writes next to its reports. Exit codes: 0
+success, 1 error (including any failing verify property or malformed
+input), 2 usage error or inconclusive solve.
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ def cmd_solve(args) -> int:
             _report_payload(rep, rc, seed, field_name),
         )
     _json_dump(os.path.join(args.out, "experiment.json"), summary)
+    # kept apart from the reports, which are bit-identical between reruns
+    _json_dump(os.path.join(args.out, "timing.json"), result.timing)
     print(f"solve: status={result.status} separation={result.separation:.3e} -> {args.out}")
     return result.exit_code
 

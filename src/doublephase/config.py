@@ -25,7 +25,7 @@ from .fieldio import read_field, read_metric
 from .grid import Chart, MetricField, ScalarField
 from .problem import PowerNonlinearity, ProblemInstance
 from .solver import SolverConfig
-from .spaces import ExponentField, WeightField
+from .spaces import MIN_TRIALS, ExponentField, WeightField
 
 __all__ = [
     "ConfigError",
@@ -193,6 +193,18 @@ def _lambda(raw: str) -> float:
     return lam
 
 
+def _count(least: int):
+    """Caster of an integer of at least ``least``."""
+
+    def cast(raw: str) -> int:
+        value = int(raw)
+        if value < least:
+            raise ValueError(f"must be at least {least}, got {value}")
+        return value
+
+    return cast
+
+
 def _lambda_grid(raw: str):
     """The point count N of ``auto [N]`` (N defaults to 8), else the strictly increasing grid."""
     tokens = raw.split()
@@ -236,8 +248,8 @@ _OPTIONS = {
     },
     "problem": {"lambda": ("lam", _lambda), "lambda_grid": ("lambda_grid", _lambda_grid)},
     "solver": {key: ("solver", caster) for key, caster in _SOLVER_KEYS.items()},
-    "verify": {"trials": ("verify_trials", int)},
-    "constants": {"trials": ("constants_trials", int)},
+    "verify": {"trials": ("verify_trials", _count(1))},
+    "constants": {"trials": ("constants_trials", _count(MIN_TRIALS))},
     "run": {"seed": ("seed", int)},
 }
 

@@ -22,7 +22,8 @@ residual norm is always the unfiltered one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from time import perf_counter
 
 import numpy as np
 
@@ -304,6 +305,9 @@ class ExperimentResult:
     thresholds: Thresholds
     warnings: tuple
     failures: tuple
+    # wall seconds of the constants estimate, each branch and the whole
+    # experiment; they differ between reruns, so results compare without them
+    timing: dict = field(default_factory=dict, compare=False)
 
     @property
     def exit_code(self) -> int:
@@ -321,6 +325,7 @@ def two_solution_experiment(P: ProblemInstance, cfg: SolverConfig) -> Experiment
     found: the discrete search has no existence guarantee. Certificates and
     the separation test are recorded either way.
     """
+    start = perf_counter()
     consts = estimate_constants(
         P.exponents,
         P.weight,
@@ -328,6 +333,7 @@ def two_solution_experiment(P: ProblemInstance, cfg: SolverConfig) -> Experiment
         trials=cfg.constants_trials,
         seed=cfg.seed,
     )
+    timing = {"constants_s": perf_counter() - start}
     thr = thresholds(P, consts)
     warnings = list(P.warnings)
     if P.lam >= thr.lambda_bar:
@@ -339,11 +345,13 @@ def two_solution_experiment(P: ProblemInstance, cfg: SolverConfig) -> Experiment
     failures = []
     for target in (NehariClass.PLUS, NehariClass.MINUS):
         run_cfg = replace(cfg, target=target, truncate=True)
+        branch_start = perf_counter()
         try:
             reports[target] = minimize_on_branch(P, run_cfg, constants=consts)
         except BranchError as exc:
             reports[target] = None
             failures.append(f"{target.value}: [{exc.kind}] {exc}")
+        timing[f"{target.value}_s"] = perf_counter() - branch_start
     plus, minus = reports[NehariClass.PLUS], reports[NehariClass.MINUS]
     separation = 0.0
     distinct = False
@@ -359,6 +367,7 @@ def two_solution_experiment(P: ProblemInstance, cfg: SolverConfig) -> Experiment
                     f"{rep.nehari_class.value} minimizer has negative nodes: min = {cert.min_u:.3e}"
                 )
     status = "converged" if plus is not None and minus is not None else "inconclusive"
+    timing["total_s"] = perf_counter() - start
     return ExperimentResult(
         status=status,
         report_plus=plus,
@@ -368,6 +377,7 @@ def two_solution_experiment(P: ProblemInstance, cfg: SolverConfig) -> Experiment
         thresholds=thr,
         warnings=tuple(warnings),
         failures=tuple(failures),
+        timing=timing,
     )
 
 

@@ -4,6 +4,11 @@ Modulars, Luxemburg norms (by Newton steps on the log-modular, which is
 convex and decreasing in log gamma, until a step moves log gamma by at most
 1e-12), weighted analogs, executable inequality checks, and seeded lower
 estimates of the functional constants that feed the branch thresholds.
+
+A norm call solves one field. The constants estimate scores its candidate
+fields as stacks instead: each norm of a block of fields is one Newton loop
+with a lane per field (``_luxemburg_rows``), bitwise equal to the one-field
+solves.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from .grid import (
     integrate,
     norm_g_values,
     pairwise_sum,
-    random_band_limited,
+    pairwise_sum_rows,
+    random_band_limited_values,
     substream,
 )
 
@@ -49,6 +55,11 @@ __all__ = [
 ]
 
 _CONJUGATE_GUARD = 1.0 + 1e-6
+# fewest trials estimate_constants accepts
+MIN_TRIALS = 100
+# (candidate field, node) values scored per stack by estimate_constants,
+# chosen for peak memory; at least two fields a stack
+ESTIMATE_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -140,31 +151,90 @@ _NEWTON_STEP_TOL = 1e-12
 _NEWTON_MAX_STEPS = 100
 
 
+# Newton on log rho in x = log(gamma/peak), over the nodes where u != 0:
+# log rho = log sum_i exp(a_i - e_i x), a_i = e_i log(|u_i|/peak) + log(w_i cell),
+# is a log-sum-exp of affine functions, convex and decreasing, so Newton
+# from x = 0 lands left of the root and then climbs to it monotonically.
+# Shifting by the largest term keeps spread exponents from overflowing.
+def _log_coefficients(abs_vals, peak, e, wsd, cell_volume):
+    """The a_i above, for |u| values (one row or a stack) and their peaks."""
+    return e * np.log(abs_vals / peak) + np.log(wsd * cell_volume)
+
+
+def _newton_step(shift, total, slope_sum):
+    """log rho over minus its slope, the term-weighted mean exponent.
+
+    In Python floats with ``math.log``: ``np.log`` on an array can differ
+    from it in the last bit, and every solve must take the same steps.
+    """
+    return (shift + math.log(total)) * total / slope_sum
+
+
 def _luxemburg(abs_vals, e_vals, weight_vals, metric):
-    # Newton on log rho in x = log(gamma/peak), over the nodes where u != 0:
-    # log rho = log sum_i exp(a_i - e_i x), a_i = e_i log(|u_i|/peak) + log(w_i cell),
-    # is a log-sum-exp of affine functions, convex and decreasing, so Newton
-    # from x = 0 lands left of the root and then climbs to it monotonically.
-    # Shifting by the largest term keeps spread exponents from overflowing.
     peak = float(abs_vals.max())
     if peak == 0.0:
         return 0.0
     wsd = metric.sqrt_det if weight_vals is None else metric.sqrt_det * weight_vals
     support = abs_vals > 0.0
     e = e_vals[support]
-    a = e * np.log(abs_vals[support] / peak) + np.log(wsd[support] * metric.chart.cell_volume)
+    a = _log_coefficients(abs_vals[support], peak, e, wsd[support], metric.chart.cell_volume)
     x = 0.0
     for _ in range(_NEWTON_MAX_STEPS):
         z = a - e * x
         shift = z.max()
         terms = np.exp(z - shift)
-        total = pairwise_sum(terms)
-        # log rho over minus its slope, the term-weighted mean exponent
-        step = (shift + math.log(total)) * total / pairwise_sum(e * terms)
+        step = _newton_step(shift, pairwise_sum(terms), pairwise_sum(e * terms))
         x += step
         if abs(step) <= _NEWTON_STEP_TOL:
             break
     return peak * math.exp(x)
+
+
+def _luxemburg_rows(abs_rows, e_vals, weight_vals, metric) -> np.ndarray:
+    """``_luxemburg`` of every row of a (rows, *chart shape) stack of |u|, bitwise.
+
+    Rows with no zero node are the lanes of one Newton loop: every step
+    evaluates all live lanes at once, each lane takes its step in Python
+    floats (``math.log``, as the scalar loop does) and leaves the loop once
+    the step is at most 1e-12. A row with zero nodes runs ``_luxemburg``,
+    whose sums skip those nodes; an all-zero row has norm 0.
+    """
+    flat = abs_rows.reshape(len(abs_rows), metric.chart.n_nodes)
+    norms = np.zeros(len(flat))
+    peaks = flat.max(axis=1)
+    full = flat.min(axis=1) > 0.0
+    for r in np.flatnonzero(~full & (peaks > 0.0)):
+        norms[r] = _luxemburg(abs_rows[r], e_vals, weight_vals, metric)
+    lanes = np.flatnonzero(full)
+    if not lanes.size:
+        return norms
+    e = e_vals.ravel()
+    wsd = metric.sqrt_det if weight_vals is None else metric.sqrt_det * weight_vals
+    a = _log_coefficients(flat[lanes], peaks[lanes, None], e, wsd.ravel(), metric.chart.cell_volume)
+    x = np.zeros(len(lanes))
+    logs = np.empty(len(lanes))
+    live = np.arange(len(lanes))
+    for _ in range(_NEWTON_MAX_STEPS):
+        # in place, so that a step holds two (lane, node) arrays, a and terms
+        terms = e * x[:, None]
+        np.subtract(a, terms, out=terms)
+        shift = terms.max(axis=1)
+        terms -= shift[:, None]
+        np.exp(terms, out=terms)
+        total = pairwise_sum_rows(terms)
+        terms *= e
+        sums = zip(shift.tolist(), total.tolist(), pairwise_sum_rows(terms).tolist())
+        step = np.array([_newton_step(*lane) for lane in sums])
+        x += step
+        going = np.abs(step) > _NEWTON_STEP_TOL
+        if not going.all():
+            logs[live[~going]] = x[~going]
+            live, x, a = live[going], x[going], a[going]
+            if not live.size:
+                break
+    logs[live] = x
+    norms[lanes] = [peak * math.exp(v) for peak, v in zip(peaks[lanes].tolist(), logs.tolist())]
+    return norms
 
 
 def luxemburg_norm(u: ScalarField, e: ScalarField, metric: MetricField) -> float:
@@ -352,26 +422,31 @@ def _inverse_gradient_smoother(chart: Chart, max_mode_frac: float):
     return smooth
 
 
-def _candidate_ratios(
-    u: ScalarField, exponents: ExponentField, weight: WeightField, metric: MetricField
-):
-    """(Poincare, embedding, weighted) ratios of one candidate field.
+def _stack_ratios(vals, exponents: ExponentField, weight: WeightField, metric: MetricField):
+    """(Poincare, embedding, weighted) ratios of every field of a (rows, *shape) stack.
 
-    Each of ||u||_q, || |grad u|_g ||_q and ||u||_p is computed once; the
-    Sobolev norm s is the sum of the first two, in the order of
-    ``sobolev_norm``. A ratio with a vanishing denominator is 0.
+    Each of ||u||_q, || |grad u|_g ||_q and ||u||_p is solved once per row
+    by ``_luxemburg_rows``; the Sobolev norm s is the sum of the first two,
+    in the order of ``sobolev_norm``. A ratio with a vanishing denominator
+    is 0. Every row is bitwise what the row's own ``luxemburg_norm`` and
+    ``weighted_modular`` calls give.
     """
-    q = exponents.q
-    gnorm = u.chart.field(norm_g_values(gradient_values(u.values, u.chart), metric))
-    norm_q = luxemburg_norm(u, q, metric)
-    norm_grad = luxemburg_norm(gnorm, q, metric)
-    norm_p = luxemburg_norm(u, exponents.p, metric)
-    poincare = norm_q / norm_grad if norm_grad != 0.0 else 0.0
+    q = exponents.q.values
+    # one (row, node) array besides vals alive per solve: |u| for two, |grad u|_g for one
+    abs_vals = np.abs(vals)
+    norm_q = _luxemburg_rows(abs_vals, q, None, metric)
+    norm_p = _luxemburg_rows(abs_vals, exponents.p.values, None, metric)
+    del abs_vals
+    grad_norms = norm_g_values(gradient_values(vals, metric.chart), metric)
+    norm_grad = _luxemburg_rows(grad_norms, q, None, metric)
     s = norm_q + norm_grad
-    if s == 0.0:
-        return poincare, 0.0, 0.0
-    unit = u.chart.field(u.values / s)
-    return poincare, norm_p / s, weighted_modular(unit, q, weight, metric)
+    has_grad, has_s = norm_grad != 0.0, s != 0.0
+    poincare = np.divide(norm_q, norm_grad, out=np.zeros(len(s)), where=has_grad)
+    embed = np.divide(norm_p, s, out=np.zeros(len(s)), where=has_s)
+    unit = vals / np.where(has_s, s, 1.0).reshape((-1,) + (1,) * (vals.ndim - 1))
+    dens = weight.mu.values * np.abs(unit) ** q * metric.sqrt_det
+    weighted = pairwise_sum_rows(dens.reshape(len(s), -1)) * metric.chart.cell_volume
+    return poincare, embed, np.where(has_s, weighted, 0.0)
 
 
 def estimate_constants(
@@ -387,40 +462,55 @@ def estimate_constants(
 
     Zero-mean band-limited samples drive the Poincare ratio; the same samples
     plus mean-shifted and constant candidates drive the embedding ratios
-    (whose suprema admit constant fields). The best Poincare candidate is
-    refined by repeated inverse-Laplacian smoothing, which converges to the
-    extremal low mode for constant exponents. Every candidate costs three
-    Luxemburg norms. Deterministic given the seed; with the same seed, more
-    trials can only increase the estimates.
+    (whose suprema admit constant fields). The best Poincare candidate (the
+    first in trial order) is refined by repeated inverse-Laplacian
+    smoothing, which converges to the extremal low mode for constant
+    exponents. Candidates are scored as stacks of at most ESTIMATE_BLOCK
+    (field, node) values: a block of trials is drawn in one
+    ``random_band_limited_values`` call, and its oscillating and shifted
+    fields are scored together by ``_stack_ratios``, three lane-wise
+    Luxemburg solves per block; the smoothing iterates likewise. The result
+    is bitwise that of scoring every candidate alone. Deterministic given
+    the seed; with the same seed, more trials can only increase the
+    estimates.
     """
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     chart = exponents.chart
+    rows = max(2, ESTIMATE_BLOCK // chart.n_nodes)
+    stack_axes = (-1,) + (1,) * chart.dim
+    ratios = _stack_ratios(chart.constant(1.0).values[None], exponents, weight, metric)
+    _, d_best, c1_best = (float(r[0]) for r in ratios)
     c_best, c_field = 0.0, None
-    _, d_best, c1_best = _candidate_ratios(chart.constant(1.0), exponents, weight, metric)
-    for i in range(trials):
-        rng = substream(seed, "constants", i)
-        amp = float(10.0 ** rng.uniform(-1.0, 0.5))
-        osc = random_band_limited(chart, rng, max_mode_frac, amplitude=amp)
-        c_ratio, d_ratio, c1_ratio = _candidate_ratios(osc, exponents, weight, metric)
-        if c_ratio > c_best:
-            c_best, c_field = c_ratio, osc
-        d_best = max(d_best, d_ratio)
-        c1_best = max(c1_best, c1_ratio)
-        shifted = chart.field(osc.values + float(rng.uniform(0.1, 2.0)))
-        _, d_ratio, c1_ratio = _candidate_ratios(shifted, exponents, weight, metric)
-        d_best = max(d_best, d_ratio)
-        c1_best = max(c1_best, c1_ratio)
+    # an oscillating and a shifted field per trial
+    for b in range(0, trials, rows // 2):
+        rngs = [substream(seed, "constants", i) for i in range(b, min(b + rows // 2, trials))]
+        amps = [float(10.0 ** rng.uniform(-1.0, 0.5)) for rng in rngs]
+        osc = random_band_limited_values(chart, rngs, amps, max_mode_frac)
+        shifts = [float(rng.uniform(0.1, 2.0)) for rng in rngs]
+        stack = np.concatenate((osc, osc + np.reshape(shifts, stack_axes)))
+        n_osc = len(rngs)
+        del osc, rngs
+        c_ratio, d_ratio, c1_ratio = _stack_ratios(stack, exponents, weight, metric)
+        # the first maximum in trial order: argmax takes the first in the block
+        j = int(np.argmax(c_ratio[:n_osc]))
+        if c_ratio[j] > c_best:
+            c_best, c_field = float(c_ratio[j]), stack[j].copy()
+        d_best = max(d_best, float(d_ratio.max()))
+        c1_best = max(c1_best, float(c1_ratio.max()))
 
     if c_field is not None and refine_iters > 0:
+        # the smoothing iterates do not depend on the ratios
         smooth = _inverse_gradient_smoother(chart, max_mode_frac)
-        vals = c_field.values
-        for _ in range(refine_iters):
-            vals = smooth(vals)
-            candidate = chart.field(vals)
-            c_ratio, d_ratio, _ = _candidate_ratios(candidate, exponents, weight, metric)
-            c_best = max(c_best, c_ratio)
-            d_best = max(d_best, d_ratio)
+        vals = c_field
+        for b in range(0, refine_iters, rows):
+            iterates = []
+            for _ in range(min(rows, refine_iters - b)):
+                vals = smooth(vals)
+                iterates.append(vals)
+            c_ratio, d_ratio, _ = _stack_ratios(np.stack(iterates), exponents, weight, metric)
+            c_best = max(c_best, float(c_ratio.max()))
+            d_best = max(d_best, float(d_ratio.max()))
 
     return ConstantsEstimate(
         c_poincare=c_best,

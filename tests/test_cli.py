@@ -105,6 +105,16 @@ class TestSolve:
         for name in ("report_plus.json", "report_minus.json", "u_plus.field", "u_minus.field", "experiment.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_timing_file(self, tmp_path, ref_cfg):
+        out = tmp_path / "t"
+        assert main(["solve", "--config", ref_cfg, "--seed", "42", "--out", str(out)]) == 0
+        timing = json.loads((out / "timing.json").read_text())
+        assert timing.keys() == {"constants_s", "plus_s", "minus_s", "total_s"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timing.values())
+        assert timing["total_s"] >= timing["constants_s"] + timing["plus_s"] + timing["minus_s"]
+        for name in ("experiment.json", "report_plus.json", "report_minus.json"):
+            assert not {"timing", *timing} & json.loads((out / name).read_text()).keys()
+
     def test_missing_lambda_errors(self, tmp_path):
         cfg = tmp_path / "nolam.cfg"
         cfg.write_text(REF_CFG.replace("lambda = 0.125\n", ""))
@@ -243,6 +253,23 @@ class TestConfigErrors:
         out = tmp_path / "x"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert f"lam.cfg:{line}: [problem]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, section, old, new",
+        [
+            ("solve", "constants", "trials = 100", "trials = 50"),
+            ("sweep", "constants", "trials = 100", "trials = 99"),
+            ("verify", "verify", "trials = 25", "trials = 0"),
+        ],
+    )
+    def test_bad_trial_count_rejected_before_any_run(self, tmp_path, capsys, command, section, old, new):
+        cfg = tmp_path / "trials.cfg"
+        cfg.write_text(REF_CFG.replace(old, new))
+        line = REF_CFG.splitlines().index(f"[{section}]") + 2
+        out = tmp_path / "x"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"trials.cfg:{line}: [{section}] trials: must be at least" in capsys.readouterr().err
         assert not out.exists()
 
     def test_decreasing_lambda_grid_rejected(self, tmp_path, capsys):

@@ -135,3 +135,20 @@ class TestListCasts:
         assert rc.sizes == (8, 16) and rc.spacings == (0.125, 0.0625)
         cfg.write_text(BASE_CFG.replace("dim = 1\nsizes = 64", "dim = 2"))
         assert parse_config(str(cfg)).sizes == (64, 64)
+
+
+class TestTrialCounts:
+    @pytest.mark.parametrize(
+        "section, value, least",
+        [("constants", "50", 100), ("constants", "99", 100), ("constants", "-1", 100),
+         ("verify", "0", 1), ("verify", "-5", 1)],
+    )
+    def test_bad_trial_count_is_line_anchored(self, tmp_path, section, value, least):
+        msg = _parse_error(tmp_path, BASE_CFG + f"\n[{section}]\ntrials = {value}\n")
+        assert f"c.cfg:9: [{section}] trials: must be at least {least}, got {value}" in msg
+
+    def test_least_trial_counts_parse(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CFG + "\n[verify]\ntrials = 1\n\n[constants]\ntrials = 100\n")
+        rc = parse_config(str(cfg))
+        assert (rc.verify_trials, rc.constants_trials) == (1, 100)

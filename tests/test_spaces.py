@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import doublephase as dp
 from doublephase import spaces
-from doublephase.spaces import holder_factor, luxemburg_norm
+from doublephase.spaces import holder_factor
 from conftest import make_variable_instance
 
 
@@ -370,7 +371,10 @@ class TestEstimateConstants:
 
 
 def _reference_estimate(exponents, weight, metric, trials, seed, max_mode_frac=0.25):
-    """The constants search written with one closure per ratio, each computing its own norms."""
+    """The constants search written with one closure per ratio, each computing its own norms.
+
+    Returns the estimate and the trial whose field was refined.
+    """
     chart = exponents.chart
     p, q = exponents.p, exponents.q
 
@@ -411,7 +415,7 @@ def _reference_estimate(exponents, weight, metric, trials, seed, max_mode_frac=0
         return smooth
 
     ones = chart.constant(1.0)
-    c_best, c_field = 0.0, None
+    c_best, c_field, best_trial = 0.0, None, None
     d_best = embed_ratio(ones)
     c1_best = weighted_ratio(ones)
     for i in range(trials):
@@ -420,7 +424,7 @@ def _reference_estimate(exponents, weight, metric, trials, seed, max_mode_frac=0
         osc = dp.random_band_limited(chart, rng, max_mode_frac, amplitude=amp)
         ratio = poincare_ratio(osc)
         if ratio > c_best:
-            c_best, c_field = ratio, osc
+            c_best, c_field, best_trial = ratio, osc, i
         d_best = max(d_best, embed_ratio(osc))
         c1_best = max(c1_best, weighted_ratio(osc))
         shifted = chart.field(osc.values + float(rng.uniform(0.1, 2.0)))
@@ -433,7 +437,7 @@ def _reference_estimate(exponents, weight, metric, trials, seed, max_mode_frac=0
         candidate = chart.field(vals)
         c_best = max(c_best, poincare_ratio(candidate))
         d_best = max(d_best, embed_ratio(candidate))
-    return dp.ConstantsEstimate(
+    estimate = dp.ConstantsEstimate(
         c_poincare=c_best,
         D_embed=d_best,
         c1_embed=c1_best,
@@ -441,12 +445,20 @@ def _reference_estimate(exponents, weight, metric, trials, seed, max_mode_frac=0
         trials=trials,
         seed=seed,
     )
+    return estimate, best_trial
 
 
-def _anisotropic_2d():
-    chart, metric = dp.build_torus(2, [16, 16], metric_spec=[[1.0, 0.3], [0.3, 2.0]])
+def _constant_exponents(chart, metric):
     e = dp.ExponentField(p=chart.constant(3.0), q=chart.constant(2.0))
     return e, dp.WeightField(mu=chart.constant(1.0)), metric
+
+
+def _reference_1d():
+    return _constant_exponents(*dp.build_torus(1, [64]))
+
+
+def _anisotropic_2d(n=16):
+    return _constant_exponents(*dp.build_torus(2, [n, n], metric_spec=[[1.0, 0.3], [0.3, 2.0]]))
 
 
 def _variable_1d():
@@ -454,26 +466,113 @@ def _variable_1d():
     return P.exponents, P.weight, P.metric
 
 
-@pytest.mark.parametrize("make", [_variable_1d, _anisotropic_2d], ids=["variable1d", "aniso2d"])
+def _variable_3d():
+    chart, metric = dp.build_torus(3, [8, 8, 8])
+    x, y, _ = chart.coords()
+    p = chart.field(3.0 + 0.4 * np.sin(2 * np.pi * x))
+    q = chart.field(1.8 + 0.2 * np.cos(2 * np.pi * y))
+    w = dp.WeightField(mu=chart.field(1.5 + 0.5 * np.sin(2 * np.pi * (x + y))))
+    return dp.ExponentField(p=p, q=q), w, metric
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_reference_1d, _variable_1d, _anisotropic_2d, _variable_3d],
+    ids=["reference1d", "variable1d", "aniso2d", "variable3d"],
+)
 def test_estimate_equals_one_closure_per_ratio_reference(make):
     e, w, metric = make()
     got = dp.estimate_constants(e, w, metric, trials=100, seed=5)
-    assert got == _reference_estimate(e, w, metric, trials=100, seed=5)
+    assert got == _reference_estimate(e, w, metric, trials=100, seed=5)[0]
+
+
+@pytest.mark.parametrize("trials", [101, 137])
+def test_estimate_over_partial_blocks_equals_reference(trials):
+    # 32x32 stacks hold a few trials each, so neither count fills its last
+    # block, and the refined field comes from a later block than the first
+    e, w, metric = _anisotropic_2d(32)
+    got = dp.estimate_constants(e, w, metric, trials=trials, seed=42)
+    want, best_trial = _reference_estimate(e, w, metric, trials=trials, seed=42)
+    assert got == want
+    per_block = max(2, spaces.ESTIMATE_BLOCK // metric.chart.n_nodes) // 2
+    assert trials % per_block != 0
+    assert best_trial >= per_block
+
+
+def _norm_rows(chart):
+    """|u| rows: random fields of spread amplitudes and means, a one-node field,
+    a field with one zero node, the zero field and a full-support field."""
+    rows = []
+    for i in range(6):
+        rng = dp.substream(3, "norm-rows", i)
+        amp = float(10 ** rng.uniform(-3, 3))
+        rows.append(dp.random_band_limited(chart, rng, amplitude=amp, mean=float(rng.uniform(-1, 1))).values)
+    one_node = np.zeros(chart.shape)
+    one_node.flat[7] = 2.5
+    holed = rows[0].copy()
+    holed.flat[3] = 0.0
+    return np.abs(np.stack(rows + [one_node, holed, np.zeros(chart.shape), rows[1] + 10.0]))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["luxemburg", "weighted"])
+@pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+def test_luxemburg_rows_equal_scalar_solves(grid, variable, weighted):
+    chart, metric = _GRIDS[grid]()
+    x = chart.coords()[0]
+    e = 1.7 + 0.2 * np.sin(2 * np.pi * x) if variable else np.full(chart.shape, 2.5)
+    mu = 1.0 + 0.5 * np.cos(2 * np.pi * x) if weighted else None
+    rows = _norm_rows(chart)
+    got = spaces._luxemburg_rows(rows, e, mu, metric)
+    want = [spaces._luxemburg(row, e, mu, metric) for row in rows]
+    assert got.tolist() == want
+    assert got[-2] == 0.0
+    # alone, every row is the one-row stack
+    for k in (0, 6, 7, 8):
+        assert spaces._luxemburg_rows(rows[k : k + 1], e, mu, metric).tolist() == [want[k]]
+
+
+def test_luxemburg_rows_with_widely_spread_exponents():
+    chart, metric = dp.build_torus(1, [64])
+    e = np.full(64, 2.0)
+    e[5] = 1001.0
+    sparse = np.zeros(64)
+    sparse[0], sparse[5] = 1.0, 0.99
+    # full support, so the lane loop meets the 1001st power too
+    full = np.full(64, 1e-3)
+    full[0], full[5] = 1.0, 0.99
+    rows = np.stack([sparse, full, 0.5 * full])
+    got = spaces._luxemburg_rows(rows, e, None, metric)
+    assert np.all(np.isfinite(got))
+    assert got.tolist() == [spaces._luxemburg(row, e, None, metric) for row in rows]
 
 
 def test_estimate_computes_three_norms_per_candidate(monkeypatch):
     e, w, metric = _variable_1d()
-    calls = []
+    rows = []
 
-    def counted(*args):
-        calls.append(args)
-        return luxemburg_norm(*args)
+    def counted(abs_rows, *args):
+        rows.append(len(abs_rows))
+        return luxemburg_rows(abs_rows, *args)
 
-    monkeypatch.setattr(spaces, "luxemburg_norm", counted)
+    luxemburg_rows = spaces._luxemburg_rows
+    monkeypatch.setattr(spaces, "_luxemburg_rows", counted)
     trials, refine_iters = 100, 7
     dp.estimate_constants(e, w, metric, trials=trials, seed=5, refine_iters=refine_iters)
     # the constant field, an oscillating and a shifted sample per trial, the refinement steps
-    assert len(calls) == 3 * (1 + 2 * trials + refine_iters)
+    assert sum(rows) == 3 * (1 + 2 * trials + refine_iters)
+
+
+def test_estimate_peak_memory_is_blocked():
+    # scored as one stack, the 400 trial fields of this instance peak near 20 MB
+    e, w, metric = _anisotropic_2d(32)
+    tracemalloc.start()
+    try:
+        dp.estimate_constants(e, w, metric, trials=200, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_said_embedding_estimate_holds():
