@@ -34,7 +34,6 @@ from .spaces import (
     modular,
     modular_norm_relations,
     sobolev_norm,
-    weight_exponent_window,
     weighted_modular,
     weighted_norm,
 )
@@ -51,14 +50,10 @@ from .problem import (
     residual_gradient,
 )
 from .nehari import (
-    FiberingSample,
     NehariClass,
     NoRootError,
-    NotOnNehariError,
     ProjectionResult,
     Thresholds,
-    classify,
-    fibering,
     project,
     psi,
     threshold_formulas,

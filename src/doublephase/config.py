@@ -177,8 +177,10 @@ def field_from_spec(spec: str, chart: Chart) -> ScalarField:
     raise ConfigError(f"unknown field spec kind {kind!r} in {spec!r}")
 
 
-def _flag(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+def _truncation(raw: str) -> None:
+    """The solver always truncates; configs may say so, and nothing else."""
+    if raw.strip().lower() not in ("1", "true", "yes", "on"):
+        raise ValueError(f"must be true (the solver always truncates), got {raw.strip()}")
 
 
 def _numbers(caster):
@@ -223,15 +225,9 @@ def _lambda_grid(raw: str):
     return grid
 
 
-_SOLVER_KEYS = {
-    "truncate": _flag,
-    "multistart": int,
-    "max_outer_iters": int,
-    "residual_tol": float,
-    "start_mean": float,
-}
 # section -> option -> (RunConfig attribute, caster): every option parse_config
-# reads and the only ones it accepts; [solver] options go to RunConfig.solver
+# reads and the only ones it accepts; [solver] options go to RunConfig.solver,
+# and an attribute of None only checks the value
 _OPTIONS = {
     "chart": {
         "dim": ("dim", int),
@@ -247,7 +243,13 @@ _OPTIONS = {
         "a_threshold": ("a_threshold", float),
     },
     "problem": {"lambda": ("lam", _lambda), "lambda_grid": ("lambda_grid", _lambda_grid)},
-    "solver": {key: ("solver", caster) for key, caster in _SOLVER_KEYS.items()},
+    "solver": {
+        "truncate": (None, _truncation),
+        "multistart": ("solver", int),
+        "max_outer_iters": ("solver", int),
+        "residual_tol": ("solver", float),
+        "start_mean": ("solver", float),
+    },
     "verify": {"trials": ("verify_trials", _count(1))},
     "constants": {"trials": ("constants_trials", _count(MIN_TRIALS))},
     "run": {"seed": ("seed", int)},
@@ -297,7 +299,7 @@ def parse_config(path: str | None = None) -> RunConfig:
                 raise error(section, option, f": {exc}") from exc
             if attr == "solver":
                 rc.solver[option] = value
-            else:
+            elif attr is not None:
                 setattr(rc, attr, value)
     if rc.dim > 1 and not parser.has_option("chart", "sizes"):
         rc.sizes = (64,) * rc.dim

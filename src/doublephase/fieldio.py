@@ -61,23 +61,22 @@ def write_field(path, field: ScalarField):
             fh.write(_fmt(v) + "\n")
 
 
-def read_field(path, chart: Chart | None = None) -> ScalarField:
-    """Read a scalar field; with ``chart`` given, sizes must match it.
-
-    Without a chart, a unit-torus chart (spacing 1/size per axis) is built
-    from the header.
-    """
+def _read(path, chart: Chart, metric: bool):
+    """The lines of a field file whose header matches ``chart``, and its node count."""
     with open(path) as fh:
         lines = fh.readlines()
-    dim, sizes = _parse_header(lines, path, metric=False)
-    if chart is None:
-        chart = Chart(dim=dim, sizes=sizes, spacings=tuple(1.0 / s for s in sizes))
-    elif chart.dim != dim or chart.sizes != sizes:
+    dim, sizes = _parse_header(lines, path, metric)
+    if chart.dim != dim or chart.sizes != sizes:
         raise FieldFormatError(
             f"{path}:2: file grid dim={dim} sizes={sizes} does not match chart "
             f"dim={chart.dim} sizes={chart.sizes}"
         )
-    n_nodes = int(np.prod(sizes))
+    return lines, chart.n_nodes
+
+
+def read_field(path, chart: Chart) -> ScalarField:
+    """Read a scalar field on ``chart``; the file's grid must match it."""
+    lines, n_nodes = _read(path, chart, metric=False)
     values = np.empty(n_nodes)
     row = 0
     for lineno, line in enumerate(lines[2:], start=3):
@@ -93,7 +92,7 @@ def read_field(path, chart: Chart | None = None) -> ScalarField:
         row += 1
     if row != n_nodes:
         raise FieldFormatError(f"{path}:{len(lines)}: expected {n_nodes} values, got {row}")
-    return chart.field(values.reshape(sizes))
+    return chart.field(values.reshape(chart.shape))
 
 
 def write_metric(path, metric: MetricField):
@@ -108,18 +107,10 @@ def write_metric(path, metric: MetricField):
             fh.write(" ".join(_fmt(v) for v in node[iu]) + "\n")
 
 
-def read_metric(path, chart: Chart | None = None) -> MetricField:
-    with open(path) as fh:
-        lines = fh.readlines()
-    dim, sizes = _parse_header(lines, path, metric=True)
-    if chart is None:
-        chart = Chart(dim=dim, sizes=sizes, spacings=tuple(1.0 / s for s in sizes))
-    elif chart.dim != dim or chart.sizes != sizes:
-        raise FieldFormatError(
-            f"{path}:2: file grid dim={dim} sizes={sizes} does not match chart "
-            f"dim={chart.dim} sizes={chart.sizes}"
-        )
-    n_nodes = int(np.prod(sizes))
+def read_metric(path, chart: Chart) -> MetricField:
+    """Read a metric table on ``chart``; the file's grid must match it."""
+    lines, n_nodes = _read(path, chart, metric=True)
+    dim = chart.dim
     n_tri = dim * (dim + 1) // 2
     iu = np.triu_indices(dim)
     g = np.empty((n_nodes, dim, dim))

@@ -361,54 +361,65 @@ def log_holder_check(
     )
 
 
+# the spectral band of every Fourier operation: modes |k_a| <= floor(n_a * MAX_MODE_FRAC) per axis
+MAX_MODE_FRAC = 0.25
+
+
 @lru_cache(maxsize=16)
-def _spectrum(chart: Chart, max_mode_frac: float = 0.25):
-    """Read-only Fourier tables (modes, mask, stencil), built once per chart and band.
+def _spectrum(chart: Chart):
+    """Read-only Fourier tables (modes, mask, stencil), built once per chart.
 
     modes holds the integer mode number k_a of every axis, broadcast to the
-    chart shape; mask keeps |k_a| <= floor(n_a * frac) on every axis; and
-    stencil holds s_a = sin(2 pi k_a / n_a) / h_a per axis: the central
-    difference multiplies mode k by i s_a.
+    chart shape; mask keeps the band |k_a| <= floor(n_a * MAX_MODE_FRAC) on
+    every axis; and stencil holds s_a = sin(2 pi k_a / n_a) / h_a per axis:
+    the central difference multiplies mode k by i s_a.
     """
     freqs = [np.fft.fftfreq(n, d=1.0 / n) for n in chart.shape]
     modes = tuple(np.meshgrid(*freqs, indexing="ij"))
     mask = np.ones(chart.shape, dtype=bool)
     for k, n in zip(modes, chart.shape):
-        mask &= np.abs(k) <= int(n * max_mode_frac)
+        mask &= np.abs(k) <= int(n * MAX_MODE_FRAC)
     stencil = tuple(np.sin(2.0 * np.pi * k / n) / h for k, n, h in zip(modes, chart.shape, chart.spacings))
     for arr in (*modes, mask, *stencil):
         arr.setflags(write=False)
     return modes, mask, stencil
 
 
-def band_filter(values: np.ndarray, chart: Chart, max_mode_frac: float = 0.25) -> np.ndarray:
-    """Fourier truncation keeping modes |k_a| <= floor(n_a * frac) per axis."""
-    return np.fft.ifftn(np.fft.fftn(values) * _spectrum(chart, max_mode_frac)[1]).real
+def metric_symbol(metric: MetricField) -> np.ndarray:
+    """sigma(k) = sum_ab g_bar^{ab} s_a s_b per Fourier mode, g_bar the node mean of ``metric.inv``.
+
+    The symbol of the central-difference -div(g_bar grad): the mean-metric
+    Laplacian that both the descent filter and the Poincare smoother invert.
+    """
+    chart = metric.chart
+    dim = chart.dim
+    g_bar = pairwise_sum_rows(metric.inv.reshape(-1, dim * dim).T).reshape(dim, dim) / chart.n_nodes
+    s = _spectrum(chart)[2]
+    return sum(g_bar[a, b] * s[a] * s[b] for a in range(dim) for b in range(dim))
+
+
+def band_filter(values: np.ndarray, chart: Chart) -> np.ndarray:
+    """Fourier truncation to the band |k_a| <= floor(n_a * MAX_MODE_FRAC) per axis."""
+    return np.fft.ifftn(np.fft.fftn(values) * _spectrum(chart)[1]).real
 
 
 def random_band_limited(
     chart: Chart,
     rng: np.random.Generator,
-    max_mode_frac: float = 0.25,
+    *,
     amplitude: float = 1.0,
     mean: float = 0.0,
 ) -> ScalarField:
-    """Random smooth field with modes |k_a| <= floor(n_a * frac) per axis.
+    """Random smooth field on the band |k_a| <= floor(n_a * MAX_MODE_FRAC) per axis.
 
     The oscillating part has (near) zero mean and peak amplitude
     ``amplitude``; ``mean`` is added afterwards. The one-field case of
     ``random_band_limited_values``.
     """
-    return chart.field(random_band_limited_values(chart, (rng,), (amplitude,), max_mode_frac, mean)[0])
+    return chart.field(random_band_limited_values(chart, (rng,), (amplitude,), mean=mean)[0])
 
 
-def random_band_limited_values(
-    chart: Chart,
-    rngs,
-    amplitudes,
-    max_mode_frac: float = 0.25,
-    mean: float = 0.0,
-) -> np.ndarray:
+def random_band_limited_values(chart: Chart, rngs, amplitudes, *, mean: float = 0.0) -> np.ndarray:
     """Raw-array core of ``random_band_limited``: one field per generator, stacked.
 
     Field i draws its coefficients from ``rngs[i]`` alone and has peak
@@ -416,7 +427,7 @@ def random_band_limited_values(
     axes serves the whole (len(rngs), *shape) stack, and each field is
     bitwise the one a single-field call gives.
     """
-    modes, mask, _ = _spectrum(chart, max_mode_frac)
+    modes, mask, _ = _spectrum(chart)
     coef = np.empty((len(rngs),) + chart.shape, dtype=complex)
     for i, rng in enumerate(rngs):
         coef[i] = rng.standard_normal(chart.shape) + 1j * rng.standard_normal(chart.shape)

@@ -1,4 +1,4 @@
-"""Constraint-set machinery: fibering maps, branch classification, thresholds.
+"""Constraint-set machinery: ray profiles, branch projection, thresholds.
 
 A nonzero field u is on the constraint set when the ray derivative
 psi(u) = <J'(u), u> vanishes. Along the ray t -> t u every term of psi is an
@@ -29,20 +29,15 @@ from .spaces import ConstantsEstimate
 
 __all__ = [
     "NehariClass",
-    "FiberingSample",
     "ProjectionResult",
     "Thresholds",
     "NoRootError",
-    "NotOnNehariError",
     "psi",
-    "fibering",
     "project",
-    "classify",
     "thresholds",
     "threshold_formulas",
 ]
 
-PSI_TOL = 1e-8
 ROOT_TOL = 1e-10
 CLASS_TOL = 1e-9
 # stack passes run in blocks of at most this many values per temporary: (ray,
@@ -64,31 +59,6 @@ class NehariClass(Enum):
 
 class NoRootError(RuntimeError):
     """The fibering map kept one sign over the whole probe bracket."""
-
-
-class NotOnNehariError(ValueError):
-    """classify() called for a field that does not satisfy the constraint."""
-
-
-def _t_grid(t_values) -> np.ndarray:
-    t = np.asarray(t_values, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("t grid must be a nonempty 1-d array")
-    if np.any(t <= 0) or np.any(np.diff(t) <= 0):
-        raise ValueError("t grid must be positive and strictly increasing")
-    return t
-
-
-@dataclass(frozen=True)
-class FiberingSample:
-    t_values: np.ndarray
-    phi: np.ndarray
-    phi_prime: np.ndarray
-
-    def __post_init__(self):
-        t = _t_grid(self.t_values)
-        if len(self.phi) != t.size or len(self.phi_prime) != t.size:
-            raise ValueError("phi arrays must match the t grid")
 
 
 @dataclass(frozen=True)
@@ -401,16 +371,6 @@ def psi(P: ProblemInstance, u: ScalarField, truncated: bool = False) -> float:
     return gateaux(P, u, u, truncated=truncated)
 
 
-def fibering(P: ProblemInstance, u: ScalarField, t_grid, truncated: bool = False) -> FiberingSample:
-    if u.max_abs == 0.0:
-        raise ValueError("fibering is defined along rays through nonzero fields")
-    profile = _RayProfile(P, u, truncated)
-    t = _t_grid(t_grid)
-    return FiberingSample(
-        t_values=t, phi=profile.phi_values(t), phi_prime=profile.phi_prime_values(t)
-    )
-
-
 def project(
     P: ProblemInstance,
     u: ScalarField,
@@ -451,24 +411,6 @@ def project(
         scale=scale,
         profile=profile,
     )
-
-
-def classify(P: ProblemInstance, u: ScalarField, truncated: bool = False) -> NehariClass:
-    """Branch of a field already lying on the constraint set.
-
-    The sign of <psi'(u), u> is evaluated as the exact t-derivative of the
-    fibering map at t = 1, the only pairing the constrained analysis uses.
-    """
-    if u.max_abs == 0.0:
-        raise ValueError("the zero field is not on the constraint set")
-    profile = _RayProfile(P, u, truncated)
-    residual = profile.phi(1.0)
-    if abs(residual) > PSI_TOL * profile.scale:
-        raise NotOnNehariError(
-            f"field is not on the constraint set: |psi| = {abs(residual):.3e} "
-            f"exceeds {PSI_TOL:g} * scale = {PSI_TOL * profile.scale:.3e}"
-        )
-    return profile.classify_root(1.0)
 
 
 def threshold_formulas(p_minus, p_plus, q_minus, q_plus, mu0, c, D, c1):

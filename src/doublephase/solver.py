@@ -27,7 +27,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .grid import ScalarField, _spectrum, pairwise_sum, pairwise_sum_rows, random_band_limited_values, substream
+from .grid import ScalarField, _spectrum, metric_symbol, pairwise_sum, random_band_limited_values, substream
 from .nehari import (
     PROBE_BLOCK,
     NehariClass,
@@ -54,26 +54,31 @@ __all__ = [
 ]
 
 # backtracking line search: the unit first trial of every iteration, the shrink
-# factor, the Armijo constant and the backtracks allowed; the direction's band
+# factor, the Armijo constant and the backtracks allowed
 STEP0 = 1.0
 SHRINK = 0.5
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 60
-DIRECTION_MAX_MODE_FRAC = 0.25
+# peak oscillation of the first and the last multistart field, geometric between
+START_AMPS = (0.02, 0.5)
+# least node value a non-negative solution may have
+NONNEG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Descent and multistart budget for one branch search."""
+    """Descent and multistart budget for one branch search.
+
+    Every search runs on the truncated energy, whose source terms are
+    integrated over {u >= 0} only.
+    """
 
     target: NehariClass = NehariClass.MINUS
-    truncate: bool = True
     multistart: int = 8
     seed: int = 0
     max_outer_iters: int = 5000
     residual_tol: float = 1e-6
-    start_mean: float | None = None
-    start_amp: tuple = (0.02, 0.5)
+    start_mean: float = 1.0
     constants_trials: int = 200
 
     def __post_init__(self):
@@ -83,11 +88,6 @@ class SolverConfig:
             raise ValueError("residual_tol must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
-
-    def resolved_start_mean(self) -> float:
-        if self.start_mean is not None:
-            return float(self.start_mean)
-        return 1.0 if self.truncate else 0.0
 
 
 @dataclass(frozen=True)
@@ -138,17 +138,17 @@ class Certificate:
     passed: bool
 
 
-def nonnegativity_certificate(P: ProblemInstance, u: ScalarField, tol: float = 1e-10) -> Certificate:
-    """Minimum node value and the norm of the negative part min(0, u)."""
+def nonnegativity_certificate(P: ProblemInstance, u: ScalarField) -> Certificate:
+    """Minimum node value and the norm of the negative part min(0, u); passes at min >= -NONNEG_TOL."""
     min_u = float(u.values.min())
     neg = np.minimum(u.values, 0.0)
     norm = math.sqrt(max(pairwise_sum(neg * neg * P.node_weight), 0.0))
-    return Certificate(min_u=min_u, negative_part_norm=norm, passed=min_u >= -tol)
+    return Certificate(min_u=min_u, negative_part_norm=norm, passed=min_u >= -NONNEG_TOL)
 
 
 def _start_values(P: ProblemInstance, cfg: SolverConfig, indices) -> np.ndarray:
     """Band-limited start fields ``indices``, stacked; start i draws from its own substream."""
-    lo, hi = cfg.start_amp
+    lo, hi = START_AMPS
     if cfg.multistart > 1:
         amps = np.geomspace(lo, hi, cfg.multistart).tolist()
     else:
@@ -157,8 +157,7 @@ def _start_values(P: ProblemInstance, cfg: SolverConfig, indices) -> np.ndarray:
         P.chart,
         [substream(cfg.seed, "start", i) for i in indices],
         [amps[i] for i in indices],
-        max_mode_frac=0.25,
-        mean=cfg.resolved_start_mean(),
+        mean=cfg.start_mean,
     )
 
 
@@ -180,7 +179,7 @@ def _project_onto(P, vals, cfg, local=False):
     windows = ({"bracket": (0.25, 4.0), "n_grid": 17}, {}) if local else ({},)
     for window in windows:
         try:
-            res = project(P, cand, truncated=cfg.truncate, **window)
+            res = project(P, cand, truncated=True, **window)
         except (NoRootError, ValueError):
             continue
         t = res.first(cfg.target)
@@ -201,14 +200,11 @@ class _StartOutcome:
 
 
 def _sobolev_filter(P: ProblemInstance) -> np.ndarray:
-    """mask(k) / (1 + sigma(k)), sigma(k) = sum_ab g_bar^{ab} s_a s_b; the 1 is the L^2 part.
+    """mask(k) / (1 + sigma(k)), sigma the ``metric_symbol``; the 1 is the L^2 part.
 
     It filters w r / w_bar, the derivative in the slope's pairing, not r.
     """
-    _, mask, s = _spectrum(P.chart, DIRECTION_MAX_MODE_FRAC)
-    dim = P.chart.dim
-    g_bar = pairwise_sum_rows(P.metric.inv.reshape(-1, dim * dim).T).reshape(dim, dim) / P.chart.n_nodes
-    return mask / (1.0 + sum(g_bar[a, b] * s[a] * s[b] for a in range(dim) for b in range(dim)))
+    return _spectrum(P.chart)[1] / (1.0 + metric_symbol(P.metric))
 
 
 def _run_start(P: ProblemInstance, cfg: SolverConfig, index: int) -> _StartOutcome:
@@ -227,7 +223,7 @@ def _run_start(P: ProblemInstance, cfg: SolverConfig, index: int) -> _StartOutco
     w_rel = w / (pairwise_sum(w) / P.chart.n_nodes)
     rnorm = math.inf
     for it in range(1, cfg.max_outer_iters + 1):
-        r_field, rnorm = residual_gradient(P, u, truncated=cfg.truncate)
+        r_field, rnorm = residual_gradient(P, u, truncated=True)
         if rnorm <= cfg.residual_tol:
             return _StartOutcome(True, True, u, J, rnorm, it - 1)
         r = r_field.values
@@ -273,7 +269,7 @@ def minimize_on_branch(
             f"{cfg.residual_tol:g}; best residual {rnorm:.3e} (start {i}: {outcomes[i].note})",
         )
     J_best, index, out = min(converged, key=lambda rec: (rec[0], rec[1]))
-    profile = _RayProfile(P, out.u, truncated=cfg.truncate)
+    profile = _RayProfile(P, out.u, truncated=True)
     psi_value = profile.phi(1.0)
     cls = profile.classify_root(1.0)
     warnings = list(P.warnings)
@@ -319,7 +315,7 @@ def _node_l2(values: np.ndarray) -> float:
 
 
 def two_solution_experiment(P: ProblemInstance, cfg: SolverConfig) -> ExperimentResult:
-    """Search both branches with the truncation active.
+    """Search both branches.
 
     Returns status "inconclusive" instead of failing when a branch cannot be
     found: the discrete search has no existence guarantee. Certificates and
@@ -344,7 +340,7 @@ def two_solution_experiment(P: ProblemInstance, cfg: SolverConfig) -> Experiment
     reports = {}
     failures = []
     for target in (NehariClass.PLUS, NehariClass.MINUS):
-        run_cfg = replace(cfg, target=target, truncate=True)
+        run_cfg = replace(cfg, target=target)
         branch_start = perf_counter()
         try:
             reports[target] = minimize_on_branch(P, run_cfg, constants=consts)
@@ -457,7 +453,7 @@ def sweep(
             P.exponents, P.weight, P.metric, trials=cfg.constants_trials, seed=cfg.seed
         )
     thr = thresholds(P, constants)
-    plus_cfg = replace(cfg, target=NehariClass.PLUS, truncate=False, start_mean=1.0)
+    plus_cfg = replace(cfg, start_mean=1.0)
     rows = []
     for j, lam in enumerate(lambdas):
         Pj = P.with_lambda(float(lam))

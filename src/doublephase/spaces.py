@@ -28,6 +28,7 @@ from .grid import (
     gradient,
     gradient_values,
     integrate,
+    metric_symbol,
     norm_g_values,
     pairwise_sum,
     pairwise_sum_rows,
@@ -51,7 +52,6 @@ __all__ = [
     "modular_norm_relations",
     "sobolev_norm",
     "estimate_constants",
-    "weight_exponent_window",
 ]
 
 _CONJUGATE_GUARD = 1.0 + 1e-6
@@ -60,6 +60,13 @@ MIN_TRIALS = 100
 # (candidate field, node) values scored per stack by estimate_constants,
 # chosen for peak memory; at least two fields a stack
 ESTIMATE_BLOCK = 2**13
+# smoothing steps that refine the best Poincare candidate of estimate_constants
+REFINE_ITERS = 40
+# modular_norm_relations: the slack of every clause, the band around norm 1
+# where only modular = 1 (to UNIT_MODULAR_TOL) is required
+RELATION_TOL = 1e-12
+UNIT_BAND = 1e-9
+UNIT_MODULAR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -324,21 +331,38 @@ class RelationsReport:
         return [c for c in self.clauses if not c.ok]
 
 
-def modular_norm_relations(
-    u: ScalarField,
-    e: ScalarField,
-    metric: MetricField,
-    tol: float = 1e-12,
-    unit_band: float = 1e-9,
-) -> RelationsReport:
+def norm_modular_clauses(nu: float, rho: float, e_lo: float, e_hi: float) -> list:
+    """The trichotomy and power-bound clauses for a norm ``nu`` and its modular ``rho``.
+
+    ``e_lo`` and ``e_hi`` are the exponent extrema. A norm within UNIT_BAND
+    of 1 skips the strict trichotomy sides and the power bound and instead
+    requires modular = 1 to UNIT_MODULAR_TOL.
+    """
+    if abs(nu - 1.0) <= UNIT_BAND:
+        gap = abs(rho - 1.0)
+        return [ClauseCheck("trichotomy_unit", rho, 1.0, UNIT_MODULAR_TOL - gap, gap <= UNIT_MODULAR_TOL)]
+    if nu < 1.0:
+        lo, hi = nu**e_hi, nu**e_lo
+        margin = min(rho - lo, hi - rho)
+        return [
+            ClauseCheck("trichotomy_below", rho, 1.0, 1.0 - rho, rho <= 1.0 + RELATION_TOL),
+            ClauseCheck("power_bound_below", lo, hi, margin, margin >= -RELATION_TOL),
+        ]
+    lo, hi = nu**e_lo, nu**e_hi
+    margin = min(rho - lo, hi - rho)
+    return [
+        ClauseCheck("trichotomy_above", rho, 1.0, rho - 1.0, rho >= 1.0 - RELATION_TOL),
+        ClauseCheck("power_bound_above", lo, hi, margin, margin >= -RELATION_TOL),
+    ]
+
+
+def modular_norm_relations(u: ScalarField, e: ScalarField, metric: MetricField) -> RelationsReport:
     """Check the norm/modular comparison clauses for one field.
 
     Covered: the trichotomy of norm and modular against 1, the two-sided
     power bounds norm^{e+} <= modular <= norm^{e-} (norm < 1) and its mirror
-    (norm > 1), and the min/max sandwich
+    (norm > 1), both from ``norm_modular_clauses``, and the min/max sandwich
     min(rho^{1/e-}, rho^{1/e+}) <= norm <= max(rho^{1/e-}, rho^{1/e+}).
-    Fields with norm within ``unit_band`` of 1 skip the strict trichotomy
-    sides and instead require modular = 1 to 1e-8.
     """
     if u.max_abs == 0.0:
         raise ValueError("relations are stated for nonzero fields")
@@ -347,27 +371,12 @@ def modular_norm_relations(
     e_hi = float(e.values.max())
     nu = luxemburg_norm(u, e, metric)
     rho = modular(u, e, metric)
-    clauses = []
-
-    if abs(nu - 1.0) <= unit_band:
-        clauses.append(
-            ClauseCheck("trichotomy_unit", rho, 1.0, 1e-8 - abs(rho - 1.0), abs(rho - 1.0) <= 1e-8)
-        )
-    elif nu < 1.0:
-        clauses.append(ClauseCheck("trichotomy_below", rho, 1.0, 1.0 - rho, rho <= 1.0 + tol))
-        lo, hi = nu**e_hi, nu**e_lo
-        margin = min(rho - lo, hi - rho)
-        clauses.append(ClauseCheck("power_bound_below", lo, hi, margin, margin >= -tol))
-    else:
-        clauses.append(ClauseCheck("trichotomy_above", rho, 1.0, rho - 1.0, rho >= 1.0 - tol))
-        lo, hi = nu**e_lo, nu**e_hi
-        margin = min(rho - lo, hi - rho)
-        clauses.append(ClauseCheck("power_bound_above", lo, hi, margin, margin >= -tol))
+    clauses = norm_modular_clauses(nu, rho, e_lo, e_hi)
 
     lo = min(rho ** (1.0 / e_lo), rho ** (1.0 / e_hi))
     hi = max(rho ** (1.0 / e_lo), rho ** (1.0 / e_hi))
     margin = min(nu - lo, hi - nu)
-    clauses.append(ClauseCheck("norm_sandwich", lo, hi, margin, margin >= -tol))
+    clauses.append(ClauseCheck("norm_sandwich", lo, hi, margin, margin >= -RELATION_TOL))
 
     clauses = tuple(clauses)
     return RelationsReport(norm=nu, modular_value=rho, clauses=clauses, ok=all(c.ok for c in clauses))
@@ -402,15 +411,17 @@ class ConstantsEstimate:
         return asdict(self)
 
 
-def _inverse_gradient_smoother(chart: Chart, max_mode_frac: float):
-    """FFT solve of the central-difference Laplacian on the retained band.
+def _inverse_gradient_smoother(metric: MetricField):
+    """FFT solve of the mean-metric Laplacian ``metric_symbol`` on the retained band.
 
     Used only to propose candidate extremal fields; every ratio is evaluated
-    with the true metric norms afterwards.
+    with the true metric norms afterwards. On a constant metric the iterates
+    converge to the band mode of least symbol, the Poincare extremal for
+    constant exponents.
     """
-    _, band, stencil = _spectrum(chart, max_mode_frac)
-    symbol = sum(s_a**2 for s_a in stencil)
-    mask = band.copy()
+    chart = metric.chart
+    symbol = metric_symbol(metric)
+    mask = _spectrum(chart)[1].copy()
     mask[(0,) * chart.dim] = False
     inv_symbol = np.where(mask, 1.0 / np.where(symbol > 0, symbol, 1.0), 0.0)
 
@@ -455,24 +466,25 @@ def estimate_constants(
     metric: MetricField,
     trials: int = 200,
     seed: int = 0,
-    max_mode_frac: float = 0.25,
-    refine_iters: int = 40,
 ) -> ConstantsEstimate:
     """Seeded random search for the Poincare and embedding constants.
 
     Zero-mean band-limited samples drive the Poincare ratio; the same samples
     plus mean-shifted and constant candidates drive the embedding ratios
     (whose suprema admit constant fields). The best Poincare candidate (the
-    first in trial order) is refined by repeated inverse-Laplacian
-    smoothing, which converges to the extremal low mode for constant
-    exponents. Candidates are scored as stacks of at most ESTIMATE_BLOCK
+    first in trial order) is refined by REFINE_ITERS steps of
+    inverse-Laplacian smoothing with the mean-metric symbol, which converge
+    to the extremal band mode for constant exponents on a constant metric.
+    Candidates are scored as stacks of at most ESTIMATE_BLOCK
     (field, node) values: a block of trials is drawn in one
     ``random_band_limited_values`` call, and its oscillating and shifted
     fields are scored together by ``_stack_ratios``, three lane-wise
     Luxemburg solves per block; the smoothing iterates likewise. The result
     is bitwise that of scoring every candidate alone. Deterministic given
-    the seed; with the same seed, more trials can only increase the
-    estimates.
+    the seed. With the same seed, more trials can only increase c1_embed,
+    and c_poincare and D_embed before the refinement; the refined values
+    can decrease, because the refinement starts from the best candidate,
+    which more trials can change.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
@@ -486,7 +498,7 @@ def estimate_constants(
     for b in range(0, trials, rows // 2):
         rngs = [substream(seed, "constants", i) for i in range(b, min(b + rows // 2, trials))]
         amps = [float(10.0 ** rng.uniform(-1.0, 0.5)) for rng in rngs]
-        osc = random_band_limited_values(chart, rngs, amps, max_mode_frac)
+        osc = random_band_limited_values(chart, rngs, amps)
         shifts = [float(rng.uniform(0.1, 2.0)) for rng in rngs]
         stack = np.concatenate((osc, osc + np.reshape(shifts, stack_axes)))
         n_osc = len(rngs)
@@ -499,13 +511,13 @@ def estimate_constants(
         d_best = max(d_best, float(d_ratio.max()))
         c1_best = max(c1_best, float(c1_ratio.max()))
 
-    if c_field is not None and refine_iters > 0:
+    if c_field is not None:
         # the smoothing iterates do not depend on the ratios
-        smooth = _inverse_gradient_smoother(chart, max_mode_frac)
+        smooth = _inverse_gradient_smoother(metric)
         vals = c_field
-        for b in range(0, refine_iters, rows):
+        for b in range(0, REFINE_ITERS, rows):
             iterates = []
-            for _ in range(min(rows, refine_iters - b)):
+            for _ in range(min(rows, REFINE_ITERS - b)):
                 vals = smooth(vals)
                 iterates.append(vals)
             c_ratio, d_ratio, _ = _stack_ratios(np.stack(iterates), exponents, weight, metric)
@@ -520,19 +532,3 @@ def estimate_constants(
         trials=trials,
         seed=int(seed),
     )
-
-
-def weight_exponent_window(exponents: ExponentField, dim: int):
-    """Nodewise admissible window for the weight-integrability exponent.
-
-    Returns (lo, hi) fields with
-    lo = N p / (N p - q (N - p)) and hi = p / (p - q), N = dim. This window
-    is an optional diagnostic only; nothing downstream consumes it.
-    """
-    p = exponents.p.values
-    q = exponents.q.values
-    n = float(dim)
-    lo = n * p / (n * p - q * (n - p))
-    hi = p / (p - q)
-    chart = exponents.chart
-    return chart.field(lo), chart.field(hi)

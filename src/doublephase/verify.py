@@ -22,6 +22,7 @@ from .spaces import (
     luxemburg_norm,
     modular,
     modular_norm_relations,
+    norm_modular_clauses,
     weighted_modular,
     weighted_norm,
 )
@@ -49,22 +50,13 @@ class TrialRow:
 
 
 def _weighted_relation_rows(u, q, w, metric, seed, rows):
+    """The trichotomy and power-bound clauses of the weighted norm, one row each."""
     nu = weighted_norm(u, q, w, metric)
     rho = weighted_modular(u, q, w, metric)
-    q_lo, q_hi = float(q.values.min()), float(q.values.max())
-    tol = 1e-12
-    if abs(nu - 1.0) <= 1e-9:
-        rows.append(TrialRow("weighted_trichotomy", seed, rho, 1.0, 1e-8 - abs(rho - 1.0), abs(rho - 1.0) <= 1e-8))
-    elif nu < 1.0:
-        rows.append(TrialRow("weighted_trichotomy", seed, rho, 1.0, 1.0 - rho, rho <= 1.0 + tol))
-        lo, hi = nu**q_hi, nu**q_lo
-        margin = min(rho - lo, hi - rho)
-        rows.append(TrialRow("weighted_power_bound", seed, lo, hi, margin, margin >= -tol))
-    else:
-        rows.append(TrialRow("weighted_trichotomy", seed, rho, 1.0, rho - 1.0, rho >= 1.0 - tol))
-        lo, hi = nu**q_lo, nu**q_hi
-        margin = min(rho - lo, hi - rho)
-        rows.append(TrialRow("weighted_power_bound", seed, lo, hi, margin, margin >= -tol))
+    for c in norm_modular_clauses(nu, rho, float(q.values.min()), float(q.values.max())):
+        # trichotomy_below -> weighted_trichotomy, power_bound_above -> weighted_power_bound
+        name = "weighted_" + c.name.rpartition("_")[0]
+        rows.append(TrialRow(name, seed, c.lhs, c.rhs, c.margin, c.ok))
 
 
 def _weighted_sequence_rows(u, q, w, metric, seed, rows):
@@ -83,12 +75,16 @@ def _weighted_sequence_rows(u, q, w, metric, seed, rows):
 def run_verify_suite(rc, seed: int, trials: int, fault: dict | None = None):
     """Run all trials; returns (rows, passed, constants).
 
-    ``fault`` accepts test-only overrides; currently ``holder_rq`` replaces
-    the Hoelder factor so a broken constant demonstrably fails the suite.
+    ``fault`` accepts test-only overrides; its one key, ``holder_rq``,
+    replaces the Hoelder factor so a broken constant demonstrably fails the
+    suite. Any other key is an error.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     fault = fault or {}
+    unknown = sorted(set(fault) - {"holder_rq"})
+    if unknown:
+        raise ValueError(f"unknown fault key {', '.join(unknown)}; the known key is holder_rq")
     P = rc.build_instance()
     chart, metric = P.chart, P.metric
     exponents, weight = P.exponents, P.weight

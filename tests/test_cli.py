@@ -75,6 +75,14 @@ class TestVerify:
         rows = _read_rows(tmp_path / "vf" / "verify.csv")
         assert any(r["property"] == "holder" and r["pass"] == "0" for r in rows)
 
+    def test_unknown_fault_key_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "vk"
+        code = main(["verify", "--out", str(out), "--trials", "5", "--fault-inject", "holder_qr=0.5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "holder_qr" in err and "holder_rq" in err
+        assert not out.exists()
+
     def test_zero_trials_is_usage_error(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path / "x"), "--trials", "0"]) == 2
 
@@ -92,7 +100,7 @@ class TestSolve:
             rep = json.loads((out / f"report_{tag}.json").read_text())
             assert rep["class"] == tag
             assert rep["residual_norm"] <= 1e-6
-            field = dp.read_field(out / rep["field_file"])
+            field = dp.read_field(out / rep["field_file"], dp.build_torus(1, [64])[0])
             assert field.chart.sizes == (64,)
         plus = json.loads((out / "report_plus.json").read_text())
         minus = json.loads((out / "report_minus.json").read_text())
@@ -212,7 +220,7 @@ class TestProject:
         payload = json.loads((out / "projection.json").read_text())
         assert payload["classes"] == ["minus"]
         assert payload["t_roots"][0] == pytest.approx((1 + np.sqrt(5)) / 2, abs=1e-9)
-        projected = dp.read_field(out / "projected_0.field")
+        projected = dp.read_field(out / "projected_0.field", u.chart)
         assert np.allclose(projected.values, payload["t_roots"][0] * u.values, rtol=1e-15)
 
     def test_malformed_field_file(self, tmp_path, ref_cfg, capsys):

@@ -152,3 +152,33 @@ class TestTrialCounts:
         cfg.write_text(BASE_CFG + "\n[verify]\ntrials = 1\n\n[constants]\ntrials = 100\n")
         rc = parse_config(str(cfg))
         assert (rc.verify_trials, rc.constants_trials) == (1, 100)
+
+
+class TestTruncate:
+    # the solver always truncates; the key stays for the configs that say so
+    @pytest.mark.parametrize("value", ["false", "maybe", "0"])
+    def test_any_value_but_true_is_line_anchored(self, tmp_path, value):
+        msg = _parse_error(tmp_path, BASE_CFG + f"\n[solver]\nmultistart = 3\ntruncate = {value}\n")
+        assert "c.cfg:10: [solver] truncate: must be true" in msg and value in msg
+
+    def test_configs_that_say_true_parse(self, tmp_path):
+        import sys
+        from pathlib import Path
+
+        from doublephase.config import default_config_text
+
+        root = Path(__file__).resolve().parent.parent
+        texts = [default_config_text(), (root / "configs" / "reference.cfg").read_text()]
+        sys.path.insert(0, str(root / "perfbench"))
+        try:
+            from workloads import WORKLOADS
+        finally:
+            sys.path.remove(str(root / "perfbench"))
+        texts += [workload().config_text() for workload in WORKLOADS.values()]
+        for i, text in enumerate(texts):
+            assert "truncate = true" in text
+            cfg = tmp_path / f"c{i}.cfg"
+            cfg.write_text(text)
+            rc = parse_config(str(cfg))
+            assert "truncate" not in rc.solver
+            rc.build_solver_config()

@@ -22,16 +22,6 @@ def test_field_round_trip_is_bit_identical(tmp_path):
     assert (tmp_path / "u.field").read_bytes() == (tmp_path / "u2.field").read_bytes()
 
 
-def test_field_read_without_chart_builds_unit_torus(tmp_path):
-    chart, _ = dp.build_torus(2, [8, 8])
-    u = chart.field(np.arange(64, dtype=float).reshape(8, 8))
-    path = tmp_path / "u.field"
-    dp.write_field(path, u)
-    back = dp.read_field(path)
-    assert back.chart.sizes == (8, 8)
-    assert np.array_equal(back.values, u.values)
-
-
 def test_metric_round_trip(tmp_path):
     rng = dp.substream(4, "metric-io")
     base = rng.standard_normal((8, 8, 2, 2))
@@ -44,20 +34,21 @@ def test_metric_round_trip(tmp_path):
 
 
 def test_read_errors_carry_line_numbers(tmp_path):
+    chart, _ = dp.build_torus(1, [8])
     path = tmp_path / "bad.field"
     path.write_text("nehari-field v1\ndim 1 sizes 8\n1.0\nnot-a-number\n")
     with pytest.raises(FieldFormatError, match=r"bad\.field:4"):
-        dp.read_field(path)
+        dp.read_field(path, chart)
 
     path2 = tmp_path / "short.field"
     path2.write_text("nehari-field v1\ndim 1 sizes 8\n" + "1.0\n" * 3)
     with pytest.raises(FieldFormatError, match="expected 8 values, got 3"):
-        dp.read_field(path2)
+        dp.read_field(path2, chart)
 
     path3 = tmp_path / "head.field"
     path3.write_text("wrong header\n")
     with pytest.raises(FieldFormatError, match=r"head\.field:1"):
-        dp.read_field(path3)
+        dp.read_field(path3, chart)
 
 
 def test_read_rejects_chart_mismatch(tmp_path):

@@ -273,26 +273,30 @@ def test_random_band_limited_is_band_limited_and_deterministic():
     assert np.max(np.abs(u1.values - 1.0)) == pytest.approx(2.0, rel=1e-12)
 
 
-STACK_CHARTS = (([64], 0.25), ([12, 8], 0.25), ([8, 6, 4], 0.5))
+STACK_CHARTS = ([64], [12, 8], [8, 6, 4])
 
 
-@pytest.mark.parametrize("sizes, frac", STACK_CHARTS)
-def test_stacked_band_limited_builder_equals_per_field(sizes, frac):
+@pytest.mark.parametrize("sizes", STACK_CHARTS)
+def test_stacked_band_limited_builder_equals_per_field(sizes):
     from doublephase.grid import random_band_limited_values
 
     chart, _ = dp.build_torus(len(sizes), sizes)
     amps = [0.1 * (i + 1) for i in range(5)]
-    stack = random_band_limited_values(
-        chart, [dp.substream(3, "stack", i) for i in range(5)], amps, frac, mean=0.4
-    )
+    stack = random_band_limited_values(chart, [dp.substream(3, "stack", i) for i in range(5)], amps, mean=0.4)
     assert stack.shape == (5,) + chart.shape
     for i, amp in enumerate(amps):
-        alone = dp.random_band_limited(chart, dp.substream(3, "stack", i), frac, amplitude=amp, mean=0.4)
+        alone = dp.random_band_limited(chart, dp.substream(3, "stack", i), amplitude=amp, mean=0.4)
         assert stack[i].tobytes() == alone.values.tobytes()
 
 
-@pytest.mark.parametrize("sizes, frac", STACK_CHARTS)
-def test_stacked_gradient_values_equal_per_field(sizes, frac):
+def test_band_limited_amplitude_and_mean_are_keyword_only():
+    chart, _ = dp.build_torus(1, [16])
+    with pytest.raises(TypeError):
+        dp.random_band_limited(chart, dp.substream(3, "kw"), 0.25)
+
+
+@pytest.mark.parametrize("sizes", STACK_CHARTS)
+def test_stacked_gradient_values_equal_per_field(sizes):
     from doublephase.grid import gradient_values
 
     chart, _ = dp.build_torus(len(sizes), sizes, spacings=[0.3 + 0.1 * a for a in range(len(sizes))])
@@ -307,7 +311,7 @@ def test_band_filter_keeps_low_modes():
     chart, _ = dp.build_torus(1, [64])
     x = chart.axis_coords(0)
     vals = np.sin(2 * np.pi * x) + np.cos(2 * np.pi * 30 * x)
-    out = dp.band_filter(vals, chart, 0.25)
+    out = dp.band_filter(vals, chart)
     assert np.allclose(out, np.sin(2 * np.pi * x), atol=1e-12)
 
 
@@ -315,8 +319,8 @@ def test_spectral_tables_are_cached_and_read_only():
     from doublephase.grid import _spectrum
 
     chart, _ = dp.build_torus(2, [8, 12])
-    tables = _spectrum(chart, 0.25)
-    assert _spectrum(chart, 0.25) is tables
+    tables = _spectrum(chart)
+    assert _spectrum(chart) is tables
     modes, mask, stencil = tables
     for arr in (*modes, mask, *stencil):
         with pytest.raises(ValueError):
@@ -332,3 +336,27 @@ def test_stencil_factors_are_the_central_difference_symbol():
     for a, s_a in enumerate(stencil):
         expected = np.fft.ifftn(1j * s_a * np.fft.fftn(u)).real
         assert np.allclose(central_difference(u, chart, a), expected, atol=1e-12)
+
+
+def test_metric_symbol_is_the_mean_metric_central_difference_laplacian():
+    from doublephase.grid import central_difference, metric_symbol
+
+    g = np.array([[1.5, 0.2, -0.1], [0.2, 1.0, 0.3], [-0.1, 0.3, 0.8]])
+    chart, metric = dp.build_torus(3, [8, 12, 6], metric_spec=g, spacings=(0.3, 0.1, 0.7))
+    u = dp.substream(5, "symbol").standard_normal(chart.shape)
+    g_inv = np.linalg.inv(g)
+    laplacian = -sum(
+        g_inv[a, b] * central_difference(central_difference(u, chart, b), chart, a)
+        for a in range(3)
+        for b in range(3)
+    )
+    got = np.fft.ifftn(metric_symbol(metric) * np.fft.fftn(u)).real
+    assert np.allclose(got, laplacian, atol=1e-10 * np.max(np.abs(laplacian)))
+
+
+def test_metric_symbol_on_the_identity_is_the_sum_of_squared_stencils():
+    from doublephase.grid import _spectrum, metric_symbol
+
+    chart, metric = dp.build_torus(2, [8, 12], spacings=(0.3, 0.1))
+    _, _, stencil = _spectrum(chart)
+    assert metric_symbol(metric).tobytes() == sum(s_a**2 for s_a in stencil).tobytes()

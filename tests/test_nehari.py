@@ -32,38 +32,28 @@ class TestPsiAndFibering:
 
     def test_fibering_t1_matches_psi(self, reference_instance):
         u = _rand(reference_instance.chart, "fib", amp=1.0, mean=0.5)
-        sample = dp.fibering(reference_instance, u, [0.5, 1.0, 2.0])
+        phi = _RayProfile(reference_instance, u).phi_values([0.5, 1.0, 2.0])
         psi_val = dp.psi(reference_instance, u)
         scale = abs(psi_val) + 1.0
-        assert sample.phi[1] == pytest.approx(psi_val, abs=1e-12 * scale)
+        assert phi[1] == pytest.approx(psi_val, abs=1e-12 * scale)
 
     def test_fibering_closed_form(self, golden_ray):
         P, u = golden_ray
         ts = np.geomspace(0.1, 3.0, 17)
-        sample = dp.fibering(P, u, ts)
+        profile = _RayProfile(P, u)
         expected = ts**3 + ts**2 - ts**4
-        assert np.allclose(sample.phi, expected, rtol=1e-11, atol=1e-11)
+        assert np.allclose(profile.phi_values(ts), expected, rtol=1e-11, atol=1e-11)
         expected_prime = 3 * ts**2 + 2 * ts - 4 * ts**3
-        assert np.allclose(sample.phi_prime, expected_prime, rtol=1e-11, atol=1e-11)
+        assert np.allclose(profile.phi_prime_values(ts), expected_prime, rtol=1e-11, atol=1e-11)
 
     def test_fibering_prime_matches_central_difference(self, reference_instance):
         u = _rand(reference_instance.chart, "fibp", amp=0.8, mean=0.7)
         ts = np.array([0.3, 1.0, 2.5])
-        sample = dp.fibering(reference_instance, u, ts)
-        for t, dphi in zip(ts, sample.phi_prime):
+        profile = _RayProfile(reference_instance, u)
+        for t, dphi in zip(ts, profile.phi_prime_values(ts)):
             h = 1e-6 * t
-            two = dp.fibering(reference_instance, u, [t - h, t + h])
-            fd = (two.phi[1] - two.phi[0]) / (2 * h)
-            assert dphi == pytest.approx(fd, rel=1e-7)
-
-    def test_fibering_validates_grid(self, reference_instance):
-        u = _rand(reference_instance.chart, "fibv", amp=1.0)
-        with pytest.raises(ValueError):
-            dp.fibering(reference_instance, u, [1.0, 0.5])
-        with pytest.raises(ValueError):
-            dp.fibering(reference_instance, u, [-1.0, 1.0])
-        with pytest.raises(ValueError):
-            dp.fibering(reference_instance, reference_instance.chart.zeros(), [1.0])
+            lo, hi = profile.phi_values([t - h, t + h])
+            assert dphi == pytest.approx((hi - lo) / (2 * h), rel=1e-7)
 
 
 def _one_point_phi(P, u, t):
@@ -334,6 +324,10 @@ class TestProject:
         assert [c.value for c in res.classes] == ["plus", "minus"]
         assert res.t_roots[0] < res.t_roots[1]
 
+    def test_zero_field_is_rejected(self, reference_instance):
+        with pytest.raises(ValueError, match="zero field"):
+            dp.project(reference_instance, reference_instance.chart.zeros())
+
     def test_no_root_reported(self):
         # above the fold value 1/4 a constant ray keeps one sign
         P = make_reference_instance(lam=0.3)
@@ -344,19 +338,14 @@ class TestProject:
         P, u = golden_ray
         res = dp.project(P, u)
         scaled = P.chart.field(res.t_roots[0] * u.values)
-        assert dp.classify(P, scaled) is res.classes[0]
+        assert _RayProfile(P, scaled).classify_root(1.0) is res.classes[0]
 
 
 class TestClassify:
-    def test_requires_constraint_membership(self, golden_ray):
-        P, u = golden_ray
-        with pytest.raises(dp.NotOnNehariError):
-            dp.classify(P, u)  # psi(u) = 1, not on the set
-
     def test_zero_class_from_tuned_inflection(self):
         # phi(t) = 2 t^3 - t^2 - t^4 has a double root at t = 1
         P, u = make_calibrated_ray(2.0, -1.0, 1.0, lam=40.0)
-        assert dp.classify(P, u) is dp.NehariClass.ZERO
+        assert _RayProfile(P, u).classify_root(1.0) is dp.NehariClass.ZERO
 
     def test_plus_witness_from_two_root_ray(self):
         P = make_reference_instance(lam=0.2)
@@ -364,7 +353,7 @@ class TestClassify:
         res = dp.project(P, u)
         assert res.classes[0] is dp.NehariClass.PLUS
         scaled = P.chart.field(res.t_roots[0] * u.values)
-        assert dp.classify(P, scaled) is dp.NehariClass.PLUS
+        assert _RayProfile(P, scaled).classify_root(1.0) is dp.NehariClass.PLUS
 
 
 class TestThresholds:

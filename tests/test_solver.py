@@ -96,13 +96,12 @@ class TestProjectOnto:
                 assert _project_onto(instance, vals, quick_cfg, local) is None
 
     @pytest.mark.parametrize("target", [dp.NehariClass.PLUS, dp.NehariClass.MINUS])
-    @pytest.mark.parametrize("truncate", [False, True])
-    def test_energy_is_the_energy_of_the_projected_field(self, instance, quick_cfg, target, truncate):
+    def test_energy_is_the_energy_of_the_projected_field(self, instance, quick_cfg, target):
         from dataclasses import replace
 
         from doublephase.solver import _project_onto
 
-        cfg = replace(quick_cfg, target=target, truncate=truncate)
+        cfg = replace(quick_cfg, target=target)
         checked = 0
         for i in range(6):
             vals = _rand(instance.chart, "onto", i, amp=0.02, mean=0.6).values
@@ -111,7 +110,7 @@ class TestProjectOnto:
                 if out is None:
                     continue
                 u, J = out
-                br = dp.energy(instance, u, truncated=truncate)
+                br = dp.energy(instance, u, truncated=True)
                 magnitude = (
                     br.grad_p_term + br.grad_q_term + br.lambda_q_term + br.u_p_term + br.F_term
                 )
@@ -163,17 +162,14 @@ class TestMinimizeOnBranch:
         assert np.array_equal(a.u.values, b.u.values)
         assert a.to_dict() == b.to_dict()
 
-    def test_branch_error_kind(self):
+    def test_branch_error_kind(self, monkeypatch):
         # far above the fold no constant-like start projects onto plus;
         # a tiny bracket-less budget cannot stall silently
+        from doublephase import solver
+
+        monkeypatch.setattr(solver, "START_AMPS", (0.001, 0.002))
         P = make_reference_instance(lam=5.0)
-        cfg = dp.SolverConfig(
-            seed=1,
-            multistart=2,
-            max_outer_iters=50,
-            target=dp.NehariClass.PLUS,
-            start_amp=(0.001, 0.002),
-        )
+        cfg = dp.SolverConfig(seed=1, multistart=2, max_outer_iters=50, target=dp.NehariClass.PLUS)
         with pytest.raises(dp.BranchError) as err:
             dp.minimize_on_branch(P, cfg)
         assert err.value.kind in ("empty", "stalled")
@@ -352,7 +348,9 @@ class TestSweep:
                     theta = min(theta, res.profile.energy_at(t))
             return (theta if found else math.nan), found
 
-        amps = np.geomspace(*quick_cfg.start_amp, quick_cfg.multistart)
+        from doublephase.solver import START_AMPS
+
+        amps = np.geomspace(*START_AMPS, quick_cfg.multistart)
         for j, (lam, row) in enumerate(zip(lambdas, rows)):
             P = instance.with_lambda(lam)
             samples = []
