@@ -7,7 +7,6 @@ for the pair of non-negative critical points.
 
 from .grid import (
     Chart,
-    LogHolderReport,
     MetricField,
     ScalarField,
     VectorField,
@@ -16,7 +15,6 @@ from .grid import (
     grad_norm_g,
     gradient,
     integrate,
-    log_holder_check,
     pairwise_sum,
     pairwise_sum_rows,
     random_band_limited,
@@ -39,12 +37,8 @@ from .spaces import (
 )
 from .problem import (
     EnergyBreakdown,
-    F1Report,
-    F3Report,
     PowerNonlinearity,
     ProblemInstance,
-    check_f1,
-    check_f3,
     energy,
     gateaux,
     residual_gradient,

@@ -67,7 +67,6 @@ class RunConfig:
     mu_spec: str = "constant 1.0"
     amplitude_spec: str = "constant 1.0"
     beta: float = 4.0
-    a_threshold: float = 1.0
     lam: float | None = None
     lambda_grid: tuple | None = None
     lambda_grid_auto: int | None = None
@@ -122,9 +121,7 @@ class RunConfig:
             exponents=ExponentField(p=p, q=q),
             weight=WeightField(mu=mu),
             lam=float(lam),
-            nonlinearity=PowerNonlinearity(
-                beta=self.beta, amplitude=amp, a_threshold=self.a_threshold
-            ),
+            nonlinearity=PowerNonlinearity(beta=self.beta, amplitude=amp),
         )
 
     def build_solver_config(self) -> SolverConfig:
@@ -181,6 +178,12 @@ def _truncation(raw: str) -> None:
     """The solver always truncates; configs may say so, and nothing else."""
     if raw.strip().lower() not in ("1", "true", "yes", "on"):
         raise ValueError(f"must be true (the solver always truncates), got {raw.strip()}")
+
+
+def _positive(raw: str) -> None:
+    """A positive number that nothing reads: the source amplitude threshold of older configs."""
+    if not float(raw) > 0:
+        raise ValueError(f"must be positive, got {raw.strip()}")
 
 
 def _numbers(caster):
@@ -240,7 +243,7 @@ _OPTIONS = {
     "nonlinearity": {
         "beta": ("beta", float),
         "amplitude": ("amplitude_spec", str),
-        "a_threshold": ("a_threshold", float),
+        "a_threshold": (None, _positive),
     },
     "problem": {"lambda": ("lam", _lambda), "lambda_grid": ("lambda_grid", _lambda_grid)},
     "solver": {
@@ -248,7 +251,6 @@ _OPTIONS = {
         "multistart": ("solver", int),
         "max_outer_iters": ("solver", int),
         "residual_tol": ("solver", float),
-        "start_mean": ("solver", float),
     },
     "verify": {"trials": ("verify_trials", _count(1))},
     "constants": {"trials": ("constants_trials", _count(MIN_TRIALS))},
@@ -335,7 +337,6 @@ mu = fourier 1.5  0 1 0.0 0.5
 [nonlinearity]
 beta = 4.0
 amplitude = constant 1.0
-a_threshold = 1.0
 
 [problem]
 lambda = 0.7
@@ -344,7 +345,6 @@ lambda = 0.7
 multistart = 8
 max_outer_iters = 5000
 residual_tol = 1e-6
-truncate = true
 
 [verify]
 trials = 200

@@ -11,7 +11,6 @@ node order that is just as reproducible.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,12 +21,10 @@ __all__ = [
     "MetricField",
     "ScalarField",
     "VectorField",
-    "LogHolderReport",
     "build_torus",
     "gradient",
     "grad_norm_g",
     "integrate",
-    "log_holder_check",
     "pairwise_sum",
     "pairwise_sum_rows",
     "random_band_limited",
@@ -300,65 +297,6 @@ def integrate(w: ScalarField, metric: MetricField) -> float:
     if w.chart != metric.chart:
         raise ValueError("field and metric live on different charts")
     return pairwise_sum(w.values * metric.sqrt_det) * w.chart.cell_volume
-
-
-@dataclass(frozen=True)
-class LogHolderReport:
-    constant: float
-    worst_pair: tuple
-    passed: bool
-    threshold: float
-    pairs_checked: int
-
-
-def log_holder_check(
-    s: ScalarField,
-    threshold: float = math.inf,
-    max_nodes: int = 10_000,
-    sample_nodes: int = 2048,
-    seed: int = 0,
-) -> LogHolderReport:
-    """Least c with |s(x)-s(y)| <= c / log(e + 1/d(x,y)) over node pairs.
-
-    The distance is the periodic Euclidean chart distance, a surrogate for
-    the geodesic distance (recorded as such by callers). Above ``max_nodes``
-    nodes the pair scan runs on a seeded random subsample.
-    """
-    chart = s.chart
-    coords = np.stack([c.ravel() for c in chart.coords()], axis=1)
-    vals = s.values.ravel()
-    n = vals.size
-    if n < 2:
-        raise ValueError("log-Hoelder check needs at least 2 nodes")
-    if n > max_nodes:
-        rng = substream(seed, "log_holder")
-        idx = np.sort(rng.choice(n, size=sample_nodes, replace=False))
-    else:
-        idx = np.arange(n)
-    lengths = np.asarray(chart.lengths)
-    best = 0.0
-    best_pair = (0, 0)
-    pairs = 0
-    for k in range(len(idx) - 1):
-        i = idx[k]
-        rest = idx[k + 1 :]
-        delta = np.abs(coords[rest] - coords[i])
-        delta = np.minimum(delta, lengths - delta)
-        dist = np.sqrt(np.sum(delta * delta, axis=1))
-        weight = np.log(math.e + 1.0 / dist)
-        cand = np.abs(vals[rest] - vals[i]) * weight
-        pairs += cand.size
-        j = int(np.argmax(cand))
-        if cand[j] > best:
-            best = float(cand[j])
-            best_pair = (int(i), int(rest[j]))
-    return LogHolderReport(
-        constant=best,
-        worst_pair=best_pair,
-        passed=best <= threshold,
-        threshold=threshold,
-        pairs_checked=pairs,
-    )
 
 
 # the spectral band of every Fourier operation: modes |k_a| <= floor(n_a * MAX_MODE_FRAC) per axis

@@ -28,10 +28,6 @@ __all__ = [
     "PowerNonlinearity",
     "ProblemInstance",
     "EnergyBreakdown",
-    "F1Report",
-    "F3Report",
-    "check_f1",
-    "check_f3",
     "energy",
     "gateaux",
     "residual_gradient",
@@ -59,32 +55,44 @@ class PowerNonlinearity:
 
     For this family the superlinearity inequality holds with equality for
     every s, f(x, 0) = 0, and the small-argument decay against |s|^{q(x)-1}
-    holds whenever beta exceeds the largest q. ``a_threshold`` records the
-    amplitude A above which the superlinearity inequality is asserted.
+    holds whenever beta exceeds the largest q.
     """
 
     beta: float
     amplitude: ScalarField
-    a_threshold: float = 1.0
 
     def __post_init__(self):
         if self.beta <= 1.0:
             raise ValueError(f"beta must exceed 1, got {self.beta}")
         if self.amplitude.values.min() <= 0:
             raise ValueError("amplitude must be positive everywhere")
-        if self.a_threshold <= 0:
-            raise ValueError("a_threshold must be positive")
 
     def f_values(self, u: np.ndarray) -> np.ndarray:
         return self.amplitude.values * _power(np.abs(u), self.beta - 2.0) * u
 
-    def F_values(self, u: np.ndarray) -> np.ndarray:
-        return self.amplitude.values * np.abs(u) ** self.beta / self.beta
-
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """One fully specified instance: grid, exponents, weight, lambda, source."""
+    """One fully specified instance: grid, exponents, weight, lambda, source.
+
+    Construction enforces the hypotheses the existence result needs of the
+    data, so no instance that violates them can be built:
+
+    * the exponent ordering 1 < q- <= q+ < p- <= p+ (``ExponentField``);
+    * (f1), the Ambrosetti-Rabinowitz condition 0 < beta F(x, s) <=
+      f(x, s) s: a > 0 (``PowerNonlinearity``) makes it an equality, and
+      beta > p+ (checked here) puts its constant above p+;
+    * (f3), f(x, s) = o(|s|^{q(x)-1}) as s -> 0: beta > p+ > q+;
+    * lambda finite and positive, one chart for every field, and a source
+      of the power family, the one family the ray profile decomposes.
+
+    Three conditions are only recorded in ``warnings``: p+ below the
+    dimension (the critical-growth bound, which desk-scale grids rarely
+    meet), the exponent-spread inequality and p-/q+ <= 1 + 1/dim.
+    Log-Hoelder continuity of p and q is not checked: Fourier specs are
+    smooth and periodic, while an ``affine`` spec with a nonzero slope
+    jumps at the periodic wrap.
+    """
 
     chart: Chart
     metric: MetricField
@@ -138,70 +146,6 @@ class ProblemInstance:
 
     def with_lambda(self, lam: float) -> "ProblemInstance":
         return replace(self, lam=float(lam))
-
-
-@dataclass(frozen=True)
-class F1Report:
-    passed: bool
-    max_gap: float
-    reason: str = ""
-
-
-def check_f1(nl, exponents: ExponentField, metric: MetricField, samples=None) -> F1Report:
-    """Superlinearity: 0 < integral of F(x, a) <= integral of f(x, a) a / beta.
-
-    Checked at constant sample amplitudes |a| above the recorded threshold.
-    For the power family both sides coincide, so the gap is float noise.
-    Fails outright when beta does not exceed p+.
-    """
-    if nl.beta <= exponents.p_plus:
-        return F1Report(False, math.inf, f"beta = {nl.beta} does not exceed p+ = {exponents.p_plus}")
-    chart = metric.chart
-    if samples is None:
-        A = nl.a_threshold
-        samples = (2.0 * A, -2.0 * A, 5.0 * A, -5.0 * A)
-    w = metric.sqrt_det * chart.cell_volume
-    worst = 0.0
-    for alpha in samples:
-        if abs(alpha) <= nl.a_threshold:
-            return F1Report(False, math.inf, f"sample {alpha} not above threshold {nl.a_threshold}")
-        const = np.full(chart.shape, float(alpha))
-        lhs = pairwise_sum(nl.F_values(const) * w)
-        rhs = pairwise_sum(nl.f_values(const) * alpha / nl.beta * w)
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        if lhs <= 0:
-            return F1Report(False, math.inf, f"primitive integral not positive at alpha={alpha}")
-        worst = max(worst, (lhs - rhs) / scale)
-        if lhs > rhs + 1e-12 * scale:
-            return F1Report(False, worst, f"superlinearity bound violated at alpha={alpha}")
-    return F1Report(True, worst)
-
-
-@dataclass(frozen=True)
-class F3Report:
-    passed: bool
-    alphas: tuple
-    ratios: tuple
-
-
-def check_f3(nl, exponents: ExponentField, metric: MetricField, alphas=None) -> F3Report:
-    """Small-argument decay of max_x |f(x, a)| / |a|^{q(x)-1}.
-
-    The ratio sequence over a = 1e-1 .. 1e-6 must decay geometrically, which
-    for the power family happens exactly when beta exceeds the largest q.
-    """
-    chart = metric.chart
-    if alphas is None:
-        alphas = tuple(10.0 ** (-k) for k in range(1, 7))
-    q_vals = exponents.q.values
-    ratios = []
-    for alpha in alphas:
-        const = np.full(chart.shape, float(alpha))
-        ratio = np.abs(nl.f_values(const)) / np.abs(alpha) ** (q_vals - 1.0)
-        ratios.append(float(ratio.max()))
-    quotients = [b / a for a, b in zip(ratios[:-1], ratios[1:]) if a > 0]
-    passed = bool(quotients) and all(qt < 0.99 for qt in quotients)
-    return F3Report(passed=passed, alphas=tuple(alphas), ratios=tuple(ratios))
 
 
 @dataclass(frozen=True)

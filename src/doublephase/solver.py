@@ -59,8 +59,9 @@ STEP0 = 1.0
 SHRINK = 0.5
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 60
-# peak oscillation of the first and the last multistart field, geometric between
+# peak oscillation of the first and the last start field (geometric between), and every start's mean
 START_AMPS = (0.02, 0.5)
+START_MEAN = 1.0
 # least node value a non-negative solution may have
 NONNEG_TOL = 1e-10
 
@@ -78,7 +79,6 @@ class SolverConfig:
     seed: int = 0
     max_outer_iters: int = 5000
     residual_tol: float = 1e-6
-    start_mean: float = 1.0
     constants_trials: int = 200
 
     def __post_init__(self):
@@ -157,7 +157,7 @@ def _start_values(P: ProblemInstance, cfg: SolverConfig, indices) -> np.ndarray:
         P.chart,
         [substream(cfg.seed, "start", i) for i in indices],
         [amps[i] for i in indices],
-        mean=cfg.start_mean,
+        mean=START_MEAN,
     )
 
 
@@ -453,7 +453,6 @@ def sweep(
             P.exponents, P.weight, P.metric, trials=cfg.constants_trials, seed=cfg.seed
         )
     thr = thresholds(P, constants)
-    plus_cfg = replace(cfg, start_mean=1.0)
     rows = []
     for j, lam in enumerate(lambdas):
         Pj = P.with_lambda(float(lam))
@@ -461,7 +460,7 @@ def sweep(
         theta_minus, n_minus = _census(Pj, samples, NehariClass.MINUS)
         # free this lambda's samples before the next lambda draws its own
         del samples
-        starts = _start_values(Pj, plus_cfg, range(cfg.multistart))
+        starts = _start_values(Pj, cfg, range(cfg.multistart))
         theta_plus, n_plus = _census(Pj, starts, NehariClass.PLUS)
         rows.append(
             SweepRow(

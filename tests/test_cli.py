@@ -59,10 +59,28 @@ class TestVerify:
         assert main(["verify", "--seed", "42", "--out", out, "--trials", "20"]) == 0
         rows = _read_rows(tmp_path / "v" / "verify.csv")
         assert rows and all(r["pass"] == "1" for r in rows if not r["property"].endswith("_info"))
+        assert {"gateaux_fd", "psi_ray_profile", "energy_ray_profile"} <= {r["property"] for r in rows}
         meta = json.loads((tmp_path / "v" / "verify_meta.json").read_text())
         assert meta["seed"] == 42
         assert meta["passed"] is True
         assert "config" in meta
+
+    def test_gateaux_fd_passes_where_the_step_met_the_kink(self, tmp_path):
+        # at h = 1e-5 a central difference at seed 4 crossed the kink of
+        # |grad u|^q at a node where |grad u|_g is tiny, and the row failed
+        assert main(["verify", "--seed", "4", "--out", str(tmp_path / "v")]) == 0
+
+    def test_gateaux_fd_catches_an_off_p_flux_exponent(self, tmp_path, monkeypatch):
+        from doublephase import problem
+
+        def off_flux_coef(self):
+            mu = self.P.weight.mu.values
+            return problem._power(self.gn, self.p - 2.0 + 1e-3) + mu * problem._power(self.gn, self.q - 2.0)
+
+        monkeypatch.setattr(problem._Nodewise, "flux_coef", off_flux_coef)
+        assert main(["verify", "--seed", "4", "--out", str(tmp_path / "v")]) == 1
+        rows = [r for r in _read_rows(tmp_path / "v" / "verify.csv") if r["property"] == "gateaux_fd"]
+        assert rows and all(r["pass"] == "0" for r in rows)
 
     def test_fault_injection_fails(self, tmp_path, capsys):
         out = str(tmp_path / "vf")

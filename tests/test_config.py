@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import doublephase as dp
 from doublephase.config import ConfigError, field_from_spec, parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -69,7 +73,7 @@ def _parse_error(tmp_path, text):
 
 class TestUnknownKeys:
     def test_unknown_option_is_line_anchored(self, tmp_path):
-        for option in ("multistrat = 2", "use_bb_step = false"):
+        for option in ("multistrat = 2", "use_bb_step = false", "start_mean = 1.0"):
             msg = _parse_error(tmp_path, BASE_CFG + f"\n[solver]\nmultistart = 3\n{option}\n")
             name = option.split()[0]
             assert "c.cfg:10:" in msg and f"[solver] {name}" in msg and "unknown option" in msg
@@ -87,9 +91,7 @@ class TestUnknownKeys:
         assert "c.cfg:1:" in msg and "[DEFAULT]" in msg
 
     def test_shipped_configs_use_known_keys(self):
-        from pathlib import Path
-
-        reference = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
+        reference = ROOT / "configs" / "reference.cfg"
         assert parse_config(str(reference)).lam == 0.125
         sections = {"chart", "exponents", "weight", "nonlinearity", "problem", "solver"}
         assert parse_config(None).echo.keys() == sections | {"verify", "constants"}
@@ -154,31 +156,51 @@ class TestTrialCounts:
         assert (rc.verify_trials, rc.constants_trials) == (1, 100)
 
 
-class TestTruncate:
-    # the solver always truncates; the key stays for the configs that say so
+class TestUnreadKeys:
+    # [solver] truncate (the solver always truncates) and [nonlinearity]
+    # a_threshold stay accepted for the configs that set them; nothing reads them
     @pytest.mark.parametrize("value", ["false", "maybe", "0"])
-    def test_any_value_but_true_is_line_anchored(self, tmp_path, value):
+    def test_truncate_any_value_but_true_is_line_anchored(self, tmp_path, value):
         msg = _parse_error(tmp_path, BASE_CFG + f"\n[solver]\nmultistart = 3\ntruncate = {value}\n")
         assert "c.cfg:10: [solver] truncate: must be true" in msg and value in msg
 
-    def test_configs_that_say_true_parse(self, tmp_path):
+    @pytest.mark.parametrize("value", ["0", "-1.0", "nan", "x"])
+    def test_a_threshold_must_be_positive(self, tmp_path, value):
+        msg = _parse_error(tmp_path, BASE_CFG + f"\n[nonlinearity]\nbeta = 4.0\na_threshold = {value}\n")
+        assert "c.cfg:10: [nonlinearity] a_threshold:" in msg and value in msg
+
+    def test_a_threshold_is_not_read(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CFG)
+        plain = parse_config(str(cfg))
+        cfg.write_text(BASE_CFG + "\n[nonlinearity]\na_threshold = 7.5\n")
+        rc = parse_config(str(cfg))
+        assert rc.echo["nonlinearity"] == {"a_threshold": "7.5"}
+        rc.echo = plain.echo
+        assert rc == plain
+
+    def test_workload_configs_that_set_them_parse(self, tmp_path):
         import sys
-        from pathlib import Path
 
-        from doublephase.config import default_config_text
-
-        root = Path(__file__).resolve().parent.parent
-        texts = [default_config_text(), (root / "configs" / "reference.cfg").read_text()]
-        sys.path.insert(0, str(root / "perfbench"))
+        sys.path.insert(0, str(ROOT / "perfbench"))
         try:
             from workloads import WORKLOADS
         finally:
-            sys.path.remove(str(root / "perfbench"))
-        texts += [workload().config_text() for workload in WORKLOADS.values()]
+            sys.path.remove(str(ROOT / "perfbench"))
+        texts = [workload().config_text() for workload in WORKLOADS.values()]
+        assert any("truncate = true" in t and "a_threshold = 1.0" in t for t in texts)
         for i, text in enumerate(texts):
-            assert "truncate = true" in text
             cfg = tmp_path / f"c{i}.cfg"
             cfg.write_text(text)
             rc = parse_config(str(cfg))
             assert "truncate" not in rc.solver
             rc.build_solver_config()
+            rc.build_instance()
+
+    def test_shipped_configs_set_only_read_options(self):
+        from doublephase.config import _OPTIONS
+
+        for rc in (parse_config(None), parse_config(str(ROOT / "configs" / "reference.cfg"))):
+            for section, options in rc.echo.items():
+                for option in options:
+                    assert _OPTIONS[section][option][0] is not None, f"{rc.path}: [{section}] {option}"

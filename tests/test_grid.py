@@ -195,58 +195,6 @@ def test_pairwise_sum_rows_bitwise_equal_to_pairwise_sum():
     assert dp.pairwise_sum_rows(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
 
 
-def _scan_log_holder(field):
-    """Independent exhaustive pair scan (plain python loops)."""
-    chart = field.chart
-    coords = np.stack([c.ravel() for c in chart.coords()], axis=1)
-    vals = field.values.ravel()
-    lengths = np.asarray(chart.lengths)
-    best = 0.0
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            d = np.abs(coords[j] - coords[i])
-            d = np.minimum(d, lengths - d)
-            dist = math.sqrt(float(np.sum(d * d)))
-            best = max(best, abs(vals[j] - vals[i]) * math.log(math.e + 1.0 / dist))
-    return best
-
-
-def test_log_holder_constant_field():
-    chart, _ = dp.build_torus(1, [32])
-    rep = dp.log_holder_check(chart.constant(2.5))
-    assert rep.constant == 0.0
-    assert rep.passed
-
-
-def test_log_holder_matches_exhaustive_scan():
-    chart, _ = dp.build_torus(1, [32])
-    x = chart.axis_coords(0)
-    s = chart.field(2.0 + 0.1 * np.sin(2 * np.pi * x))
-    rep = dp.log_holder_check(s)
-    assert rep.passed
-    assert rep.constant == pytest.approx(_scan_log_holder(s), rel=1e-12)
-
-
-def test_log_holder_subsampled_scan_stays_close():
-    chart, _ = dp.build_torus(1, [128])
-    x = chart.axis_coords(0)
-    s = chart.field(np.sin(2 * np.pi * x))
-    full = dp.log_holder_check(s)
-    sub = dp.log_holder_check(s, max_nodes=100, sample_nodes=64)
-    assert sub.pairs_checked < full.pairs_checked
-    assert 0 < sub.constant <= full.constant
-
-
-def test_log_holder_step_field_diverges_under_refinement():
-    constants = []
-    for n in (16, 32, 64):
-        chart, _ = dp.build_torus(1, [n])
-        x = chart.axis_coords(0)
-        s = chart.field(np.where(x < 0.5, 0.0, 1.0))
-        constants.append(dp.log_holder_check(s).constant)
-    assert constants[0] < constants[1] < constants[2]
-
-
 def test_scalar_field_rejects_nan_and_shape_mismatch():
     chart, _ = dp.build_torus(1, [8])
     with pytest.raises(ValueError):
