@@ -24,6 +24,15 @@ class TestFieldSpecs:
         x = chart.axis_coords(0)
         assert np.allclose(f.values, 1.0 + 0.5 * x)
 
+    def test_affine_slope_jumps_at_the_wrap(self, chart):
+        # the torus wraps x = 1 onto x = 0, so a nonzero slope is not
+        # log-Hoelder there: the wrap step is the largest neighbour gap
+        f = field_from_spec("affine 0 5", chart)
+        gaps = np.abs(np.diff(f.values, append=f.values[:1]))
+        assert np.argmax(gaps) == chart.shape[0] - 1
+        assert gaps[-1] == pytest.approx(5.0 * (1.0 - 1.0 / chart.shape[0]))
+        assert np.allclose(gaps[:-1], 5.0 / chart.shape[0])
+
     def test_fourier(self, chart):
         f = field_from_spec("fourier 2.0  0 1 0.25 0.5", chart)
         x = chart.axis_coords(0)
@@ -96,6 +105,14 @@ class TestUnknownKeys:
         sections = {"chart", "exponents", "weight", "nonlinearity", "problem", "solver"}
         assert parse_config(None).echo.keys() == sections | {"verify", "constants"}
 
+    def test_shipped_configs_set_only_read_options(self):
+        from doublephase.config import _OPTIONS
+
+        for rc in (parse_config(None), parse_config(str(ROOT / "configs" / "reference.cfg"))):
+            for section, options in rc.echo.items():
+                for option in options:
+                    assert _OPTIONS[section][option][0] is not None, f"{rc.path}: [{section}] {option}"
+
 
 class TestListCasts:
     @pytest.mark.parametrize(
@@ -156,30 +173,15 @@ class TestTrialCounts:
         assert (rc.verify_trials, rc.constants_trials) == (1, 100)
 
 
-class TestUnreadKeys:
-    # [solver] truncate (the solver always truncates) and [nonlinearity]
-    # a_threshold stay accepted for the configs that set them; nothing reads them
+class TestTruncate:
+    # the solver always truncates; the key stays for the configs that say so
     @pytest.mark.parametrize("value", ["false", "maybe", "0"])
-    def test_truncate_any_value_but_true_is_line_anchored(self, tmp_path, value):
+    def test_any_value_but_true_is_line_anchored(self, tmp_path, value):
         msg = _parse_error(tmp_path, BASE_CFG + f"\n[solver]\nmultistart = 3\ntruncate = {value}\n")
         assert "c.cfg:10: [solver] truncate: must be true" in msg and value in msg
 
-    @pytest.mark.parametrize("value", ["0", "-1.0", "nan", "x"])
-    def test_a_threshold_must_be_positive(self, tmp_path, value):
-        msg = _parse_error(tmp_path, BASE_CFG + f"\n[nonlinearity]\nbeta = 4.0\na_threshold = {value}\n")
-        assert "c.cfg:10: [nonlinearity] a_threshold:" in msg and value in msg
-
-    def test_a_threshold_is_not_read(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(BASE_CFG)
-        plain = parse_config(str(cfg))
-        cfg.write_text(BASE_CFG + "\n[nonlinearity]\na_threshold = 7.5\n")
-        rc = parse_config(str(cfg))
-        assert rc.echo["nonlinearity"] == {"a_threshold": "7.5"}
-        rc.echo = plain.echo
-        assert rc == plain
-
-    def test_workload_configs_that_set_them_parse(self, tmp_path):
+    def test_configs_that_say_true_parse(self, tmp_path):
+        # the workload configs set truncate = true and a_threshold = 1.0
         import sys
 
         sys.path.insert(0, str(ROOT / "perfbench"))
@@ -197,10 +199,21 @@ class TestUnreadKeys:
             rc.build_solver_config()
             rc.build_instance()
 
-    def test_shipped_configs_set_only_read_options(self):
-        from doublephase.config import _OPTIONS
 
-        for rc in (parse_config(None), parse_config(str(ROOT / "configs" / "reference.cfg"))):
-            for section, options in rc.echo.items():
-                for option in options:
-                    assert _OPTIONS[section][option][0] is not None, f"{rc.path}: [{section}] {option}"
+class TestAThreshold:
+    # [nonlinearity] a_threshold stays accepted for the configs that set it;
+    # nothing reads it
+    @pytest.mark.parametrize("value", ["0", "-1.0", "nan", "x"])
+    def test_must_be_positive(self, tmp_path, value):
+        msg = _parse_error(tmp_path, BASE_CFG + f"\n[nonlinearity]\nbeta = 4.0\na_threshold = {value}\n")
+        assert "c.cfg:10: [nonlinearity] a_threshold:" in msg and value in msg
+
+    def test_is_not_read(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CFG)
+        plain = parse_config(str(cfg))
+        cfg.write_text(BASE_CFG + "\n[nonlinearity]\na_threshold = 7.5\n")
+        rc = parse_config(str(cfg))
+        assert rc.echo["nonlinearity"] == {"a_threshold": "7.5"}
+        rc.echo = plain.echo
+        assert rc == plain

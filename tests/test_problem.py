@@ -65,6 +65,60 @@ class TestNonlinearity:
             )
 
 
+class TestHypotheses:
+    # the constructor enforces (f1) and (f3); these pin what that buys
+
+    def test_f1_is_an_equality_on_the_energy_path(self, var):
+        # beta F(x, s) = f(x, s) s for the power source, node by node
+        chart = var.chart
+        x = chart.axis_coords(0)
+        nl = dp.PowerNonlinearity(beta=4.0, amplitude=chart.field(1.0 + 0.5 * np.sin(2 * np.pi * x)))
+        P = dp.ProblemInstance(
+            chart=chart,
+            metric=var.metric,
+            exponents=var.exponents,
+            weight=var.weight,
+            lam=var.lam,
+            nonlinearity=nl,
+        )
+        u = _rand(chart, "f1eq", amp=2.0, mean=0.3)
+        fu_u = dp.pairwise_sum(nl.f_values(u.values) * u.values * P.node_weight)
+        assert nl.beta * dp.energy(P, u).F_term == pytest.approx(fu_u, rel=1e-13)
+
+    def test_beta_must_exceed_a_variable_p_plus(self, var):
+        # p+ is the maximum of a variable p, not its mean or its value at a node
+        p_plus = var.exponents.p_plus
+        assert p_plus > float(np.mean(var.exponents.p.values))
+        for beta in (float(np.mean(var.exponents.p.values)), p_plus):
+            with pytest.raises(ValueError, match="beta > p"):
+                dp.ProblemInstance(
+                    chart=var.chart,
+                    metric=var.metric,
+                    exponents=var.exponents,
+                    weight=var.weight,
+                    lam=var.lam,
+                    nonlinearity=dp.PowerNonlinearity(beta=beta, amplitude=var.chart.constant(1.0)),
+                )
+
+    def test_f3_holds_just_above_the_exponents(self):
+        # q = 2.999 < p = 3 < beta = 3.001 satisfies (f3): f(s) / |s|^{q-1}
+        # = |s|^{beta-q} -> 0, however slowly, so the instance builds
+        chart, metric = dp.build_torus(1, [16])
+        P = dp.ProblemInstance(
+            chart=chart,
+            metric=metric,
+            exponents=dp.ExponentField(p=chart.constant(3.0), q=chart.constant(2.999)),
+            weight=dp.WeightField(mu=chart.constant(1.0)),
+            lam=0.5,
+            nonlinearity=dp.PowerNonlinearity(beta=3.001, amplitude=chart.constant(1.0)),
+        )
+        s = np.array([1e-2, 1e-8, 1e-32])
+        f = np.array([P.nonlinearity.f_values(chart.constant(si).values)[0] for si in s])
+        ratios = f / s ** (2.999 - 1.0)
+        assert np.all(np.diff(ratios) < 0)
+        assert ratios == pytest.approx(s**0.002, rel=1e-12)
+
+
 class TestEnergy:
     def test_zero_field_all_terms_zero(self, ref):
         br = dp.energy(ref, ref.chart.zeros())
