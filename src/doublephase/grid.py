@@ -102,22 +102,17 @@ class Chart:
             raise ValueError(f"need at least 4 nodes per axis, got sizes={self.sizes}")
         if any(h <= 0 for h in self.spacings):
             raise ValueError(f"spacings must be positive, got {self.spacings}")
+        # plain attributes, not fields: the norm loops read them per solve
+        object.__setattr__(self, "n_nodes", int(np.prod(self.sizes)))
+        object.__setattr__(self, "cell_volume", float(np.prod(self.spacings)))
 
     @property
     def shape(self):
         return self.sizes
 
     @property
-    def n_nodes(self) -> int:
-        return int(np.prod(self.sizes))
-
-    @property
     def lengths(self):
         return tuple(s * h for s, h in zip(self.sizes, self.spacings))
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacings))
 
     def axis_coords(self, axis: int) -> np.ndarray:
         return np.arange(self.sizes[axis]) * self.spacings[axis]
@@ -254,8 +249,8 @@ def central_difference(vals: np.ndarray, chart: Chart, axis: int) -> np.ndarray:
     """Periodic central difference along one chart axis, second order in h.
 
     The one difference stencil of the package: ``gradient`` stacks it over
-    the axes, and the node residual applies it (it is its own negative
-    adjoint on the periodic grid) as the discrete divergence. The chart
+    the axes, and ``gradient_adjoint_values`` (it is its own negative
+    adjoint on the periodic grid) sums it as the discrete divergence. The chart
     axes are the trailing ones, so ``vals`` may carry leading stack axes.
     """
     h = chart.spacings[axis]
@@ -274,10 +269,22 @@ def gradient_values(vals: np.ndarray, chart: Chart) -> np.ndarray:
     return comps
 
 
+def gradient_adjoint_values(comps: np.ndarray, chart: Chart) -> np.ndarray:
+    """The adjoint of ``gradient_values``: minus the discrete divergence of (..., *shape, dim) components."""
+    return -sum(central_difference(comps[..., a], chart, a) for a in range(chart.dim))
+
+
+def metric_pairing(metric: MetricField, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """g^{ab} v_a w_b per node for (..., *shape, dim) components: the products
+    (g^{ab} v_a) w_b summed over a, then b, which is bitwise
+    ``np.einsum("...ab,...a,...b->...")`` and faster in 2-D and 3-D."""
+    dim, inv = metric.chart.dim, metric.inv
+    return sum(inv[..., a, b] * v[..., a] * w[..., b] for a in range(dim) for b in range(dim))
+
+
 def norm_g_values(comps: np.ndarray, metric: MetricField) -> np.ndarray:
     """Raw-array core of ``grad_norm_g``: sqrt(g^{ab} v_a v_b) per node, unchecked."""
-    quad = np.einsum("...ab,...a,...b->...", metric.inv, comps, comps)
-    return np.sqrt(np.maximum(quad, 0.0))
+    return np.sqrt(np.maximum(metric_pairing(metric, comps, comps), 0.0))
 
 
 def gradient(u: ScalarField) -> VectorField:
@@ -327,7 +334,7 @@ def metric_symbol(metric: MetricField) -> np.ndarray:
     """sigma(k) = sum_ab g_bar^{ab} s_a s_b per Fourier mode, g_bar the node mean of ``metric.inv``.
 
     The symbol of the central-difference -div(g_bar grad): the mean-metric
-    Laplacian that both the descent filter and the Poincare smoother invert.
+    Laplacian that the descent filter and the Poincare ascent invert.
     """
     chart = metric.chart
     dim = chart.dim

@@ -17,8 +17,9 @@ from .grid import (
     Chart,
     MetricField,
     ScalarField,
-    central_difference,
+    gradient_adjoint_values,
     gradient_values,
+    metric_pairing,
     norm_g_values,
     pairwise_sum,
 )
@@ -247,7 +248,7 @@ def gateaux(P: ProblemInstance, u: ScalarField, phi: ScalarField, truncated: boo
         raise ValueError("u and phi must share a chart")
     nw = _Nodewise(P, u.values, truncated)
     gphi = gradient_values(phi.values, phi.chart)
-    bilinear = np.einsum("...ab,...a,...b->...", P.metric.inv, nw.grad, gphi)
+    bilinear = metric_pairing(P.metric, nw.grad, gphi)
     dens = nw.flux_coef() * bilinear + nw.source() * phi.values
     return pairwise_sum(dens * P.node_weight)
 
@@ -264,9 +265,6 @@ def residual_gradient(P: ProblemInstance, u: ScalarField, truncated: bool = Fals
     w = P.node_weight
     flux = np.einsum("...ab,...b->...a", P.metric.inv, nw.grad)
     w_coef = w * nw.flux_coef()
-    div = sum(
-        central_difference(w_coef * flux[..., a], P.chart, a) for a in range(P.chart.dim)
-    )
-    r = -div / w + nw.source()
+    r = gradient_adjoint_values(w_coef[..., None] * flux, P.chart) / w + nw.source()
     norm = math.sqrt(max(pairwise_sum(r * r * w), 0.0))
     return P.chart.field(r), norm

@@ -5,10 +5,9 @@ convex and decreasing in log gamma, until a step moves log gamma by at most
 1e-12), weighted analogs, executable inequality checks, and seeded lower
 estimates of the functional constants that feed the branch thresholds.
 
-A norm call solves one field. The constants estimate scores its candidate
-fields as stacks instead: each norm of a block of fields is one Newton loop
-with a lane per field (``_luxemburg_rows``), bitwise equal to the one-field
-solves.
+A norm call solves one field. The constants estimate scores its fields as
+stacks instead: each norm of a stack is one Newton loop with a lane per
+field (``_luxemburg_rows``), bitwise equal to the one-field solves.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from .grid import (
     _spectrum,
     grad_norm_g,
     gradient,
+    gradient_adjoint_values,
     gradient_values,
     integrate,
     metric_symbol,
@@ -57,11 +57,10 @@ __all__ = [
 _CONJUGATE_GUARD = 1.0 + 1e-6
 # fewest trials estimate_constants accepts
 MIN_TRIALS = 100
-# (candidate field, node) values scored per stack by estimate_constants,
-# chosen for peak memory; at least two fields a stack
-ESTIMATE_BLOCK = 2**13
-# smoothing steps that refine the best Poincare candidate of estimate_constants
-REFINE_ITERS = 40
+# seeded band-limited starts of the Poincare ascent, after the least-symbol mode
+ASCENT_SEEDED_STARTS = 4
+# relative change of the ratio at or below which a step ends an ascent start
+ASCENT_GAIN_TOL = 1e-14
 # modular_norm_relations: the slack of every clause, the band around norm 1
 # where only modular = 1 (to UNIT_MODULAR_TOL) is required
 RELATION_TOL = 1e-12
@@ -200,29 +199,31 @@ def _luxemburg(abs_vals, e_vals, weight_vals, metric):
 def _luxemburg_rows(abs_rows, e_vals, weight_vals, metric) -> np.ndarray:
     """``_luxemburg`` of every row of a (rows, *chart shape) stack of |u|, bitwise.
 
-    Rows with no zero node are the lanes of one Newton loop: every step
+    ``e_vals`` is one exponent field for every row, or a stack of one per
+    row. Rows with no zero node are the lanes of one Newton loop: every step
     evaluates all live lanes at once, each lane takes its step in Python
     floats (``math.log``, as the scalar loop does) and leaves the loop once
     the step is at most 1e-12. A row with zero nodes runs ``_luxemburg``,
     whose sums skip those nodes; an all-zero row has norm 0.
     """
     flat = abs_rows.reshape(len(abs_rows), metric.chart.n_nodes)
+    row_e = np.broadcast_to(e_vals, abs_rows.shape)
     norms = np.zeros(len(flat))
     peaks = flat.max(axis=1)
     full = flat.min(axis=1) > 0.0
     for r in np.flatnonzero(~full & (peaks > 0.0)):
-        norms[r] = _luxemburg(abs_rows[r], e_vals, weight_vals, metric)
+        norms[r] = _luxemburg(abs_rows[r], row_e[r], weight_vals, metric)
     lanes = np.flatnonzero(full)
     if not lanes.size:
         return norms
-    e = e_vals.ravel()
+    e = row_e.reshape(len(flat), -1)[lanes]
     wsd = metric.sqrt_det if weight_vals is None else metric.sqrt_det * weight_vals
     a = _log_coefficients(flat[lanes], peaks[lanes, None], e, wsd.ravel(), metric.chart.cell_volume)
     x = np.zeros(len(lanes))
     logs = np.empty(len(lanes))
     live = np.arange(len(lanes))
     for _ in range(_NEWTON_MAX_STEPS):
-        # in place, so that a step holds two (lane, node) arrays, a and terms
+        # in place, so that a step holds three (lane, node) arrays: e, a and terms
         terms = e * x[:, None]
         np.subtract(a, terms, out=terms)
         shift = terms.max(axis=1)
@@ -236,7 +237,7 @@ def _luxemburg_rows(abs_rows, e_vals, weight_vals, metric) -> np.ndarray:
         going = np.abs(step) > _NEWTON_STEP_TOL
         if not going.all():
             logs[live[~going]] = x[~going]
-            live, x, a = live[going], x[going], a[going]
+            live, x, a, e = live[going], x[going], a[going], e[going]
             if not live.size:
                 break
     logs[live] = x
@@ -391,9 +392,9 @@ class ConstantsEstimate:
     c1_embed:   sup weighted q-modular of u normalized to unit Sobolev norm.
     r_q:        the Hoelder factor 1 + 1/q- + 1/q+.
 
-    All are maxima over seeded band-limited samples (plus a smoothing-based
-    refinement for the Poincare ratio), hence lower estimates of the true
-    suprema; reports that consume them record trials and seed.
+    All are maxima over the fields a seeded ascent scores, hence lower
+    estimates of the true suprema; reports that consume them record trials
+    and seed.
     """
 
     c_poincare: float
@@ -411,53 +412,153 @@ class ConstantsEstimate:
         return asdict(self)
 
 
-def _inverse_gradient_smoother(metric: MetricField):
-    """FFT solve of the mean-metric Laplacian ``metric_symbol`` on the retained band.
-
-    Used only to propose candidate extremal fields; every ratio is evaluated
-    with the true metric norms afterwards. On a constant metric the iterates
-    converge to the band mode of least symbol, the Poincare extremal for
-    constant exponents.
+def _luxemburg_gradient(vals, norms, e_vals, weight_vals, metric) -> np.ndarray:
+    """d gamma / d vals of the Luxemburg norms gamma = ``norms`` > 0 of a (rows, *shape) stack:
+    c_i e_i |v_i/gamma|^{e_i-1} sgn v_i / sum_j c_j e_j |v_j/gamma|^{e_j} by the implicit-function
+    theorem on rho(v / gamma) = 1, c = sqrt_det * cell volume (* weight); the cell volume cancels.
     """
-    chart = metric.chart
-    symbol = metric_symbol(metric)
-    mask = _spectrum(chart)[1].copy()
-    mask[(0,) * chart.dim] = False
-    inv_symbol = np.where(mask, 1.0 / np.where(symbol > 0, symbol, 1.0), 0.0)
-
-    def smooth(values):
-        out = np.fft.ifftn(np.fft.fftn(values) * inv_symbol).real
-        peak = np.max(np.abs(out))
-        return out / peak if peak > 0 else out
-
-    return smooth
+    wsd = metric.sqrt_det if weight_vals is None else metric.sqrt_det * weight_vals
+    r = np.abs(vals) / np.reshape(norms, (-1,) + (1,) * metric.chart.dim)
+    lead = wsd * e_vals * r ** (e_vals - 1.0)
+    total = pairwise_sum_rows((lead * r).reshape(len(vals), -1))
+    return lead * np.sign(vals) / np.reshape(total, (-1,) + (1,) * metric.chart.dim)
 
 
 def _stack_ratios(vals, exponents: ExponentField, weight: WeightField, metric: MetricField):
-    """(Poincare, embedding, weighted) ratios of every field of a (rows, *shape) stack.
+    """(Poincare, embedding, weighted) ratios of every field of a (rows, *shape) stack,
+    and (gradient components, |grad u|_g, ||u||_q, || |grad u|_g ||_q) for the ascent.
 
-    Each of ||u||_q, || |grad u|_g ||_q and ||u||_p is solved once per row
-    by ``_luxemburg_rows``; the Sobolev norm s is the sum of the first two,
-    in the order of ``sobolev_norm``. A ratio with a vanishing denominator
-    is 0. Every row is bitwise what the row's own ``luxemburg_norm`` and
-    ``weighted_modular`` calls give.
+    The three norms of every row are the lanes of one ``_luxemburg_rows``
+    loop; the Sobolev norm is the sum of the q-norms, as in ``sobolev_norm``.
+    A Poincare ratio with a vanishing denominator is 0. Every ratio is
+    bitwise what the row's own public norm calls give.
     """
     q = exponents.q.values
-    # one (row, node) array besides vals alive per solve: |u| for two, |grad u|_g for one
     abs_vals = np.abs(vals)
-    norm_q = _luxemburg_rows(abs_vals, q, None, metric)
-    norm_p = _luxemburg_rows(abs_vals, exponents.p.values, None, metric)
-    del abs_vals
-    grad_norms = norm_g_values(gradient_values(vals, metric.chart), metric)
-    norm_grad = _luxemburg_rows(grad_norms, q, None, metric)
-    s = norm_q + norm_grad
-    has_grad, has_s = norm_grad != 0.0, s != 0.0
-    poincare = np.divide(norm_q, norm_grad, out=np.zeros(len(s)), where=has_grad)
-    embed = np.divide(norm_p, s, out=np.zeros(len(s)), where=has_s)
-    unit = vals / np.where(has_s, s, 1.0).reshape((-1,) + (1,) * (vals.ndim - 1))
+    comps = gradient_values(vals, metric.chart)
+    grad_norm = norm_g_values(comps, metric)
+    exps = np.concatenate([np.broadcast_to(e, vals.shape) for e in (q, exponents.p.values, q)])
+    norms = _luxemburg_rows(np.concatenate((abs_vals, abs_vals, grad_norm)), exps, None, metric)
+    norm_u, norm_p, norm_grad = np.split(norms, 3)
+    s = norm_u + norm_grad
+    poincare = np.divide(norm_u, norm_grad, out=np.zeros(len(s)), where=norm_grad != 0.0)
+    unit = vals / s.reshape((-1,) + (1,) * metric.chart.dim)
     dens = weight.mu.values * np.abs(unit) ** q * metric.sqrt_det
     weighted = pairwise_sum_rows(dens.reshape(len(s), -1)) * metric.chart.cell_volume
-    return poincare, embed, np.where(has_s, weighted, 0.0)
+    return poincare, norm_p / s, weighted, (comps, grad_norm, norm_u, norm_grad)
+
+
+@dataclass(frozen=True)
+class _Ascent:
+    """The field of the largest Poincare ratio, the three maxima, the fields
+    scored, and per start the ratios of the start and each accepted step."""
+
+    field: np.ndarray
+    c_poincare: float
+    D_embed: float
+    c1_embed: float
+    scored: int
+    paths: tuple
+
+
+def _poincare_ascent(exponents: ExponentField, weight: WeightField, metric: MetricField, trials: int, seed) -> _Ascent:
+    """Preconditioned ascent of log ||u||_q - log || |grad u|_g ||_q over zero-mean band fields.
+
+    The band is the ``_spectrum`` mask without k = 0. The gradient of the
+    log ratio (``_luxemburg_gradient`` of both norms, the second chained
+    through ``gradient_adjoint_values``) is preconditioned by 1 / sigma(k),
+    sigma the ``metric_symbol``, and combined with the last direction by
+    Polak-Ribiere, restarting when that is no ascent direction. A step is
+    accepted only when the ratio increases; the next one maximizes the
+    quadratic through the log ratio and slope at 0 and the log ratio at the
+    step, within [0.5, 4] times an accepted step and [0.1, 0.5] times a
+    failed one. The first, sum_i |grad u|_g,i^2, is inverse iteration for
+    q = 2 on a constant metric. A start ends when a step changes the ratio
+    by at most ASCENT_GAIN_TOL relative. The starts are the band mode of
+    least sigma (the extremal for q = 2 on a constant metric) and
+    ASCENT_SEEDED_STARTS band-limited fields from ``substream(seed,
+    "constants", i)``, the lanes of one stack: one tried field per live
+    lane and round, scored in round and lane order until ``trials`` are
+    scored, a sequence that does not depend on ``trials``. The constant
+    field is scored first, outside the count, for the embedding ratios.
+    """
+    chart = metric.chart
+    q, inv, dim = exponents.q.values, metric.inv, chart.dim
+    mask = _spectrum(chart)[1].copy()
+    mask[(0,) * dim] = False
+    inv_symbol = np.divide(1.0, metric_symbol(metric), out=np.zeros(chart.shape), where=mask)
+    # real and even, so it acts on the half spectrum of a real field
+    half_inv_symbol, axes = inv_symbol[..., : chart.shape[-1] // 2 + 1], tuple(range(-dim, 0))
+
+    def lanes(x):
+        return np.reshape(x, (-1,) + (1,) * dim)
+
+    def dot(a, b):
+        return pairwise_sum_rows((a * b).reshape(len(a), -1))
+
+    def direction(vals, parts):
+        """The gradient of the log ratio of every row, and it preconditioned."""
+        comps, grad_norm, norm_u, norm_grad = parts
+        norms = np.concatenate((norm_u, norm_grad))
+        both = _luxemburg_gradient(np.concatenate((vals, grad_norm)), norms, q, None, metric) / lanes(norms)
+        coef = np.divide(both[len(vals) :], grad_norm, out=np.zeros(grad_norm.shape), where=grad_norm > 0.0)
+        flux = np.stack([sum(inv[..., a, b] * comps[..., b] for b in range(dim)) for a in range(dim)], axis=-1)
+        g = both[: len(vals)] - gradient_adjoint_values(coef[..., None] * flux, chart)
+        return g, np.fft.irfftn(np.fft.rfftn(g, axes=axes) * half_inv_symbol, s=chart.shape, axes=axes)
+
+    c_best, field, d_best, c1_best = 0.0, None, 0.0, 0.0
+
+    def score(vals):
+        nonlocal c_best, field, d_best, c1_best
+        poincare, embed, weighted, parts = _stack_ratios(vals, exponents, weight, metric)
+        j = int(np.argmax(poincare))  # the first maximum in scored order
+        if poincare[j] > c_best:
+            c_best, field = float(poincare[j]), vals[j].copy()
+        d_best, c1_best = max(d_best, float(embed.max())), max(c1_best, float(weighted.max()))
+        return poincare, parts
+
+    score(chart.constant(1.0).values[None])
+    least = np.zeros(chart.shape)
+    least.flat[np.argmax(inv_symbol)] = 1.0
+    mode = np.fft.ifftn(least).real
+    rngs = [substream(seed, "constants", i) for i in range(ASCENT_SEEDED_STARTS)]
+    u = np.concatenate(((mode / np.abs(mode).max())[None], random_band_limited_values(chart, rngs, [1.0] * len(rngs))))
+    u = u[:trials]
+    ratio, parts = score(u)
+    scored, paths = len(u), [[r] for r in ratio.tolist()]
+    g, z = direction(u, parts)
+    gz = dot(g, z)
+    p, slope, step = z.copy(), gz.copy(), dot(parts[1], parts[1])
+    going = gz > 0.0
+    while going.any() and scored < trials:
+        rows = np.flatnonzero(going)[: trials - scored]
+        t = step[rows]
+        tried = u[rows] + lanes(t) * p[rows]
+        tried_ratio, parts = score(tried)
+        scored += len(rows)
+        gain = tried_ratio / ratio[rows] - 1.0
+        curve = (np.log1p(gain) - slope[rows] * t) / t**2
+        t_model = 4.0 * t
+        np.divide(-slope[rows], 2.0 * curve, out=t_model, where=curve < 0.0)
+        up, ended = gain > 0.0, np.abs(gain) <= ASCENT_GAIN_TOL
+        step[rows] = np.where(up, np.clip(t_model, 0.5 * t, 4.0 * t), np.clip(t_model, 0.1 * t, 0.5 * t))
+        for lane, r in zip(rows[up].tolist(), tried_ratio[up].tolist()):
+            paths[lane].append(r)
+        u[rows[up]], ratio[rows[up]] = tried[up], tried_ratio[up]
+        turn = up & ~ended
+        if turn.any():
+            moved = rows[turn]
+            g_new, z_new = direction(tried[turn], [x[turn] for x in parts])
+            gz_new = dot(g_new, z_new)
+            beta = np.maximum(0.0, (gz_new - dot(z_new, g[moved])) / gz[moved])
+            p_new = z_new + lanes(beta) * p[moved]
+            s_new = dot(g_new, p_new)
+            restart = s_new <= 0.0
+            p_new[restart], s_new[restart] = z_new[restart], gz_new[restart]
+            g[moved], gz[moved], p[moved], slope[moved] = g_new, gz_new, p_new, s_new
+            ended[turn] |= gz_new <= 0.0
+        going[rows[ended]] = False
+    return _Ascent(field, c_best, d_best, c1_best, scored, tuple(map(tuple, paths)))
 
 
 def estimate_constants(
@@ -467,67 +568,21 @@ def estimate_constants(
     trials: int = 200,
     seed: int = 0,
 ) -> ConstantsEstimate:
-    """Seeded random search for the Poincare and embedding constants.
+    """Seeded lower estimates of the Poincare and embedding constants.
 
-    Zero-mean band-limited samples drive the Poincare ratio; the same samples
-    plus mean-shifted and constant candidates drive the embedding ratios
-    (whose suprema admit constant fields). The best Poincare candidate (the
-    first in trial order) is refined by REFINE_ITERS steps of
-    inverse-Laplacian smoothing with the mean-metric symbol, which converge
-    to the extremal band mode for constant exponents on a constant metric.
-    Candidates are scored as stacks of at most ESTIMATE_BLOCK
-    (field, node) values: a block of trials is drawn in one
-    ``random_band_limited_values`` call, and its oscillating and shifted
-    fields are scored together by ``_stack_ratios``, three lane-wise
-    Luxemburg solves per block; the smoothing iterates likewise. The result
-    is bitwise that of scoring every candidate alone. Deterministic given
-    the seed. With the same seed, more trials can only increase c1_embed,
-    and c_poincare and D_embed before the refinement; the refined values
-    can decrease, because the refinement starts from the best candidate,
-    which more trials can change.
+    c_poincare is the largest ratio of the at most ``trials`` fields that
+    ``_poincare_ascent`` scores; D_embed and c1_embed are the largest of
+    their ratios over those fields and the constant field. Deterministic
+    given the seed; more trials extend the same scored sequence, so they
+    can never lower a constant.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
-    chart = exponents.chart
-    rows = max(2, ESTIMATE_BLOCK // chart.n_nodes)
-    stack_axes = (-1,) + (1,) * chart.dim
-    ratios = _stack_ratios(chart.constant(1.0).values[None], exponents, weight, metric)
-    _, d_best, c1_best = (float(r[0]) for r in ratios)
-    c_best, c_field = 0.0, None
-    # an oscillating and a shifted field per trial
-    for b in range(0, trials, rows // 2):
-        rngs = [substream(seed, "constants", i) for i in range(b, min(b + rows // 2, trials))]
-        amps = [float(10.0 ** rng.uniform(-1.0, 0.5)) for rng in rngs]
-        osc = random_band_limited_values(chart, rngs, amps)
-        shifts = [float(rng.uniform(0.1, 2.0)) for rng in rngs]
-        stack = np.concatenate((osc, osc + np.reshape(shifts, stack_axes)))
-        n_osc = len(rngs)
-        del osc, rngs
-        c_ratio, d_ratio, c1_ratio = _stack_ratios(stack, exponents, weight, metric)
-        # the first maximum in trial order: argmax takes the first in the block
-        j = int(np.argmax(c_ratio[:n_osc]))
-        if c_ratio[j] > c_best:
-            c_best, c_field = float(c_ratio[j]), stack[j].copy()
-        d_best = max(d_best, float(d_ratio.max()))
-        c1_best = max(c1_best, float(c1_ratio.max()))
-
-    if c_field is not None:
-        # the smoothing iterates do not depend on the ratios
-        smooth = _inverse_gradient_smoother(metric)
-        vals = c_field
-        for b in range(0, REFINE_ITERS, rows):
-            iterates = []
-            for _ in range(min(rows, REFINE_ITERS - b)):
-                vals = smooth(vals)
-                iterates.append(vals)
-            c_ratio, d_ratio, _ = _stack_ratios(np.stack(iterates), exponents, weight, metric)
-            c_best = max(c_best, float(c_ratio.max()))
-            d_best = max(d_best, float(d_ratio.max()))
-
+    ascent = _poincare_ascent(exponents, weight, metric, trials, seed)
     return ConstantsEstimate(
-        c_poincare=c_best,
-        D_embed=d_best,
-        c1_embed=c1_best,
+        c_poincare=ascent.c_poincare,
+        D_embed=ascent.D_embed,
+        c1_embed=ascent.c1_embed,
         r_q=holder_factor(exponents.q),
         trials=trials,
         seed=int(seed),

@@ -308,3 +308,52 @@ def test_metric_symbol_on_the_identity_is_the_sum_of_squared_stencils():
     chart, metric = dp.build_torus(2, [8, 12], spacings=(0.3, 0.1))
     _, _, stencil = _spectrum(chart)
     assert metric_symbol(metric).tobytes() == sum(s_a**2 for s_a in stencil).tobytes()
+
+
+def test_chart_counts_are_the_products_of_sizes_and_spacings():
+    for sizes, spacings in (([64], [1 / 64]), ([12, 8], [0.3, 0.1]), ([8, 12, 6], [0.3, 0.1, 0.7])):
+        chart = dp.Chart(dim=len(sizes), sizes=sizes, spacings=spacings)
+        assert chart.n_nodes == int(np.prod(chart.sizes))
+        assert chart.cell_volume == float(np.prod(chart.spacings))
+        # computed when the chart is built, not on every read
+        assert vars(chart)["n_nodes"] == chart.n_nodes
+        assert vars(chart)["cell_volume"] == chart.cell_volume
+
+
+def _pairing_metrics():
+    g2 = np.array([[1.0, 0.3], [0.3, 2.0]])
+    g3 = np.array([[1.5, 0.2, -0.1], [0.2, 1.0, 0.3], [-0.1, 0.3, 0.8]])
+    for dim, sizes, g in ((1, [64], np.eye(1)), (2, [16, 12], g2), (3, [8, 12, 6], g3)):
+        yield f"{dim}d-constant", dp.build_torus(dim, sizes, metric_spec=g)[1]
+        # a per-node table: the constant metric plus a positive semidefinite bump
+        base = 0.2 * dp.substream(13, "pairing", dim).standard_normal(tuple(sizes) + (dim, dim))
+        table = g + np.einsum("...ab,...cb->...ac", base, base)
+        yield f"{dim}d-per-node", dp.build_torus(dim, sizes, metric_spec=table)[1]
+
+
+@pytest.mark.parametrize("name, metric", [pytest.param(n, m, id=n) for n, m in _pairing_metrics()])
+def test_metric_pairing_is_bitwise_the_einsum(name, metric):
+    from doublephase.grid import metric_pairing, norm_g_values
+
+    chart = metric.chart
+    rng = dp.substream(14, "pairing", name)
+    for lead in ((), (3,)):
+        v = rng.standard_normal(lead + chart.shape + (chart.dim,))
+        w = rng.standard_normal(v.shape)
+        want = np.einsum("...ab,...a,...b->...", metric.inv, v, w)
+        assert metric_pairing(metric, v, w).tobytes() == want.tobytes()
+        quad = np.einsum("...ab,...a,...b->...", metric.inv, v, v)
+        assert norm_g_values(v, metric).tobytes() == np.sqrt(np.maximum(quad, 0.0)).tobytes()
+
+
+@pytest.mark.parametrize("sizes", STACK_CHARTS)
+def test_gradient_adjoint_is_the_transpose_of_the_gradient(sizes):
+    from doublephase.grid import gradient_adjoint_values, gradient_values
+
+    chart, _ = dp.build_torus(len(sizes), sizes, spacings=[0.3 + 0.1 * a for a in range(len(sizes))])
+    rng = dp.substream(15, "adjoint")
+    u = rng.standard_normal(chart.shape)
+    flux = rng.standard_normal(chart.shape + (chart.dim,))
+    lhs = np.sum(gradient_values(u, chart) * flux)
+    rhs = np.sum(u * gradient_adjoint_values(flux, chart))
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)

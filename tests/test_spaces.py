@@ -350,11 +350,8 @@ class TestEstimateConstants:
         assert ratio == pytest.approx(h / math.sin(2 * math.pi * h), rel=1e-10)
         assert ratio == pytest.approx(1.0 / (2 * math.pi), rel=(2 * math.pi * h) ** 2 / 6 * 1.1)
 
-    def test_more_trials_never_decrease(self, setup, monkeypatch):
-        # the claim holds for the search before the refinement, which starts
-        # from the best candidate and so can end lower after more trials
+    def test_more_trials_never_decrease(self, setup):
         chart, metric, e, w = setup
-        monkeypatch.setattr(spaces, "REFINE_ITERS", 0)
         c100 = dp.estimate_constants(e, w, metric, trials=100, seed=7)
         c150 = dp.estimate_constants(e, w, metric, trials=150, seed=7)
         assert c150.c_poincare >= c100.c_poincare
@@ -371,90 +368,6 @@ class TestEstimateConstants:
         a = dp.estimate_constants(e, w, metric, trials=100, seed=3)
         b = dp.estimate_constants(e, w, metric, trials=100, seed=3)
         assert a == b
-
-
-def _reference_estimate(exponents, weight, metric, trials, seed):
-    """The constants search written with one closure per ratio, each computing its own norms.
-
-    The smoother inverts sum_ab g_bar^{ab} s_a s_b, g_bar the node mean of
-    the inverse metric, on the band |k_a| <= n_a / 4.
-
-    Returns the estimate and the trial whose field was refined.
-    """
-    chart = exponents.chart
-    p, q = exponents.p, exponents.q
-
-    def poincare_ratio(field):
-        ng = dp.luxemburg_norm(dp.grad_norm_g(dp.gradient(field), metric), q, metric)
-        if ng == 0.0:
-            return 0.0
-        return dp.luxemburg_norm(field, q, metric) / ng
-
-    def embed_ratio(field):
-        s = dp.sobolev_norm(field, q, metric)
-        if s == 0.0:
-            return 0.0
-        return dp.luxemburg_norm(field, p, metric) / s
-
-    def weighted_ratio(field):
-        s = dp.sobolev_norm(field, q, metric)
-        if s == 0.0:
-            return 0.0
-        return dp.weighted_modular(chart.field(field.values / s), q, weight, metric)
-
-    def smoother():
-        grids = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in chart.shape], indexing="ij")
-        s = [np.sin(2.0 * np.pi * g_k / n) / h for g_k, n, h in zip(grids, chart.shape, chart.spacings)]
-        g_bar = [
-            [dp.pairwise_sum(metric.inv[..., a, b]) / chart.n_nodes for b in range(chart.dim)]
-            for a in range(chart.dim)
-        ]
-        symbol = sum(g_bar[a][b] * s[a] * s[b] for a in range(chart.dim) for b in range(chart.dim))
-        mask = np.ones(chart.shape, dtype=bool)
-        for g_k, n in zip(grids, chart.shape):
-            mask &= np.abs(g_k) <= n // 4
-        mask[(0,) * chart.dim] = False
-        inv_symbol = np.where(mask, 1.0 / np.where(symbol > 0, symbol, 1.0), 0.0)
-
-        def smooth(values):
-            out = np.fft.ifftn(np.fft.fftn(values) * inv_symbol).real
-            peak = np.max(np.abs(out))
-            return out / peak if peak > 0 else out
-
-        return smooth
-
-    ones = chart.constant(1.0)
-    c_best, c_field, best_trial = 0.0, None, None
-    d_best = embed_ratio(ones)
-    c1_best = weighted_ratio(ones)
-    for i in range(trials):
-        rng = dp.substream(seed, "constants", i)
-        amp = float(10.0 ** rng.uniform(-1.0, 0.5))
-        osc = dp.random_band_limited(chart, rng, amplitude=amp)
-        ratio = poincare_ratio(osc)
-        if ratio > c_best:
-            c_best, c_field, best_trial = ratio, osc, i
-        d_best = max(d_best, embed_ratio(osc))
-        c1_best = max(c1_best, weighted_ratio(osc))
-        shifted = chart.field(osc.values + float(rng.uniform(0.1, 2.0)))
-        d_best = max(d_best, embed_ratio(shifted))
-        c1_best = max(c1_best, weighted_ratio(shifted))
-    smooth = smoother()
-    vals = c_field.values
-    for _ in range(40):
-        vals = smooth(vals)
-        candidate = chart.field(vals)
-        c_best = max(c_best, poincare_ratio(candidate))
-        d_best = max(d_best, embed_ratio(candidate))
-    estimate = dp.ConstantsEstimate(
-        c_poincare=c_best,
-        D_embed=d_best,
-        c1_embed=c1_best,
-        r_q=1.0 + 1.0 / exponents.q_minus + 1.0 / exponents.q_plus,
-        trials=trials,
-        seed=seed,
-    )
-    return estimate, best_trial
 
 
 def _constant_exponents(chart, metric):
@@ -484,15 +397,105 @@ def _variable_3d():
     return dp.ExponentField(p=p, q=q), w, metric
 
 
-@pytest.mark.parametrize(
-    "make",
-    [_reference_1d, _variable_1d, _anisotropic_2d, _variable_3d],
-    ids=["reference1d", "variable1d", "aniso2d", "variable3d"],
-)
-def test_estimate_equals_one_closure_per_ratio_reference(make):
+INSTANCES = [_reference_1d, _variable_1d, _anisotropic_2d, _variable_3d]
+INSTANCE_IDS = ["reference1d", "variable1d", "aniso2d", "variable3d"]
+
+
+def _public_ratios(field, exponents, weight, metric):
+    """(Poincare, embedding, weighted) ratios of one field, each from its own public norm calls."""
+    q, p = exponents.q, exponents.p
+    ng = dp.luxemburg_norm(dp.grad_norm_g(dp.gradient(field), metric), q, metric)
+    s = dp.sobolev_norm(field, q, metric)
+    poincare = dp.luxemburg_norm(field, q, metric) / ng if ng != 0.0 else 0.0
+    embed = dp.luxemburg_norm(field, p, metric) / s
+    weighted = dp.weighted_modular(field.chart.field(field.values / s), q, weight, metric)
+    return poincare, embed, weighted
+
+
+@pytest.mark.parametrize("make", INSTANCES, ids=INSTANCE_IDS)
+def test_stack_ratios_equal_one_field_public_calls(make):
+    # the constant field, oscillating fields and a mean-shifted one, scored as one stack
     e, w, metric = make()
+    chart = metric.chart
+    rngs = [dp.substream(5, "stack-ratios", i) for i in range(3)]
+    osc = dp.grid.random_band_limited_values(chart, rngs, [0.1, 1.0, 3.0])
+    stack = np.concatenate((np.ones((1,) + chart.shape), osc, osc[:1] + 0.7))
+    poincare, embed, weighted, _ = spaces._stack_ratios(stack, e, w, metric)
+    for k, vals in enumerate(stack):
+        assert (poincare[k], embed[k], weighted[k]) == _public_ratios(chart.field(vals), e, w, metric)
+
+
+@pytest.mark.parametrize("make", INSTANCES, ids=INSTANCE_IDS)
+def test_estimate_is_witnessed_by_fields(make):
+    e, w, metric = make()
+    chart = metric.chart
     got = dp.estimate_constants(e, w, metric, trials=100, seed=5)
-    assert got == _reference_estimate(e, w, metric, trials=100, seed=5)[0]
+    ascent = spaces._poincare_ascent(e, w, metric, 100, 5)
+    # c_poincare is the public ratio of the field the ascent returns, bit for bit
+    field = chart.field(ascent.field)
+    ratio = dp.luxemburg_norm(field, e.q, metric) / dp.luxemburg_norm(
+        dp.grad_norm_g(dp.gradient(field), metric), e.q, metric
+    )
+    assert got.c_poincare == ratio == ascent.c_poincare
+    # zero-mean, as a band field
+    assert abs(dp.pairwise_sum(ascent.field)) <= 1e-12 * ascent.field.size * np.abs(ascent.field).max()
+    # on these instances the constant field sets both embedding constants
+    _, d_const, c1_const = _public_ratios(chart.constant(1.0), e, w, metric)
+    assert (got.D_embed, got.c1_embed) == (d_const, c1_const)
+
+
+@pytest.mark.parametrize("make", INSTANCES, ids=INSTANCE_IDS)
+def test_ascent_never_lowers_the_ratio(make):
+    e, w, metric = make()
+    ascent = spaces._poincare_ascent(e, w, metric, 200, 42)
+    assert len(ascent.paths) == 1 + spaces.ASCENT_SEEDED_STARTS
+    for path in ascent.paths:
+        assert all(b > a for a, b in zip(path, path[1:]))
+    assert ascent.c_poincare == max(max(path) for path in ascent.paths)
+    assert ascent.scored <= 200
+
+
+def test_trials_is_the_budget_of_scored_fields():
+    # the variable instance does not converge within these budgets, so every
+    # budget is spent; each run scores a prefix of the next one's sequence
+    e, w, metric = _variable_1d()
+    previous = None
+    for budget in range(1, 41):
+        ascent = spaces._poincare_ascent(e, w, metric, budget, 42)
+        assert ascent.scored == budget
+        if previous is not None:
+            assert ascent.c_poincare >= previous.c_poincare
+            assert ascent.D_embed >= previous.D_embed
+            assert ascent.c1_embed >= previous.c1_embed
+            assert all(old == new[: len(old)] for old, new in zip(previous.paths, ascent.paths))
+        previous = ascent
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["luxemburg", "weighted"])
+@pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
+@pytest.mark.parametrize("grid", ["1d", "aniso2d"])
+def test_luxemburg_gradient_matches_central_differences(grid, variable, weighted):
+    if grid == "1d":
+        chart, metric = dp.build_torus(1, [64])
+    else:
+        chart, metric = dp.build_torus(2, [12, 12], metric_spec=[[1.0, 0.3], [0.3, 2.0]])
+    x = chart.coords()[0]
+    e = 1.7 + 0.2 * np.sin(2 * np.pi * x) if variable else np.full(chart.shape, 2.5)
+    mu = 1.0 + 0.5 * np.cos(2 * np.pi * x) if weighted else None
+    rng = dp.substream(6, "norm-gradient", grid)
+    u = dp.random_band_limited(chart, rng, amplitude=2.0, mean=0.3).values
+    norm = spaces._luxemburg(np.abs(u), e, mu, metric)
+    got = spaces._luxemburg_gradient(u[None], [norm], e, mu, metric)[0]
+    h = 1e-6
+    fd = np.empty(chart.n_nodes)
+    for i in range(chart.n_nodes):
+        bump = np.zeros(chart.n_nodes)
+        bump[i] = h
+        bump = bump.reshape(chart.shape)
+        up = spaces._luxemburg(np.abs(u + bump), e, mu, metric)
+        down = spaces._luxemburg(np.abs(u - bump), e, mu, metric)
+        fd[i] = (up - down) / (2 * h)
+    assert np.max(np.abs(fd - got.ravel())) <= 1e-6 * np.max(np.abs(got))
 
 
 # (sizes, upper triangle of a constant metric g, relative bound)
@@ -500,17 +503,21 @@ CONSTANT_METRICS = [
     ([32, 32], (1.0, 0.3, 2.0), 1e-12),
     ([16, 24], (2.0, -0.5, 0.7), 1e-12),
     ([8, 12, 6], (1.5, 0.2, -0.1, 1.0, 0.3, 0.8), 1e-10),
+    ([8, 12, 6], (1.0, 0.4, 0.0, 2.0, -0.3, 1.5), 1e-10),
 ]
 
 
 @pytest.mark.parametrize("seed", [42, 7, 3])
-@pytest.mark.parametrize("sizes, upper, bound", CONSTANT_METRICS, ids=["32x32", "16x24", "8x12x6"])
+@pytest.mark.parametrize(
+    "sizes, upper, bound", CONSTANT_METRICS, ids=["32x32", "16x24", "8x12x6", "8x12x6-close"]
+)
 def test_poincare_estimate_is_the_band_supremum_on_constant_metrics(sizes, upper, bound, seed):
     # q = 2 on a constant metric: ||u||_2 / || |grad u|_g ||_2 is at most
     # 1 / sqrt(min sigma) over the nonzero band modes, attained by the mode
-    # of least sigma(k) = sum_ab g^{ab} s_a s_b, where the refinement lands.
-    # It converges like (min sigma / next sigma)^iterations; these metrics
-    # have ratios 0.50, 0.40 and 0.58.
+    # of least sigma(k) = sum_ab g^{ab} s_a s_b, the ascent's first start.
+    # Inverse iteration from a random field converges like
+    # (min sigma / next sigma)^iterations; these metrics have ratios 0.50,
+    # 0.40, 0.58 and 0.92.
     dim = len(sizes)
     g = np.zeros((dim, dim))
     g[np.triu_indices(dim)] = upper
@@ -526,19 +533,6 @@ def test_poincare_estimate_is_the_band_supremum_on_constant_metrics(sizes, upper
     exact = 1.0 / math.sqrt(sigma[band].min())
     got = dp.estimate_constants(e, w, metric, trials=100, seed=seed).c_poincare
     assert got == pytest.approx(exact, rel=bound)
-
-
-@pytest.mark.parametrize("trials", [101, 137])
-def test_estimate_over_partial_blocks_equals_reference(trials):
-    # 32x32 stacks hold a few trials each, so neither count fills its last
-    # block, and the refined field comes from a later block than the first
-    e, w, metric = _anisotropic_2d(32)
-    got = dp.estimate_constants(e, w, metric, trials=trials, seed=42)
-    want, best_trial = _reference_estimate(e, w, metric, trials=trials, seed=42)
-    assert got == want
-    per_block = max(2, spaces.ESTIMATE_BLOCK // metric.chart.n_nodes) // 2
-    assert trials % per_block != 0
-    assert best_trial >= per_block
 
 
 def _norm_rows(chart):
@@ -572,6 +566,10 @@ def test_luxemburg_rows_equal_scalar_solves(grid, variable, weighted):
     # alone, every row is the one-row stack
     for k in (0, 6, 7, 8):
         assert spaces._luxemburg_rows(rows[k : k + 1], e, mu, metric).tolist() == [want[k]]
+    # one exponent field per row
+    row_e = np.stack([e + 0.1 * k for k in range(len(rows))])
+    got = spaces._luxemburg_rows(rows, row_e, mu, metric)
+    assert got.tolist() == [spaces._luxemburg(row, ek, mu, metric) for row, ek in zip(rows, row_e)]
 
 
 def test_luxemburg_rows_with_widely_spread_exponents():
@@ -589,7 +587,7 @@ def test_luxemburg_rows_with_widely_spread_exponents():
     assert got.tolist() == [spaces._luxemburg(row, e, None, metric) for row in rows]
 
 
-def test_estimate_computes_three_norms_per_candidate(monkeypatch):
+def test_estimate_computes_three_norms_per_scored_field(monkeypatch):
     e, w, metric = _variable_1d()
     rows = []
 
@@ -599,15 +597,13 @@ def test_estimate_computes_three_norms_per_candidate(monkeypatch):
 
     luxemburg_rows = spaces._luxemburg_rows
     monkeypatch.setattr(spaces, "_luxemburg_rows", counted)
-    trials, refine_iters = 100, 7
-    monkeypatch.setattr(spaces, "REFINE_ITERS", refine_iters)
-    dp.estimate_constants(e, w, metric, trials=trials, seed=5)
-    # the constant field, an oscillating and a shifted sample per trial, the refinement steps
-    assert sum(rows) == 3 * (1 + 2 * trials + refine_iters)
+    dp.estimate_constants(e, w, metric, trials=100, seed=5)
+    # the constant field, then the 100 fields of the budget, which this instance spends
+    assert sum(rows) == 3 * (1 + 100)
 
 
 def test_estimate_peak_memory_is_blocked():
-    # scored as one stack, the 400 trial fields of this instance peak near 20 MB
+    # one round of the ascent holds a few lanes; the budget's 200 fields as one stack would not fit
     e, w, metric = _anisotropic_2d(32)
     tracemalloc.start()
     try:
