@@ -1,11 +1,15 @@
 """Periodic metric grids: charts, fields, quadrature, difference operators.
 
 Everything is dimension-generic (1 to 3 axes) and periodic, so a grid models
-a flat or curved-metric torus. All reductions go through ``pairwise_sum`` so
-results are bit-reproducible at a fixed thread count. The one exception
-lives outside this module: the ray profile in ``nehari`` groups node
-coefficients by exponent value with ``np.bincount``, a sequential sum in
-node order that is just as reproducible.
+a flat or curved-metric torus. All reductions go through ``pairwise_sum_rows``
+(or its one-row case ``pairwise_sum``), whose summation order depends only
+on the row length: rows of at least ``REDUCE_MIN_LEN`` values are summed by
+numpy's compiled pairwise reduction, shorter rows by a binary tree. So every
+row of a stack sums bitwise to its one-row sum, and results are
+bit-reproducible at a fixed thread count. The one exception lives outside
+this module: the ray profile in ``nehari`` groups node coefficients by
+exponent value with ``np.bincount``, a sequential sum in node order that is
+just as reproducible.
 """
 
 from __future__ import annotations
@@ -33,32 +37,45 @@ __all__ = [
 ]
 
 
-def pairwise_sum(values) -> float:
-    """Sum an array with a fixed binary reduction tree.
+# Rows this long or longer are summed by ``np.add.reduce``, shorter ones by
+# ``_pairwise_tree``: numpy's reduction has a per-row cost that the tree,
+# vectorised across rows, beats on many short rows.
+REDUCE_MIN_LEN = 32
 
-    Adjacent elements are paired on every round; an odd trailing element is
-    carried over unchanged. The tree depends only on the input length, which
-    keeps reductions bit-identical between runs and independent of BLAS
-    threading.
+
+def pairwise_sum(values) -> float:
+    """Sum of all values: ``pairwise_sum_rows`` of the flattened array as one row.
+
+    The order depends only on the number of values: numpy's compiled
+    pairwise reduction from ``REDUCE_MIN_LEN`` values on, a binary tree below
+    that. A row of any stack sums bitwise to this one-row sum.
     """
-    a = np.asarray(values, dtype=float).ravel()
-    return float(_pairwise_tree(a)) if a.size else 0.0
+    return float(pairwise_sum_rows(np.ravel(values)))
 
 
 def pairwise_sum_rows(values) -> np.ndarray:
-    """``pairwise_sum`` of every row: the same tree along the last axis.
+    """Sum of every row along the last axis, in an order set by the row length.
 
-    The tree depends only on the row length, so each row's sum is bitwise
-    equal to ``pairwise_sum`` of that row alone. Rows of length 0 sum to 0.
+    A row of at least ``REDUCE_MIN_LEN`` values is summed by numpy's compiled
+    pairwise reduction (eight running sums per block of at most 128 values,
+    blocks split in halves), run on a C-contiguous copy so that each row is
+    one inner loop. A shorter row is summed by a binary tree: adjacent
+    elements are paired on every round, an odd trailing element is carried
+    over unchanged. Either way the order depends only on the row length, so
+    each row's sum is bitwise equal to ``pairwise_sum`` of that row alone,
+    whatever the stack's shape or strides and however BLAS is threaded.
+    Rows of length 0 sum to 0.
     """
     a = np.asarray(values, dtype=float)
+    if a.shape[-1] >= REDUCE_MIN_LEN:
+        return np.add.reduce(np.ascontiguousarray(a), axis=-1)
     if a.shape[-1] == 0:
         return np.zeros(a.shape[:-1])
     return _pairwise_tree(a.T).T
 
 
 def _pairwise_tree(a: np.ndarray):
-    """The reduction tree of ``pairwise_sum`` along the first axis of a nonempty array."""
+    """The short-row tree of ``pairwise_sum_rows`` along the first axis of a nonempty array."""
     n = len(a)
     while n > 1:
         even = n & ~1

@@ -104,8 +104,11 @@ def _ray_sums(terms, t) -> np.ndarray:
     ``terms`` is (e, C, c, S) with e of shape (F, K), C of shape
     (len(t), F, K), c a length-F sequence and S of shape (len(t), F): lane
     i evaluates sum_k t_i^e_fk C_ifk - t_i^c_f S_if. Lanes run in blocks of
-    at most PROBE_BLOCK (t, term) products, each row reduced by the tree of
-    ``pairwise_sum``. The powers run along the term axis, as in a
+    at most PROBE_BLOCK (t, term) products, each (lane, f) row of K terms
+    summed by ``pairwise_sum_rows``, in the order its length K sets (the
+    binary tree below ``grid.REDUCE_MIN_LEN`` terms, numpy's pairwise
+    reduction from there), so a row sums as it would alone. The powers run
+    along the term axis, as in a
     single-point call (the power loop along the lanes, with one exponent
     for all, can round differently), and the source power t^c is taken
     with Python float pow, so every value is bitwise the one a single-point

@@ -22,6 +22,7 @@ from .grid import (
     metric_pairing,
     norm_g_values,
     pairwise_sum,
+    pairwise_sum_rows,
 )
 from .spaces import ExponentField, WeightField
 
@@ -222,11 +223,10 @@ def energy(P: ProblemInstance, u: ScalarField, truncated: bool = False) -> Energ
     nw = _Nodewise(P, u.values, truncated)
     d_grad_p, d_grad_q, d_u_q, d_u_p, d_src = nw.powers()
     p, q, w = nw.p, nw.q, P.node_weight
-    grad_p = pairwise_sum(d_grad_p / p * w)
-    grad_q = pairwise_sum(d_grad_q / q * w)
-    lam_q = pairwise_sum(P.lam * d_u_q / q * w)
-    u_p = pairwise_sum(d_u_p / p * w)
-    f_term = pairwise_sum(d_src / P.nonlinearity.beta * w)
+    # one row per term: each row sums bitwise as it would alone
+    dens = np.array((d_grad_p / p, d_grad_q / q, P.lam * d_u_q / q, d_u_p / p, d_src / P.nonlinearity.beta))
+    dens *= w
+    grad_p, grad_q, lam_q, u_p, f_term = pairwise_sum_rows(dens.reshape(5, -1)).tolist()
     total = grad_p + grad_q - lam_q + u_p - f_term
     return EnergyBreakdown(
         grad_p_term=grad_p,

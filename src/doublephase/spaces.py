@@ -30,7 +30,6 @@ from .grid import (
     integrate,
     metric_symbol,
     norm_g_values,
-    pairwise_sum,
     pairwise_sum_rows,
     random_band_limited_values,
     substream,
@@ -181,15 +180,24 @@ def _luxemburg(abs_vals, e_vals, weight_vals, metric):
     if peak == 0.0:
         return 0.0
     wsd = metric.sqrt_det if weight_vals is None else metric.sqrt_det * weight_vals
-    support = abs_vals > 0.0
-    e = e_vals[support]
-    a = _log_coefficients(abs_vals[support], peak, e, wsd[support], metric.chart.cell_volume)
+    if abs_vals.min() > 0.0:
+        vals, e, wsd = abs_vals.ravel(), e_vals.ravel(), wsd.ravel()
+    else:
+        support = abs_vals > 0.0
+        vals, e, wsd = abs_vals[support], e_vals[support], wsd[support]
+    a = _log_coefficients(vals, peak, e, wsd, metric.chart.cell_volume)
+    # the terms and the slope terms, summed as two rows of one call
+    rows = np.empty((2, e.size))
+    terms, slopes = rows
     x = 0.0
     for _ in range(_NEWTON_MAX_STEPS):
-        z = a - e * x
-        shift = z.max()
-        terms = np.exp(z - shift)
-        step = _newton_step(shift, pairwise_sum(terms), pairwise_sum(e * terms))
+        np.multiply(e, x, out=terms)
+        np.subtract(a, terms, out=terms)
+        shift = terms.max()
+        terms -= shift
+        np.exp(terms, out=terms)
+        np.multiply(e, terms, out=slopes)
+        step = _newton_step(shift, *pairwise_sum_rows(rows).tolist())
         x += step
         if abs(step) <= _NEWTON_STEP_TOL:
             break
@@ -222,17 +230,19 @@ def _luxemburg_rows(abs_rows, e_vals, weight_vals, metric) -> np.ndarray:
     x = np.zeros(len(lanes))
     logs = np.empty(len(lanes))
     live = np.arange(len(lanes))
+    # in place, so that a step holds four (lane, node) arrays: e, a, and the
+    # terms and slope terms, summed as the two halves of one stack
+    rows = np.empty((2,) + a.shape)
     for _ in range(_NEWTON_MAX_STEPS):
-        # in place, so that a step holds three (lane, node) arrays: e, a and terms
-        terms = e * x[:, None]
+        terms, slopes = rows
+        np.multiply(e, x[:, None], out=terms)
         np.subtract(a, terms, out=terms)
         shift = terms.max(axis=1)
         terms -= shift[:, None]
         np.exp(terms, out=terms)
-        total = pairwise_sum_rows(terms)
-        terms *= e
-        sums = zip(shift.tolist(), total.tolist(), pairwise_sum_rows(terms).tolist())
-        step = np.array([_newton_step(*lane) for lane in sums])
+        np.multiply(terms, e, out=slopes)
+        total, slope = pairwise_sum_rows(rows).tolist()
+        step = np.array([_newton_step(*lane) for lane in zip(shift.tolist(), total, slope)])
         x += step
         going = np.abs(step) > _NEWTON_STEP_TOL
         if not going.all():
@@ -240,6 +250,7 @@ def _luxemburg_rows(abs_rows, e_vals, weight_vals, metric) -> np.ndarray:
             live, x, a, e = live[going], x[going], a[going], e[going]
             if not live.size:
                 break
+            rows = np.empty((2,) + a.shape)
     logs[live] = x
     norms[lanes] = [peak * math.exp(v) for peak, v in zip(peaks[lanes].tolist(), logs.tolist())]
     return norms

@@ -174,24 +174,53 @@ def test_integrate_is_linear(a, b):
 
 def test_pairwise_sum_matches_fsum():
     rng = dp.substream(1, "psum")
-    for n in (1, 2, 3, 7, 64, 1000):
+    for n in (1, 2, 3, 7, 64, 1000, 32768):
         vals = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3)
         exact = math.fsum(vals)
         assert dp.pairwise_sum(vals) == pytest.approx(exact, rel=1e-13, abs=1e-13)
+    for n in (64, 32768):
+        rows = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-3, 3, size=(3, 1))
+        for row, total in zip(rows, dp.pairwise_sum_rows(rows)):
+            assert total == pytest.approx(math.fsum(row), rel=1e-13, abs=1e-13)
     assert dp.pairwise_sum([]) == 0.0
 
 
-def test_pairwise_sum_rows_bitwise_equal_to_pairwise_sum():
-    rng = dp.substream(1, "psum-rows")
-    for n in (1, 2, 3, 63, 64, 65, 1024):
-        rows = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-3, 3, size=(5, 1))
-        sums = dp.pairwise_sum_rows(rows)
-        assert sums.shape == (5,)
-        for row, total in zip(rows, sums):
-            assert total == dp.pairwise_sum(row)
-    # the tree runs along the last axis only
-    block = rng.standard_normal((2, 3, 65))
-    assert dp.pairwise_sum_rows(block)[1, 2] == dp.pairwise_sum(block[1, 2])
+def _bitwise_rows(stack):
+    """Every row sum of ``stack`` is its one-row ``pairwise_sum``, bit for bit."""
+    sums = dp.pairwise_sum_rows(stack)
+    assert np.shape(sums) == np.shape(stack)[:-1]
+    rows = np.reshape(stack, (-1, np.shape(stack)[-1]))
+    assert np.ravel(sums).tolist() == [dp.pairwise_sum(row) for row in rows]
+
+
+@pytest.mark.parametrize("n", [*range(1, 71), 127, 128, 129, 1024, 32768])
+def test_pairwise_sum_rows_bitwise_equal_to_pairwise_sum(n):
+    rng = dp.substream(1, "psum-rows", n)
+    rows = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-3, 3, size=(5, 1))
+    _bitwise_rows(rows)
+    # a one-row stack against the 1-D call, and 3-D stacks
+    assert dp.pairwise_sum_rows(rows[1:2]).tolist() == [dp.pairwise_sum_rows(rows[1])]
+    _bitwise_rows(rows[:4].reshape(2, 2, n))
+    # strides of every kind: transposed, strided slices, broadcast
+    _bitwise_rows(np.ascontiguousarray(rows.T).T)
+    _bitwise_rows(rng.standard_normal((n, 3)).T)
+    _bitwise_rows(rng.standard_normal((6, 2 * n))[::2, ::2])
+    _bitwise_rows(np.broadcast_to(rows[0], (4, n)))
+    _bitwise_rows(np.broadcast_to(rows[:, :1], (5, n)))
+
+
+def test_pairwise_sum_rows_order_is_set_by_the_row_length():
+    # a short row runs the tree: (1e16 + 1) + (-1e16 + 1) rounds to 0,
+    # where a left-to-right sum gives 1
+    vals = [1e16, 1.0, -1e16, 1.0]
+    assert dp.pairwise_sum(vals) == 0.0
+    assert dp.pairwise_sum_rows([vals, vals]).tolist() == [0.0, 0.0]
+    assert ((1e16 + 1.0) + -1e16) + 1.0 == 1.0
+    # from REDUCE_MIN_LEN on, numpy's compiled pairwise reduction
+    rng = dp.substream(1, "psum-cut")
+    for n in (dp.grid.REDUCE_MIN_LEN, 100, 5000):
+        vals = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
+        assert dp.pairwise_sum(vals) == np.add.reduce(vals)
     assert dp.pairwise_sum_rows(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
 
 
