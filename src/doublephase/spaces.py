@@ -175,6 +175,24 @@ def _newton_step(shift, total, slope_sum):
     return (shift + math.log(total)) * total / slope_sum
 
 
+def _step_sums(a, e, x, rows):
+    """(shift, term sum, slope sum) of the log-modular at x, per row of ``a``.
+
+    ``x`` broadcasts against ``a``. ``rows`` is a (2, *a.shape) buffer that
+    takes the shifted terms exp(a - e x - shift) and the slope terms e times
+    them, in place, so that both sums are one ``pairwise_sum_rows`` call.
+    The values come back as Python floats, or lists of them for a stack.
+    """
+    terms, slopes = rows
+    np.multiply(e, x, out=terms)
+    np.subtract(a, terms, out=terms)
+    shift = terms.max(axis=-1, keepdims=True)
+    terms -= shift
+    np.exp(terms, out=terms)
+    np.multiply(e, terms, out=slopes)
+    return shift[..., 0].tolist(), *pairwise_sum_rows(rows).tolist()
+
+
 def _luxemburg(abs_vals, e_vals, weight_vals, metric):
     peak = float(abs_vals.max())
     if peak == 0.0:
@@ -186,18 +204,10 @@ def _luxemburg(abs_vals, e_vals, weight_vals, metric):
         support = abs_vals > 0.0
         vals, e, wsd = abs_vals[support], e_vals[support], wsd[support]
     a = _log_coefficients(vals, peak, e, wsd, metric.chart.cell_volume)
-    # the terms and the slope terms, summed as two rows of one call
     rows = np.empty((2, e.size))
-    terms, slopes = rows
     x = 0.0
     for _ in range(_NEWTON_MAX_STEPS):
-        np.multiply(e, x, out=terms)
-        np.subtract(a, terms, out=terms)
-        shift = terms.max()
-        terms -= shift
-        np.exp(terms, out=terms)
-        np.multiply(e, terms, out=slopes)
-        step = _newton_step(shift, *pairwise_sum_rows(rows).tolist())
+        step = _newton_step(*_step_sums(a, e, x, rows))
         x += step
         if abs(step) <= _NEWTON_STEP_TOL:
             break
@@ -230,19 +240,10 @@ def _luxemburg_rows(abs_rows, e_vals, weight_vals, metric) -> np.ndarray:
     x = np.zeros(len(lanes))
     logs = np.empty(len(lanes))
     live = np.arange(len(lanes))
-    # in place, so that a step holds four (lane, node) arrays: e, a, and the
-    # terms and slope terms, summed as the two halves of one stack
+    # a step holds four (lane, node) arrays: e, a and the two halves of rows
     rows = np.empty((2,) + a.shape)
     for _ in range(_NEWTON_MAX_STEPS):
-        terms, slopes = rows
-        np.multiply(e, x[:, None], out=terms)
-        np.subtract(a, terms, out=terms)
-        shift = terms.max(axis=1)
-        terms -= shift[:, None]
-        np.exp(terms, out=terms)
-        np.multiply(terms, e, out=slopes)
-        total, slope = pairwise_sum_rows(rows).tolist()
-        step = np.array([_newton_step(*lane) for lane in zip(shift.tolist(), total, slope)])
+        step = np.array([_newton_step(*lane) for lane in zip(*_step_sums(a, e, x[:, None], rows))])
         x += step
         going = np.abs(step) > _NEWTON_STEP_TOL
         if not going.all():
