@@ -108,11 +108,10 @@ def _ray_sums(terms, t) -> np.ndarray:
     summed by ``pairwise_sum_rows``, in the order its length K sets (the
     binary tree below ``grid.REDUCE_MIN_LEN`` terms, numpy's pairwise
     reduction from there), so a row sums as it would alone. The powers run
-    along the term axis, as in a
-    single-point call (the power loop along the lanes, with one exponent
-    for all, can round differently), and the source power t^c is taken
-    with Python float pow, so every value is bitwise the one a single-point
-    call gives.
+    along the term axis, as in a single-point call (the power loop along
+    the lanes, with one exponent for all, can round differently), and the
+    source power t^c is taken with Python float pow, so every value is
+    bitwise the one a single-point call gives.
     """
     expo, coef, src_expo, src = terms
     step = max(1, PROBE_BLOCK // expo.size)
