@@ -487,12 +487,16 @@ def _poincare_ascent(exponents: ExponentField, weight: WeightField, metric: Metr
     failed one. The first, sum_i |grad u|_g,i^2, is inverse iteration for
     q = 2 on a constant metric. A start ends when a step changes the ratio
     by at most ASCENT_GAIN_TOL relative. The starts are the band mode of
-    least sigma (the extremal for q = 2 on a constant metric) and
-    ASCENT_SEEDED_STARTS band-limited fields from ``substream(seed,
-    "constants", i)``, the lanes of one stack: one tried field per live
-    lane and round, scored in round and lane order until ``trials`` are
-    scored, a sequence that does not depend on ``trials``. The constant
-    field is scored first, outside the count, for the embedding ratios.
+    least sigma and ASCENT_SEEDED_STARTS band-limited fields from
+    ``substream(seed, "constants", i)``, the lanes of one stack: one tried
+    field per live lane and round, scored in round and lane order until
+    ``trials`` are scored, a sequence that does not depend on ``trials``.
+    Where q is exactly 2 and ``metric.inv`` the same at every node, the
+    mode is the band supremum 1 / sqrt(min sigma) and the only start: no
+    seeded lane runs, and the mode's first tried step moves the ratio only
+    by rounding, which ends it, so neither ``seed`` nor ``trials`` changes
+    the result. The constant field is scored first,
+    outside the count, for the embedding ratios.
     """
     chart = metric.chart
     q, inv, dim = exponents.q.values, metric.inv, chart.dim
@@ -533,7 +537,9 @@ def _poincare_ascent(exponents: ExponentField, weight: WeightField, metric: Metr
     least = np.zeros(chart.shape)
     least.flat[np.argmax(inv_symbol)] = 1.0
     mode = np.fft.ifftn(least).real
-    rngs = [substream(seed, "constants", i) for i in range(ASCENT_SEEDED_STARTS)]
+    # q = 2 on a constant metric: the mode is the band supremum, so no seeded start can beat it
+    quadratic = np.all(q == 2.0) and np.all(inv == inv.reshape(-1, dim, dim)[0])
+    rngs = [substream(seed, "constants", i) for i in range(0 if quadratic else ASCENT_SEEDED_STARTS)]
     u = np.concatenate(((mode / np.abs(mode).max())[None], random_band_limited_values(chart, rngs, [1.0] * len(rngs))))
     u = u[:trials]
     ratio, parts = score(u)
@@ -586,7 +592,9 @@ def estimate_constants(
     ``_poincare_ascent`` scores; D_embed and c1_embed are the largest of
     their ratios over those fields and the constant field. Deterministic
     given the seed; more trials extend the same scored sequence, so they
-    can never lower a constant.
+    can never lower a constant. Where q is exactly 2 on a metric that is
+    the same at every node, the ascent runs no seeded start, and neither
+    the seed nor ``trials`` changes the constants.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
