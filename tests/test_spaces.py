@@ -552,7 +552,7 @@ def test_poincare_estimate_is_the_band_supremum_on_constant_metrics(sizes, upper
     # q = 2 on a constant metric: ||u||_2 / || |grad u|_g ||_2 is at most
     # 1 / sqrt(min sigma) over the nonzero band modes, attained by the mode
     # of least sigma(k) = sum_ab g^{ab} s_a s_b, the ascent's only start;
-    # the last metric's two least symbols are 0.92 apart.
+    # the last metric's two least symbols are close (ratio 0.92).
     dim = len(sizes)
     g = np.zeros((dim, dim))
     g[np.triu_indices(dim)] = upper
