@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .fieldio import FieldFormatError, read_field, write_field
+from .fieldio import read_field, write_field
 from .nehari import NoRootError, project, thresholds
 from .solver import sweep, two_solution_experiment
 from .spaces import estimate_constants
@@ -251,10 +251,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FieldFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
+        # ConfigError and FieldFormatError are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,12 +11,13 @@ loop refines every sign change of every ray by safeguarded Newton steps on
 the exact phi'. The roots are the constraint points on each ray; the sign
 of t phi'(t) there separates the local-minimum branch (positive), the
 local-maximum branch (negative), and inflections (zero within tolerance).
-A single field is the one-ray stack, which is what ``project`` uses.
+A single field is the one-ray stack: ``project`` reports its roots, and
+the solver's descent probes one such profile per trial point.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -67,15 +68,6 @@ class ProjectionResult:
     classes: tuple
     phi_at_roots: tuple
     scale: float
-    # the ray profile the roots were found on, for energies along the ray
-    profile: _RayProfile | None = field(default=None, compare=False, repr=False)
-
-    def first(self, target: NehariClass):
-        """Smallest projection root of the requested class, or None."""
-        for t, cls in zip(self.t_roots, self.classes):
-            if cls is target:
-                return t
-        return None
 
 
 @lru_cache(maxsize=8)
@@ -388,10 +380,9 @@ def project(
     steps until |phi(t)| <= 1e-10 times the ray scale or the bracket
     reaches float resolution, whichever comes first (see
     ``_RayProfile.refine_roots``), so ``phi_at_roots`` can exceed that
-    tolerance for roots at large t. The result carries the ray profile the
-    roots were found on. Raises NoRootError when the map keeps one sign over
-    the whole bracket, which the superlinear source makes possible only for
-    degenerate rays.
+    tolerance for roots at large t. Raises NoRootError when the map keeps
+    one sign over the whole bracket, which the superlinear source makes
+    possible only for degenerate rays.
     """
     if u.max_abs == 0.0:
         raise ValueError("cannot project the zero field")
@@ -411,7 +402,6 @@ def project(
         classes=tuple(_BRANCHES[code] for code in roots.codes.tolist()),
         phi_at_roots=tuple(roots.phi.tolist()),
         scale=scale,
-        profile=profile,
     )
 
 

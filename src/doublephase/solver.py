@@ -4,6 +4,10 @@ Projected descent: from a band-limited random start, scale onto the target
 branch, then repeat backtracking steps along the negative Sobolev gradient,
 re-projecting after every step, until the residual norm passes the stop
 threshold. Multistart runs are independent and merged deterministically.
+Every projection, of a start, a trial point or a census stack, builds one
+ray profile and reads both the roots and the energies J(t u) from it; a
+trial point probes a window around t = 1 and then the full bracket on that
+one profile.
 
 The direction is the band-limited H^1 gradient of the derivative vector
 w r, the node residual r times the node weight w:
@@ -30,11 +34,11 @@ import numpy as np
 from .grid import ScalarField, _spectrum, metric_symbol, pairwise_sum, random_band_limited_values, substream
 from .nehari import (
     PROBE_BLOCK,
+    PROBE_BRACKET,
+    PROBE_POINTS,
     NehariClass,
-    NoRootError,
     Thresholds,
     _RayProfile,
-    project,
     thresholds,
 )
 from .problem import ProblemInstance, residual_gradient
@@ -59,6 +63,8 @@ STEP0 = 1.0
 SHRINK = 0.5
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 60
+# the (bracket, probe points) a descent trial probes first, around t = 1
+LOCAL_WINDOW = ((0.25, 4.0), 17)
 # peak oscillation of the first and the last start field (geometric between), and every start's mean
 START_AMPS = (0.02, 0.5)
 START_MEAN = 1.0
@@ -164,27 +170,25 @@ def _start_values(P: ProblemInstance, cfg: SolverConfig, indices) -> np.ndarray:
 def _project_onto(P, vals, cfg, local=False):
     """Scale a candidate onto the target branch: (field, energy), or None.
 
-    Initial projections use the full probe bracket and take the smallest
-    matching root. Re-projections inside the descent loop (``local``) first
-    search a window around t = 1, where the root continuous with the current
-    iterate lives, and fall back to the full bracket. Candidates with
-    non-finite entries are rejected before any projection, and None is
-    returned when no window has a matching root. The energy J(t u) is read
-    from the ray profile the projection built: every term is homogeneous in
-    t, and for t > 0 the truncation mask of t u is the mask of u.
+    The candidate's ray gets one truncated ray profile, and the smallest
+    root of the target class on it is taken, as in the census. Initial
+    projections probe the full bracket. Re-projections inside the descent
+    loop (``local``) first probe ``LOCAL_WINDOW`` around t = 1, where the
+    root continuous with the current iterate lives, and then the full
+    bracket on the same profile. Candidates with non-finite entries are
+    rejected before any profile is built; None is returned when no window
+    has a matching root, as for the zero field, whose profile vanishes. The
+    energy J(t u) is read from the same profile: every term is homogeneous
+    in t, and for t > 0 the truncation mask of t u is the mask of u.
     """
     if not np.all(np.isfinite(vals)):
         return None
-    cand = P.chart.field(vals)
-    windows = ({"bracket": (0.25, 4.0), "n_grid": 17}, {}) if local else ({},)
-    for window in windows:
-        try:
-            res = project(P, cand, truncated=True, **window)
-        except (NoRootError, ValueError):
-            continue
-        t = res.first(cfg.target)
-        if t is not None:
-            return P.chart.field(t * vals), res.profile.energy_at(t)
+    profile = _RayProfile(P, vals, truncated=True)
+    windows = (LOCAL_WINDOW,) if local else ()
+    for bracket, n_grid in windows + ((PROBE_BRACKET, PROBE_POINTS),):
+        rays, t = profile.constraint_points(bracket, n_grid).first(cfg.target)
+        if rays.size:
+            return P.chart.field(t[0] * vals), float(profile.energy_values(rays, t)[0])
     return None
 
 
@@ -311,7 +315,7 @@ class ExperimentResult:
 
 
 def _node_l2(values: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(values * values)))
+    return math.sqrt(pairwise_sum(values * values))
 
 
 def two_solution_experiment(P: ProblemInstance, cfg: SolverConfig) -> ExperimentResult:

@@ -141,7 +141,8 @@ def _project_rows(P, stack, truncated, window):
         except dp.NoRootError:
             out.append(None)
             continue
-        energies = tuple(res.profile.energy_at(t) for t in res.t_roots)
+        profile = _RayProfile(P, vals, truncated)
+        energies = tuple(profile.energy_at(t) for t in res.t_roots)
         out.append((res.t_roots, res.classes, res.phi_at_roots, energies))
     return out
 

@@ -118,6 +118,50 @@ class TestProjectOnto:
                 checked += 1
         assert checked >= 6
 
+    @pytest.mark.parametrize("target", [dp.NehariClass.PLUS, dp.NehariClass.MINUS])
+    def test_local_miss_probes_the_full_bracket_on_the_same_profile(
+        self, instance, quick_cfg, target, monkeypatch
+    ):
+        # the constant 0.01 has its roots near t = 14.6 (plus) and 85 (minus),
+        # outside the local window [0.25, 4]
+        from dataclasses import replace
+
+        from doublephase import nehari
+        from doublephase.solver import _project_onto
+
+        vals = np.full(instance.chart.shape, 0.01)
+        res = dp.project(instance, instance.chart.field(vals), truncated=True)
+        assert res.classes == (dp.NehariClass.PLUS, dp.NehariClass.MINUS)
+        assert min(res.t_roots) > 4.0
+
+        counts = {"profile": 0}
+        init = nehari._RayProfile.__init__
+
+        def counted_init(self, *args, **kwargs):
+            counts["profile"] += 1
+            init(self, *args, **kwargs)
+
+        cfg = replace(quick_cfg, target=target)
+        monkeypatch.setattr(nehari._RayProfile, "__init__", counted_init)
+        out = {}
+        for local in (False, True):
+            counts["profile"] = 0
+            out[local] = _project_onto(instance, vals, cfg, local)
+            assert counts["profile"] == 1
+        monkeypatch.undo()
+        (u_full, J_full), (u_local, J_local) = out[False], out[True]
+        assert u_local.values.tobytes() == u_full.values.tobytes()
+        assert repr(J_local) == repr(J_full)
+        t = res.t_roots[res.classes.index(target)]
+        assert u_full.values.tobytes() == (t * vals).tobytes()
+
+    def test_zero_field_does_not_project(self, instance, quick_cfg):
+        from doublephase.solver import _project_onto
+
+        vals = np.zeros(instance.chart.shape)
+        for local in (False, True):
+            assert _project_onto(instance, vals, quick_cfg, local) is None
+
 
 class TestMinimizeOnBranch:
     def test_minus_branch_converges(self, instance, quick_cfg):
@@ -342,10 +386,10 @@ class TestSweep:
                     res = dp.project(P, u)
                 except dp.NoRootError:
                     continue
-                t = res.first(target)
+                t = next((t for t, cls in zip(res.t_roots, res.classes) if cls is target), None)
                 if t is not None:
                     found += 1
-                    theta = min(theta, res.profile.energy_at(t))
+                    theta = min(theta, nehari._RayProfile(P, u).energy_at(t))
             return (theta if found else math.nan), found
 
         from doublephase.solver import START_AMPS
