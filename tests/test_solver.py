@@ -22,6 +22,21 @@ def _rand(chart, *path, amp=1.0, mean=0.0):
     return dp.random_band_limited(chart, rng, amplitude=amp, mean=mean)
 
 
+def _count_profiles(monkeypatch):
+    """{"profile": n}, n counting the ``_RayProfile`` constructions until monkeypatch.undo()."""
+    from doublephase import nehari
+
+    counts = {"profile": 0}
+    init = nehari._RayProfile.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["profile"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(nehari._RayProfile, "__init__", counted_init)
+    return counts
+
+
 class TestTruncatedEnergy:
     def test_nonpositive_field_has_no_source(self, instance):
         u = instance.chart.constant(-0.8)
@@ -126,7 +141,6 @@ class TestProjectOnto:
         # outside the local window [0.25, 4]
         from dataclasses import replace
 
-        from doublephase import nehari
         from doublephase.solver import _project_onto
 
         vals = np.full(instance.chart.shape, 0.01)
@@ -134,15 +148,8 @@ class TestProjectOnto:
         assert res.classes == (dp.NehariClass.PLUS, dp.NehariClass.MINUS)
         assert min(res.t_roots) > 4.0
 
-        counts = {"profile": 0}
-        init = nehari._RayProfile.__init__
-
-        def counted_init(self, *args, **kwargs):
-            counts["profile"] += 1
-            init(self, *args, **kwargs)
-
         cfg = replace(quick_cfg, target=target)
-        monkeypatch.setattr(nehari._RayProfile, "__init__", counted_init)
+        counts = _count_profiles(monkeypatch)
         out = {}
         for local in (False, True):
             counts["profile"] = 0
@@ -362,18 +369,11 @@ class TestSweep:
         # one profile each; the rows equal a census of per-ray projections
         from doublephase import nehari
 
-        counts = {"profile": 0}
-        init = nehari._RayProfile.__init__
-
-        def counted_init(self, *args, **kwargs):
-            counts["profile"] += 1
-            init(self, *args, **kwargs)
-
         consts = dp.estimate_constants(
             instance.exponents, instance.weight, instance.metric, trials=100, seed=7
         )
         lambdas = [0.125, 0.2]
-        monkeypatch.setattr(nehari._RayProfile, "__init__", counted_init)
+        counts = _count_profiles(monkeypatch)
         rows = dp.sweep(instance, lambdas, quick_cfg, n_samples=16, constants=consts)
         monkeypatch.undo()
         assert counts["profile"] == 2 * len(lambdas)
