@@ -31,7 +31,17 @@ from time import perf_counter
 
 import numpy as np
 
-from .grid import ScalarField, _spectrum, metric_symbol, pairwise_sum, random_band_limited_values, substream
+from .grid import (
+    ScalarField,
+    _spectrum,
+    band_limited_values,
+    metric_symbol,
+    normal_coefficients,
+    pairwise_sum,
+    random_band_limited_values,
+    substream,
+    substream_keys,
+)
 from .nehari import (
     PROBE_BLOCK,
     PROBE_BRACKET,
@@ -406,16 +416,29 @@ class SweepRow:
 def _census_samples(chart, seed, j, n) -> np.ndarray:
     """Zero-mean band-limited census samples 0 .. n-1 at lambda index j, stacked.
 
+    Sample i draws bitwise from ``substream(seed, "sweep-minus", j, i)``:
+    the n Philox keys come from one ``substream_keys`` pass, and one
+    generator is re-keyed (counter 0, empty buffer) before each sample.
     Built in blocks of PROBE_BLOCK (sample, node) values, so that only one
-    block's generators and coefficients are alive at a time.
+    block's coefficients are alive at a time.
     """
+    keys = substream_keys(seed, "sweep-minus", j, count=n)
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
     stack = np.empty((n,) + chart.shape)
     step = max(1, PROBE_BLOCK // chart.n_nodes)
     for b in range(0, n, step):
-        rngs = [substream(seed, "sweep-minus", j, i) for i in range(b, min(n, b + step))]
-        # each sample draws its amplitude from its substream before its coefficients
-        amps = [float(10.0 ** rng.uniform(-1, 1)) for rng in rngs]
-        stack[b : b + len(rngs)] = random_band_limited_values(chart, rngs, amps)
+        block = range(b, min(n, b + step))
+        coef = np.empty((len(block),) + chart.shape, dtype=complex)
+        amps = []
+        for k, i in enumerate(block):
+            state["state"]["key"] = keys[i]
+            bit_generator.state = state
+            # each sample draws its amplitude from its stream before its coefficients
+            amps.append(float(10.0 ** rng.uniform(-1, 1)))
+            coef[k] = normal_coefficients(rng, chart.shape)
+        stack[b : b + len(block)] = band_limited_values(chart, coef, amps)
     return stack
 
 
@@ -445,18 +468,21 @@ def sweep(
     maximum-branch level theta_minus (zero-mean rays are the family on which
     the smallness estimates are valid), and the solver's mean-biased start
     ladder is projected to count minimum-branch landings and estimate
-    theta_plus. Each family is built as one stack (every field draws from
-    its own substream, as a single-field call would) and projected onto the
-    full bracket at once, so a lambda costs two ray profiles; the rows are
-    bitwise those of projecting every field alone. Thresholds are evaluated
-    once (they do not depend on lambda), from ``constants`` when given and
-    otherwise from a fresh estimate with the solver's trials and seed.
+    theta_plus. Each family is built as one stack and projected onto the
+    full bracket at once, so a lambda costs two ray profiles; every field
+    draws bitwise what its own substream gives, so the rows are bitwise
+    those of projecting every field alone. The ladder depends only on the
+    chart, the seed and ``multistart``, so it is drawn once for all lambdas.
+    Thresholds are evaluated once (they do not depend on lambda), from
+    ``constants`` when given and otherwise from a fresh estimate with the
+    solver's trials and seed.
     """
     if constants is None:
         constants = estimate_constants(
             P.exponents, P.weight, P.metric, trials=cfg.constants_trials, seed=cfg.seed
         )
     thr = thresholds(P, constants)
+    starts = _start_values(P, cfg, range(cfg.multistart))
     rows = []
     for j, lam in enumerate(lambdas):
         Pj = P.with_lambda(float(lam))
@@ -464,7 +490,6 @@ def sweep(
         theta_minus, n_minus = _census(Pj, samples, NehariClass.MINUS)
         # free this lambda's samples before the next lambda draws its own
         del samples
-        starts = _start_values(Pj, cfg, range(cfg.multistart))
         theta_plus, n_plus = _census(Pj, starts, NehariClass.PLUS)
         rows.append(
             SweepRow(

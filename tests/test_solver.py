@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,19 +23,24 @@ def _rand(chart, *path, amp=1.0, mean=0.0):
     return dp.random_band_limited(chart, rng, amplitude=amp, mean=mean)
 
 
+def _count_calls(monkeypatch, owner, name):
+    """{"calls": n}, n counting the calls of ``owner.name`` until monkeypatch.undo()."""
+    counts = {"calls": 0}
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts["calls"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
 def _count_profiles(monkeypatch):
-    """{"profile": n}, n counting the ``_RayProfile`` constructions until monkeypatch.undo()."""
+    """{"calls": n}, n counting the ``_RayProfile`` constructions until monkeypatch.undo()."""
     from doublephase import nehari
 
-    counts = {"profile": 0}
-    init = nehari._RayProfile.__init__
-
-    def counted_init(self, *args, **kwargs):
-        counts["profile"] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(nehari._RayProfile, "__init__", counted_init)
-    return counts
+    return _count_calls(monkeypatch, nehari._RayProfile, "__init__")
 
 
 class TestTruncatedEnergy:
@@ -152,9 +158,9 @@ class TestProjectOnto:
         counts = _count_profiles(monkeypatch)
         out = {}
         for local in (False, True):
-            counts["profile"] = 0
+            counts["calls"] = 0
             out[local] = _project_onto(instance, vals, cfg, local)
-            assert counts["profile"] == 1
+            assert counts["calls"] == 1
         monkeypatch.undo()
         (u_full, J_full), (u_local, J_local) = out[False], out[True]
         assert u_local.values.tobytes() == u_full.values.tobytes()
@@ -376,7 +382,7 @@ class TestSweep:
         counts = _count_profiles(monkeypatch)
         rows = dp.sweep(instance, lambdas, quick_cfg, n_samples=16, constants=consts)
         monkeypatch.undo()
-        assert counts["profile"] == 2 * len(lambdas)
+        assert counts["calls"] == 2 * len(lambdas)
         assert rows[0].n_minus_found > 0 and rows[0].n_plus_found > 0
 
         def per_ray_census(P, fields, target):
@@ -412,3 +418,49 @@ class TestSweep:
             theta_plus, n_plus = per_ray_census(P, starts, dp.NehariClass.PLUS)
             assert repr((row.theta_minus_estimate, row.n_minus_found)) == repr((theta_minus, n_minus))
             assert repr((row.theta_plus_estimate, row.n_plus_found)) == repr((theta_plus, n_plus))
+
+    def test_start_ladder_is_drawn_once(self, instance, quick_cfg, monkeypatch):
+        # the ladder depends on the chart, the seed and multistart, not on lambda
+        from doublephase import solver
+
+        counts = _count_calls(monkeypatch, solver, "_start_values")
+        rows = dp.sweep(instance, [0.05, 0.125, 0.24], quick_cfg, n_samples=4)
+        monkeypatch.undo()
+        assert len(rows) == 3
+        assert counts["calls"] == 1
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("j", [0, 7])
+@pytest.mark.parametrize(
+    "sizes, n",
+    # 32 samples per PROBE_BLOCK block; 8 per block with a partial last one;
+    # one per block, the chart having more nodes than PROBE_BLOCK
+    [([64], 256), ([16, 16], 37), ([16, 16, 16], 3)],
+)
+def test_census_samples_equal_per_sample_substreams(sizes, n, seed, j):
+    from doublephase.grid import random_band_limited_values
+    from doublephase.solver import _census_samples
+
+    chart, _ = dp.build_torus(len(sizes), sizes)
+    rngs = [dp.substream(seed, "sweep-minus", j, i) for i in range(n)]
+    amps = [float(10.0 ** rng.uniform(-1, 1)) for rng in rngs]
+    expected = random_band_limited_values(chart, rngs, amps)
+    samples = _census_samples(chart, seed, j, n)
+    assert samples.shape == (n,) + chart.shape
+    assert samples.tobytes() == expected.tobytes()
+
+
+def test_census_samples_peak_memory_is_blocked():
+    # the 256 x 64 stack itself is 128 KiB and one block adds about as much;
+    # all 256 samples' coefficients and FFT temporaries at once peak above 1 MB
+    from doublephase.solver import _census_samples
+
+    chart, _ = dp.build_torus(1, [64])
+    tracemalloc.start()
+    try:
+        _census_samples(chart, 42, 0, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**19
