@@ -101,7 +101,7 @@ class RunConfig:
                     f"{self.path}: metric 'constant' needs 1 or {need} values, got {len(vals)}"
                 )
         elif spec.startswith("file"):
-            metric = read_metric(spec.split(None, 1)[1].strip(), chart)
+            metric = read_metric(_file_path(spec), chart)
         else:
             raise ConfigError(f"{self.path}: unknown metric spec {spec!r}")
         return chart, metric
@@ -170,8 +170,16 @@ def field_from_spec(spec: str, chart: Chart) -> ScalarField:
             out = out + cos_amp * np.cos(phase) + sin_amp * np.sin(phase)
         return chart.field(out)
     if kind == "file":
-        return read_field(spec.split(None, 1)[1].strip(), chart)
+        return read_field(_file_path(spec), chart)
     raise ConfigError(f"unknown field spec kind {kind!r} in {spec!r}")
+
+
+def _file_path(spec: str) -> str:
+    """The PATH of a ``file PATH`` spec."""
+    parts = spec.split(None, 1)
+    if len(parts) < 2:
+        raise ConfigError(f"'file' spec needs a path: {spec!r}")
+    return parts[1].strip()
 
 
 def _truncation(raw: str) -> None:
@@ -191,11 +199,11 @@ def _numbers(caster):
     return lambda raw: tuple(caster(t) for t in raw.split())
 
 
-def _lambda(raw: str) -> float:
-    lam = float(raw)
-    if not (math.isfinite(lam) and lam > 0):
+def _finite_positive(raw: str) -> float:
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0):
         raise ValueError(f"must be finite and positive, got {raw.strip()}")
-    return lam
+    return value
 
 
 def _count(least: int):
@@ -222,7 +230,7 @@ def _lambda_grid(raw: str):
         return count
     if not tokens:
         raise ValueError("needs at least one lambda")
-    grid = tuple(_lambda(t) for t in tokens)
+    grid = tuple(_finite_positive(t) for t in tokens)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("must be strictly increasing")
     return grid
@@ -245,12 +253,12 @@ _OPTIONS = {
         "amplitude": ("amplitude_spec", str),
         "a_threshold": (None, _positive),
     },
-    "problem": {"lambda": ("lam", _lambda), "lambda_grid": ("lambda_grid", _lambda_grid)},
+    "problem": {"lambda": ("lam", _finite_positive), "lambda_grid": ("lambda_grid", _lambda_grid)},
     "solver": {
         "truncate": (None, _truncation),
-        "multistart": ("solver", int),
-        "max_outer_iters": ("solver", int),
-        "residual_tol": ("solver", float),
+        "multistart": ("solver", _count(1)),
+        "max_outer_iters": ("solver", _count(1)),
+        "residual_tol": ("solver", _finite_positive),
     },
     "verify": {"trials": ("verify_trials", _count(1))},
     "constants": {"trials": ("constants_trials", _count(MIN_TRIALS))},

@@ -63,8 +63,11 @@ def write_field(path, field: ScalarField):
 
 def _read(path, chart: Chart, metric: bool):
     """The lines of a field file whose header matches ``chart``, and its node count."""
-    with open(path) as fh:
-        lines = fh.readlines()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise FieldFormatError(f"{path}: {exc.strerror or exc}") from exc
     dim, sizes = _parse_header(lines, path, metric)
     if chart.dim != dim or chart.sizes != sizes:
         raise FieldFormatError(

@@ -86,120 +86,18 @@ def _pairwise_tree(a: np.ndarray):
     return a[0]
 
 
-def _digest(part) -> int:
-    """64-bit blake2s digest of ``repr(part)``: stable whatever PYTHONHASHSEED is."""
-    return int.from_bytes(hashlib.blake2s(repr(part).encode(), digest_size=8).digest(), "little")
-
-
-def _entropy(seed, path) -> list:
-    """SeedSequence entropy of ``(seed, *path)``: the seed masked to 64 bits, then a digest per part."""
-    return [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_digest(part) for part in path]
-
-
-@lru_cache(maxsize=8)
-def _index_digests(count: int) -> np.ndarray:
-    """Read-only ``_digest(i)`` for i in range(count), as uint64."""
-    digests = np.array([_digest(i) for i in range(count)], dtype=np.uint64)
-    digests.setflags(write=False)
-    return digests
-
-
 def substream(seed, *path) -> np.random.Generator:
     """Independent counter-based generator for ``(seed, *path)``.
 
     Path components are hashed with blake2s, so strings and ints give stable
     entropy regardless of PYTHONHASHSEED. Built on Philox, so substreams are
-    statistically independent and cheap to spawn. This is the reference
-    stream; ``substream_keys`` is its batch form over a last index.
+    statistically independent and cheap to spawn.
     """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_entropy(seed, path))))
-
-
-def substream_keys(seed, *path, count: int) -> np.ndarray:
-    """Philox keys of ``substream(seed, *path, i)`` for i in range(count), as (count, 2) uint64.
-
-    A Philox generator with key ``keys[i]``, counter 0 and an empty buffer
-    draws bitwise what ``substream(seed, *path, i)`` draws, so one generator
-    re-keyed per index replaces ``count`` SeedSequence and Philox builds.
-    The prefix is hashed once per call and the index digests are cached.
-    """
-    prefix = _entropy(seed, path)
-    entropy = np.empty((count, len(prefix) + 1), dtype=np.uint64)
-    entropy[:, :-1] = prefix
-    entropy[:, -1] = _index_digests(count)
-    return _philox_keys(entropy)
-
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx); its
-# arithmetic is on uint32, so every product here is taken mod 2**32
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _philox_keys(entropy) -> np.ndarray:
-    """``Philox(SeedSequence(row))``'s key for every row of 64-bit entropy integers, as (rows, 2) uint64.
-
-    SeedSequence splits each integer into little-endian 32-bit words, one
-    word for zero and for values below 2**32, so rows are grouped by word
-    count and each group is hashed column-wise by ``_seed_sequence_keys``.
-    """
-    entropy = np.asarray(entropy, dtype=np.uint64)
-    rows, cols = entropy.shape
-    high = entropy >> 32
-    words = np.stack([entropy & _MASK32, high], axis=-1).reshape(rows, 2 * cols)
-    kept = np.stack([np.ones(entropy.shape, dtype=bool), high != 0], axis=-1).reshape(rows, 2 * cols)
-    n_words = kept.sum(axis=1)
-    keys = np.empty((rows, 2), dtype=np.uint64)
-    # a set, not np.unique, whose first call maps about 0.75 MB of new pages into the process
-    for n in set(n_words.tolist()):
-        group = n_words == n
-        keys[group] = _seed_sequence_keys(words[group][kept[group]].reshape(-1, n))
-    return keys
-
-
-def _hashmix(hash_const: int, mult: int):
-    """numpy's SeedSequence ``hashmix`` over value columns, advancing one shared hash constant per call."""
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * mult) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16)
-
-    return hashmix
-
-
-def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(2, np.uint64)`` for every row of 32-bit words held in uint64.
-
-    numpy's pool-of-4 mixing and state generation, one column of rows at a
-    time. The hash constants do not depend on the data, so they are Python
-    ints shared by all rows.
-    """
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ (result >> 16)
-
-    hashmix = _hashmix(_INIT_A, _MULT_A)
-    columns = list(words.T)
-    zero = np.zeros(len(words), dtype=np.uint64)
-    pool = [hashmix(columns[i] if i < len(columns) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for column in columns[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(column))
-    # generate_state hashes the pool once more, one 32-bit word per entry, paired little-endian
-    finish = _hashmix(_INIT_B, _MULT_B)
-    state = [finish(value) for value in pool]
-    return np.stack([state[0] | (state[1] << 32), state[2] | (state[3] << 32)], axis=1)
+    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    for part in path:
+        digest = hashlib.blake2s(repr(part).encode(), digest_size=8).digest()
+        entropy.append(int.from_bytes(digest, "little"))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 @dataclass(frozen=True)

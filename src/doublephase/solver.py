@@ -40,7 +40,6 @@ from .grid import (
     pairwise_sum,
     random_band_limited_values,
     substream,
-    substream_keys,
 )
 from .nehari import (
     PROBE_BLOCK,
@@ -100,8 +99,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.multistart < 1:
             raise ValueError("multistart must be at least 1")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
+            raise ValueError("residual_tol must be finite and positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
 
@@ -416,29 +415,24 @@ class SweepRow:
 def _census_samples(chart, seed, j, n) -> np.ndarray:
     """Zero-mean band-limited census samples 0 .. n-1 at lambda index j, stacked.
 
-    Sample i draws bitwise from ``substream(seed, "sweep-minus", j, i)``:
-    the n Philox keys come from one ``substream_keys`` pass, and one
-    generator is re-keyed (counter 0, empty buffer) before each sample.
-    Built in blocks of PROBE_BLOCK (sample, node) values, so that only one
-    block's coefficients are alive at a time.
+    The samples are drawn in order from one generator,
+    ``substream(seed, "sweep-minus", j)``; each draws its amplitude and then
+    its coefficients, so sample i is bitwise the i-th of sequential
+    ``random_band_limited`` draws on that stream, and the first m of n
+    samples are the m samples. Built in blocks of PROBE_BLOCK (sample, node)
+    values, so that only one block's coefficients are alive at a time.
     """
-    keys = substream_keys(seed, "sweep-minus", j, count=n)
-    bit_generator = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_generator)
-    state = bit_generator.state
+    rng = substream(seed, "sweep-minus", j)
     stack = np.empty((n,) + chart.shape)
     step = max(1, PROBE_BLOCK // chart.n_nodes)
     for b in range(0, n, step):
-        block = range(b, min(n, b + step))
-        coef = np.empty((len(block),) + chart.shape, dtype=complex)
+        m = min(step, n - b)
+        coef = np.empty((m,) + chart.shape, dtype=complex)
         amps = []
-        for k, i in enumerate(block):
-            state["state"]["key"] = keys[i]
-            bit_generator.state = state
-            # each sample draws its amplitude from its stream before its coefficients
+        for k in range(m):
             amps.append(float(10.0 ** rng.uniform(-1, 1)))
             coef[k] = normal_coefficients(rng, chart.shape)
-        stack[b : b + len(block)] = band_limited_values(chart, coef, amps)
+        stack[b : b + m] = band_limited_values(chart, coef, amps)
     return stack
 
 
@@ -469,10 +463,11 @@ def sweep(
     the smallness estimates are valid), and the solver's mean-biased start
     ladder is projected to count minimum-branch landings and estimate
     theta_plus. Each family is built as one stack and projected onto the
-    full bracket at once, so a lambda costs two ray profiles; every field
-    draws bitwise what its own substream gives, so the rows are bitwise
-    those of projecting every field alone. The ladder depends only on the
-    chart, the seed and ``multistart``, so it is drawn once for all lambdas.
+    full bracket at once, so a lambda costs two ray profiles, and the rows
+    are bitwise those of projecting every field alone. Each lambda's samples
+    are drawn in order from one substream, and each start from its own. The
+    ladder depends only on the chart, the seed and ``multistart``, so it is
+    drawn once for all lambdas.
     Thresholds are evaluated once (they do not depend on lambda), from
     ``constants`` when given and otherwise from a fresh estimate with the
     solver's trials and seed.

@@ -303,3 +303,29 @@ class TestConfigErrors:
         cfg.write_text(REF_CFG.replace("lambda_grid = 0.05 0.125 0.24", "lambda_grid = 0.3 0.2"))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         assert "strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, project",
+        [
+            pytest.param("p = constant 3.0", "p = file", False, id="field-file-without-path"),
+            pytest.param("metric = identity", "metric = file", False, id="metric-file-without-path"),
+            pytest.param("p = constant 3.0", "p = file {missing}", False, id="field-file-missing"),
+            pytest.param(None, None, True, id="project-field-missing"),
+            # a small iteration cap, so that a solve that accepts nan still ends
+            pytest.param("max_outer_iters = 2000", "max_outer_iters = 3\nresidual_tol = nan", False, id="tol-nan"),
+            pytest.param("max_outer_iters = 2000", "max_outer_iters = 3\nresidual_tol = inf", False, id="tol-inf"),
+            pytest.param("multistart = 3", "multistart = 0", False, id="multistart-0"),
+        ],
+    )
+    def test_malformed_input_is_a_one_line_error(self, tmp_path, capsys, old, new, project):
+        missing = str(tmp_path / "missing.field")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(REF_CFG if old is None else REF_CFG.replace(old, new.format(missing=missing)))
+        out = tmp_path / "x"
+        argv = ["project" if project else "solve", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + (["--field", missing] if project else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert (missing if project else str(cfg)) in err
+        assert not out.exists()

@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -249,52 +248,6 @@ def test_random_band_limited_is_band_limited_and_deterministic():
     high = np.abs(np.fft.fftfreq(64, d=1 / 64)) > 16
     assert np.max(np.abs(spectrum[high])) <= 1e-10
     assert np.max(np.abs(u1.values - 1.0)) == pytest.approx(2.0, rel=1e-12)
-
-
-def _numpy_philox_key(entropy):
-    return np.random.Philox(np.random.SeedSequence(entropy)).state["state"]["key"].tolist()
-
-
-def _blake2s(part):
-    return int.from_bytes(hashlib.blake2s(repr(part).encode(), digest_size=8).digest(), "little")
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -5])
-def test_substream_keys_are_numpy_philox_keys(seed):
-    from doublephase.grid import substream_keys
-
-    keys = substream_keys(seed, "sweep-minus", 3, count=40)
-    assert keys.shape == (40, 2) and keys.dtype == np.uint64
-    for i in range(40):
-        # the seed masked to 64 bits, as substream masks it
-        entropy = [seed & (2**64 - 1), _blake2s("sweep-minus"), _blake2s(3), _blake2s(i)]
-        assert keys[i].tolist() == _numpy_philox_key(entropy)
-    for i in (0, 39):
-        rekeyed = np.random.Generator(np.random.Philox(key=keys[i])).standard_normal(9)
-        assert rekeyed.tobytes() == dp.substream(seed, "sweep-minus", 3, i).standard_normal(9).tobytes()
-
-
-def test_philox_keys_of_rows_with_different_word_counts():
-    # zero and values below 2**32 are one SeedSequence word, larger values two
-    from doublephase.grid import _philox_keys
-
-    h = _blake2s("path")
-    rows = [
-        [0, 0, 0],
-        [0, h, 0],
-        [1, h, 7],
-        [2**32 - 1, h, h],
-        [2**32, 5, h],
-        [2**64 - 1, h, 2**32 - 1],
-        [2**64 - 1, h, h],
-        [(-5) & (2**64 - 1), 0, 2**32],
-    ]
-    assert len({sum(1 + (v >= 2**32) for v in row) for row in rows}) == 4
-    keys = _philox_keys(np.array(rows, dtype=np.uint64))
-    assert [key.tolist() for key in keys] == [_numpy_philox_key(row) for row in rows]
-    single = [[0], [2**32 - 1], [2**40]]
-    keys = _philox_keys(np.array(single, dtype=np.uint64))
-    assert keys.tolist() == [_numpy_philox_key(row) for row in single]
 
 
 STACK_CHARTS = ([64], [12, 8], [8, 6, 4])

@@ -403,11 +403,7 @@ class TestSweep:
         amps = np.geomspace(*START_AMPS, quick_cfg.multistart)
         for j, (lam, row) in enumerate(zip(lambdas, rows)):
             P = instance.with_lambda(lam)
-            samples = []
-            for i in range(16):
-                rng = dp.substream(quick_cfg.seed, "sweep-minus", j, i)
-                amp = float(10.0 ** rng.uniform(-1, 1))
-                samples.append(dp.random_band_limited(P.chart, rng, amplitude=amp))
+            samples = _sequential_census_samples(P.chart, quick_cfg.seed, j, 16)
             starts = [
                 dp.random_band_limited(
                     P.chart, dp.substream(quick_cfg.seed, "start", i), amplitude=float(amps[i]), mean=1.0
@@ -430,6 +426,12 @@ class TestSweep:
         assert counts["calls"] == 1
 
 
+def _sequential_census_samples(chart, seed, j, n):
+    """The census samples as n ``random_band_limited`` calls in turn on one substream."""
+    rng = dp.substream(seed, "sweep-minus", j)
+    return [dp.random_band_limited(chart, rng, amplitude=float(10.0 ** rng.uniform(-1, 1))) for _ in range(n)]
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("j", [0, 7])
 @pytest.mark.parametrize(
@@ -438,17 +440,24 @@ class TestSweep:
     # one per block, the chart having more nodes than PROBE_BLOCK
     [([64], 256), ([16, 16], 37), ([16, 16, 16], 3)],
 )
-def test_census_samples_equal_per_sample_substreams(sizes, n, seed, j):
-    from doublephase.grid import random_band_limited_values
-    from doublephase.solver import _census_samples
+def test_census_samples_are_sequential_draws_on_one_substream(sizes, n, seed, j, monkeypatch):
+    from doublephase import solver
 
     chart, _ = dp.build_torus(len(sizes), sizes)
-    rngs = [dp.substream(seed, "sweep-minus", j, i) for i in range(n)]
-    amps = [float(10.0 ** rng.uniform(-1, 1)) for rng in rngs]
-    expected = random_band_limited_values(chart, rngs, amps)
-    samples = _census_samples(chart, seed, j, n)
+    expected = np.stack([u.values for u in _sequential_census_samples(chart, seed, j, n)])
+    counts = _count_calls(monkeypatch, solver, "substream")
+    samples = solver._census_samples(chart, seed, j, n)
+    monkeypatch.undo()
+    assert counts["calls"] == 1
     assert samples.shape == (n,) + chart.shape
     assert samples.tobytes() == expected.tobytes()
+    # the blocks do not change the draws: move every block boundary
+    monkeypatch.setattr(solver, "PROBE_BLOCK", 3 * chart.n_nodes)
+    assert solver._census_samples(chart, seed, j, n).tobytes() == expected.tobytes()
+    monkeypatch.undo()
+    if n == 37:
+        # fewer samples are a prefix of more
+        assert samples.tobytes() == solver._census_samples(chart, seed, j, 256)[:37].tobytes()
 
 
 def test_census_samples_peak_memory_is_blocked():
@@ -464,3 +473,10 @@ def test_census_samples_peak_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak <= 2**19
+
+
+@pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+def test_solver_config_rejects_a_residual_tol_that_is_not_finite_and_positive(tol):
+    # at nan no residual passes the stop test, at inf every start stops at once
+    with pytest.raises(ValueError, match="residual_tol"):
+        dp.SolverConfig(residual_tol=tol)
