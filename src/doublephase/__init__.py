@@ -20,7 +20,7 @@ from .grid import (
     random_band_limited,
     substream,
 )
-from .fieldio import FieldFormatError, read_field, read_metric, write_field, write_metric
+from .fieldio import FieldFormatError, read_field, read_metric, write_field
 from .spaces import (
     ConstantsEstimate,
     ExponentField,

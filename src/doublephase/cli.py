@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -36,8 +35,8 @@ def _json_dump(path, payload):
         fh.write("\n")
 
 
-def _meta(rc: RunConfig, seed: int):
-    return {"config": rc.echo, "config_path": rc.path, "seed": seed}
+def _meta(rc: RunConfig):
+    return {"config": rc.echo, "config_path": rc.path, "seed": rc.seed}
 
 
 def _parse_faults(pairs):
@@ -50,15 +49,13 @@ def _parse_faults(pairs):
     return fault
 
 
-def cmd_verify(args) -> int:
-    rc = parse_config(args.config)
-    seed = rc.seed if args.seed is None else args.seed
+def cmd_verify(args, rc: RunConfig) -> int:
     trials = args.trials if args.trials is not None else rc.verify_trials
     if trials < 1:
         print(f"error: verify needs a positive trial count, got {trials}", file=sys.stderr)
         return USAGE_ERROR
     fault = _parse_faults(args.fault_inject)
-    rows, passed, consts = run_verify_suite(rc, seed=seed, trials=trials, fault=fault)
+    rows, passed, consts = run_verify_suite(rc, seed=rc.seed, trials=trials, fault=fault)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "verify.csv")
     with open(csv_path, "w", newline="") as fh:
@@ -66,7 +63,7 @@ def cmd_verify(args) -> int:
         writer.writerow(CSV_HEADER)
         for row in rows:
             writer.writerow(row.to_csv_row())
-    meta = _meta(rc, seed)
+    meta = _meta(rc)
     meta["trials"] = trials
     meta["fault_inject"] = fault
     meta["constants"] = consts.to_dict()
@@ -86,19 +83,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _report_payload(rep, rc, seed, field_name):
+def _report_payload(rep, rc, field_name):
     payload = rep.to_dict()
     payload["field_file"] = field_name
-    payload.update(_meta(rc, seed))
+    payload.update(_meta(rc))
     return payload
 
 
-def cmd_solve(args) -> int:
-    rc = parse_config(args.config)
-    seed = rc.seed if args.seed is None else args.seed
+def cmd_solve(args, rc: RunConfig) -> int:
     P = rc.build_instance()
-    cfg = replace(rc.build_solver_config(), seed=seed)
-    result = two_solution_experiment(P, cfg)
+    result = two_solution_experiment(P, rc.build_solver_config())
     os.makedirs(args.out, exist_ok=True)
     summary = {
         "status": result.status,
@@ -109,7 +103,7 @@ def cmd_solve(args) -> int:
         "failures": list(result.failures),
         "lambda": P.lam,
     }
-    summary.update(_meta(rc, seed))
+    summary.update(_meta(rc))
     for rep, tag in ((result.report_plus, "plus"), (result.report_minus, "minus")):
         if rep is None:
             continue
@@ -117,7 +111,7 @@ def cmd_solve(args) -> int:
         write_field(os.path.join(args.out, field_name), rep.u)
         _json_dump(
             os.path.join(args.out, f"report_{tag}.json"),
-            _report_payload(rep, rc, seed, field_name),
+            _report_payload(rep, rc, field_name),
         )
     _json_dump(os.path.join(args.out, "experiment.json"), summary)
     # kept apart from the reports, which are bit-identical between reruns
@@ -126,11 +120,9 @@ def cmd_solve(args) -> int:
     return result.exit_code
 
 
-def cmd_sweep(args) -> int:
-    rc = parse_config(args.config)
-    seed = rc.seed if args.seed is None else args.seed
+def cmd_sweep(args, rc: RunConfig) -> int:
     P = rc.build_instance(lam=rc.lam if rc.lam is not None else 1.0)
-    cfg = replace(rc.build_solver_config(), seed=seed)
+    cfg = rc.build_solver_config()
     consts = None
     if rc.lambda_grid is not None:
         lambdas = list(rc.lambda_grid)
@@ -166,20 +158,18 @@ def cmd_sweep(args) -> int:
         )
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row.to_csv_row()])
-    meta = _meta(rc, seed)
+    meta = _meta(rc)
     meta["lambdas"] = [float(v) for v in lambdas]
     _json_dump(os.path.join(args.out, "sweep_meta.json"), meta)
     print(f"sweep: {len(rows)} rows -> {csv_path}")
     return 0
 
 
-def cmd_project(args) -> int:
-    rc = parse_config(args.config)
-    seed = rc.seed if args.seed is None else args.seed
+def cmd_project(args, rc: RunConfig) -> int:
     P = rc.build_instance()
     u = read_field(args.field, P.chart)
     os.makedirs(args.out, exist_ok=True)
-    payload = _meta(rc, seed)
+    payload = _meta(rc)
     payload["field_file"] = args.field
     try:
         result = project(P, u)
@@ -250,7 +240,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = parse_config(args.config)
+        if args.seed is not None:
+            rc.seed = args.seed
+        return args.func(args, rc)
     except ValueError as exc:
         # ConfigError and FieldFormatError are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fieldio import read_field, read_metric
+from .fieldio import read_field, read_metric, symmetric_from_upper
 from .grid import Chart, MetricField, ScalarField
-from .problem import PowerNonlinearity, ProblemInstance
+from .problem import PowerNonlinearity, ProblemInstance, check_superlinearity
 from .solver import SolverConfig
 from .spaces import MIN_TRIALS, ExponentField, WeightField
 
@@ -41,32 +41,32 @@ class ConfigError(ValueError):
 
 
 def _option_line(text: str, section: str, option: str | None = None) -> int:
-    """Best-effort line anchor for an option inside a section, or for its header."""
-    current = None
+    """Line of an option inside a section; of the section header when the
+    option is None or absent; 0 when the section is absent too."""
+    current, header = None, 0
     for lineno, line in enumerate(text.splitlines(), start=1):
-        text = line.strip()
-        if text.startswith("[") and text.endswith("]"):
-            current = text[1:-1].strip()
-            if option is None and current == section:
-                return lineno
-        elif current == section and re.split("[=:]", text)[0].strip().lower() == option:
+        stripped = line.strip()
+        if stripped.startswith("[") and stripped.endswith("]"):
+            current = stripped[1:-1].strip()
+            if current == section and not header:
+                header = lineno
+        elif current == section and re.split("[=:]", stripped)[0].strip().lower() == option:
             return lineno
-    return 0
+    return header
 
 
 @dataclass
 class RunConfig:
-    """Resolved run settings plus the raw text echo for artifacts."""
+    """The problem parts a configuration builds, its run settings, and the
+    raw text echo for artifacts."""
 
-    dim: int = 1
-    sizes: tuple = (64,)
-    spacings: tuple | None = None
-    metric_spec: str = "identity"
-    p_spec: str = "constant 3.0"
-    q_spec: str = "constant 2.0"
-    mu_spec: str = "constant 1.0"
-    amplitude_spec: str = "constant 1.0"
-    beta: float = 4.0
+    chart: Chart
+    metric: MetricField
+    exponents: ExponentField
+    weight: WeightField
+    nonlinearity: PowerNonlinearity
+    path: str
+    echo: dict
     lam: float | None = None
     lambda_grid: tuple | None = None
     lambda_grid_auto: int | None = None
@@ -74,61 +74,38 @@ class RunConfig:
     solver: dict = dc_field(default_factory=dict)
     verify_trials: int = 200
     constants_trials: int = 200
-    echo: dict = dc_field(default_factory=dict)
-    path: str = "<defaults>"
-
-    def build_chart_metric(self):
-        sizes = tuple(int(s) for s in self.sizes)
-        spacings = self.spacings or tuple(1.0 / s for s in sizes)
-        chart = Chart(dim=self.dim, sizes=sizes, spacings=tuple(spacings))
-        spec = self.metric_spec.strip()
-        if spec == "identity":
-            metric = MetricField.from_spec(chart, "identity")
-        elif spec.startswith("constant"):
-            vals = [float(tok) for tok in spec.split()[1:]]
-            n = chart.dim
-            need = n * (n + 1) // 2
-            if len(vals) == 1:
-                metric = MetricField.from_spec(chart, vals[0])
-            elif len(vals) == need:
-                g = np.zeros((n, n))
-                iu = np.triu_indices(n)
-                g[iu] = vals
-                g = g + g.T - np.diag(np.diag(g))
-                metric = MetricField.from_spec(chart, g)
-            else:
-                raise ConfigError(
-                    f"{self.path}: metric 'constant' needs 1 or {need} values, got {len(vals)}"
-                )
-        elif spec.startswith("file"):
-            metric = read_metric(_file_path(spec), chart)
-        else:
-            raise ConfigError(f"{self.path}: unknown metric spec {spec!r}")
-        return chart, metric
 
     def build_instance(self, lam: float | None = None) -> ProblemInstance:
-        chart, metric = self.build_chart_metric()
-        p = field_from_spec(self.p_spec, chart)
-        q = field_from_spec(self.q_spec, chart)
-        mu = field_from_spec(self.mu_spec, chart)
-        amp = field_from_spec(self.amplitude_spec, chart)
         lam = self.lam if lam is None else lam
         if lam is None:
             raise ConfigError(f"{self.path}: [problem] lambda is required for this command")
         return ProblemInstance(
-            chart=chart,
-            metric=metric,
-            exponents=ExponentField(p=p, q=q),
-            weight=WeightField(mu=mu),
+            chart=self.chart,
+            metric=self.metric,
+            exponents=self.exponents,
+            weight=self.weight,
             lam=float(lam),
-            nonlinearity=PowerNonlinearity(beta=self.beta, amplitude=amp),
+            nonlinearity=self.nonlinearity,
         )
 
     def build_solver_config(self) -> SolverConfig:
-        kw = dict(self.solver)
-        kw.setdefault("seed", self.seed)
-        kw.setdefault("constants_trials", self.constants_trials)
-        return SolverConfig(**kw)
+        return SolverConfig(**self.solver, seed=self.seed, constants_trials=self.constants_trials)
+
+
+def _metric_from_spec(spec: str, chart: Chart) -> MetricField:
+    if spec == "identity":
+        return MetricField.from_spec(chart, "identity")
+    if spec.startswith("constant"):
+        vals = [float(tok) for tok in spec.split()[1:]]
+        need = chart.dim * (chart.dim + 1) // 2
+        if len(vals) == 1:
+            return MetricField.from_spec(chart, vals[0])
+        if len(vals) != need:
+            raise ConfigError(f"metric 'constant' needs 1 or {need} values, got {len(vals)}")
+        return MetricField.from_spec(chart, symmetric_from_upper(vals, chart.dim))
+    if spec.startswith("file"):
+        return read_metric(_file_path(spec), chart)
+    raise ConfigError(f"unknown metric spec {spec!r}")
 
 
 def field_from_spec(spec: str, chart: Chart) -> ScalarField:
@@ -236,21 +213,29 @@ def _lambda_grid(raw: str):
     return grid
 
 
-# section -> option -> (RunConfig attribute, caster): every option parse_config
-# reads and the only ones it accepts; [solver] options go to RunConfig.solver,
-# and an attribute of None only checks the value
+def _dimension(raw: str) -> int:
+    value = int(raw)
+    if value not in (1, 2, 3):
+        raise ValueError(f"must be 1, 2 or 3, got {value}")
+    return value
+
+
+# section -> option -> (name, caster): every option parse_config reads and
+# the only ones it accepts. A name is a RunConfig attribute or an input of
+# the problem parts (_PARTS); [solver] options go to RunConfig.solver, and a
+# name of None only checks the value
 _OPTIONS = {
     "chart": {
-        "dim": ("dim", int),
-        "sizes": ("sizes", _numbers(int)),
-        "spacings": ("spacings", _numbers(float)),
-        "metric": ("metric_spec", str),
+        "dim": ("dim", _dimension),
+        "sizes": ("sizes", _numbers(_count(1))),
+        "spacings": ("spacings", _numbers(_finite_positive)),
+        "metric": ("metric", str),
     },
-    "exponents": {"p": ("p_spec", str), "q": ("q_spec", str)},
-    "weight": {"mu": ("mu_spec", str)},
+    "exponents": {"p": ("p", str), "q": ("q", str)},
+    "weight": {"mu": ("mu", str)},
     "nonlinearity": {
-        "beta": ("beta", float),
-        "amplitude": ("amplitude_spec", str),
+        "beta": ("beta", _finite_positive),
+        "amplitude": ("amplitude", str),
         "a_threshold": (None, _positive),
     },
     "problem": {"lambda": ("lam", _finite_positive), "lambda_grid": ("lambda_grid", _lambda_grid)},
@@ -264,10 +249,18 @@ _OPTIONS = {
     "constants": {"trials": ("constants_trials", _count(MIN_TRIALS))},
     "run": {"seed": ("seed", int)},
 }
+# the inputs of the problem parts, with their values when a config omits them
+_PARTS = {"dim": 1, "metric": "identity", "p": "constant 3.0", "q": "constant 2.0",
+          "mu": "constant 1.0", "beta": 4.0, "amplitude": "constant 1.0"}
 
 
 def parse_config(path: str | None = None) -> RunConfig:
-    """Parse a run configuration file; without a path, the built-in defaults."""
+    """Parse a run configuration file and build its problem parts; without a
+    path, the built-in defaults.
+
+    Every error, of a value or of a condition between values, is one
+    ConfigError anchored at ``path:line: [section] option``.
+    """
     if path is None:
         path, text = "<builtin defaults>", default_config_text()
     else:
@@ -284,8 +277,14 @@ def parse_config(path: str | None = None) -> RunConfig:
         raise ConfigError(f"{path}:{lineno}: {exc.message if hasattr(exc, 'message') else exc}") from exc
 
     def error(section, option, message):
-        line = _option_line(text, section, option)
-        return ConfigError(f"{path}:{line}: [{section}] {option}{message}")
+        name = f"[{section}] {option}" if option else f"[{section}]"
+        return ConfigError(f"{path}:{_option_line(text, section, option)}: {name}: {message}")
+
+    def build(section, option, make, *args):
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise error(section, option, exc) from exc
 
     for section in ([parser.default_section] if parser.defaults() else []) + parser.sections():
         if section not in _OPTIONS:
@@ -296,35 +295,38 @@ def parse_config(path: str | None = None) -> RunConfig:
         for option in parser.options(section):
             if option not in _OPTIONS[section]:
                 known = ", ".join(_OPTIONS[section])
-                raise error(section, option, f": unknown option; known options: {known}")
+                raise error(section, option, f"unknown option; known options: {known}")
 
-    rc = RunConfig(path=path)
+    values, solver = dict(_PARTS), {}
     for section, options in _OPTIONS.items():
-        for option, (attr, caster) in options.items():
+        for option, (name, caster) in options.items():
             if not parser.has_option(section, option):
                 continue
-            try:
-                value = caster(parser.get(section, option))
-            except ValueError as exc:
-                raise error(section, option, f": {exc}") from exc
-            if attr == "solver":
-                rc.solver[option] = value
-            elif attr is not None:
-                setattr(rc, attr, value)
-    if rc.dim > 1 and not parser.has_option("chart", "sizes"):
-        rc.sizes = (64,) * rc.dim
-    if isinstance(rc.lambda_grid, int):
-        rc.lambda_grid_auto, rc.lambda_grid = rc.lambda_grid, None
+            value = build(section, option, caster, parser.get(section, option))
+            if name == "solver":
+                solver[option] = value
+            elif name is not None:
+                values[name] = value
 
-    rc.echo = {s: dict(parser.items(s)) for s in parser.sections()}
+    dim = values.pop("dim")
+    sizes = values.pop("sizes", (64,) * dim)
+    spacings = values.pop("spacings", None) or tuple(1.0 / s for s in sizes)
+    chart = build("chart", "sizes", Chart, dim, sizes, spacings)
+    metric = build("chart", "metric", _metric_from_spec, values.pop("metric"), chart)
+    p = build("exponents", "p", field_from_spec, values.pop("p"), chart)
+    q = build("exponents", "q", field_from_spec, values.pop("q"), chart)
+    exponents = build("exponents", None, ExponentField, p, q)
+    mu = build("weight", "mu", field_from_spec, values.pop("mu"), chart)
+    weight = build("weight", "mu", WeightField, mu)
+    beta = values.pop("beta")
+    build("nonlinearity", "beta", check_superlinearity, beta, exponents)
+    amplitude = build("nonlinearity", "amplitude", field_from_spec, values.pop("amplitude"), chart)
+    nonlinearity = build("nonlinearity", "amplitude", PowerNonlinearity, beta, amplitude)
 
-    # validate the exponent ordering early, before any run
-    try:
-        chart, _ = rc.build_chart_metric()
-        ExponentField(p=field_from_spec(rc.p_spec, chart), q=field_from_spec(rc.q_spec, chart))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return rc
+    if isinstance(values.get("lambda_grid"), int):
+        values["lambda_grid_auto"] = values.pop("lambda_grid")
+    echo = {s: dict(parser.items(s)) for s in parser.sections()}
+    return RunConfig(chart, metric, exponents, weight, nonlinearity, path, echo, solver=solver, **values)
 
 
 def default_config_text() -> str:

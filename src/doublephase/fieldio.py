@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import Chart, MetricField, ScalarField
 
-__all__ = ["FieldFormatError", "read_field", "write_field", "read_metric", "write_metric"]
+__all__ = ["FieldFormatError", "read_field", "write_field", "read_metric"]
 
 MAGIC = "nehari-field v1"
 
@@ -98,16 +98,14 @@ def read_field(path, chart: Chart) -> ScalarField:
     return chart.field(values.reshape(chart.shape))
 
 
-def write_metric(path, metric: MetricField):
-    chart = metric.chart
-    n = chart.dim
-    iu = np.triu_indices(n)
-    flat = metric.g.reshape(-1, n, n)
-    with open(path, "w") as fh:
-        fh.write(MAGIC + " metric\n")
-        fh.write(f"dim {n} sizes " + " ".join(str(s) for s in chart.sizes) + "\n")
-        for node in flat:
-            fh.write(" ".join(_fmt(v) for v in node[iu]) + "\n")
+def symmetric_from_upper(tri, dim: int) -> np.ndarray:
+    """Symmetric (..., dim, dim) tensors from their row-major upper-triangle entries (..., dim(dim+1)/2)."""
+    g = np.zeros(np.shape(tri)[:-1] + (dim, dim))
+    g[(...,) + np.triu_indices(dim)] = tri
+    diag = np.zeros_like(g)
+    i = np.arange(dim)
+    diag[..., i, i] = g[..., i, i]
+    return g + np.swapaxes(g, -1, -2) - diag
 
 
 def read_metric(path, chart: Chart) -> MetricField:
@@ -115,8 +113,7 @@ def read_metric(path, chart: Chart) -> MetricField:
     lines, n_nodes = _read(path, chart, metric=True)
     dim = chart.dim
     n_tri = dim * (dim + 1) // 2
-    iu = np.triu_indices(dim)
-    g = np.empty((n_nodes, dim, dim))
+    tri = np.empty((n_nodes, n_tri))
     row = 0
     for lineno, line in enumerate(lines[2:], start=3):
         text = line.strip()
@@ -130,14 +127,11 @@ def read_metric(path, chart: Chart) -> MetricField:
                 f"{path}:{lineno}: expected {n_tri} upper-triangle values, got {len(parts)}"
             )
         try:
-            tri = [float(p) for p in parts]
+            tri[row] = [float(p) for p in parts]
         except ValueError as exc:
             raise FieldFormatError(f"{path}:{lineno}: {exc}") from exc
-        node = np.zeros((dim, dim))
-        node[iu] = tri
-        node = node + node.T - np.diag(np.diag(node))
-        g[row] = node
         row += 1
     if row != n_nodes:
         raise FieldFormatError(f"{path}:{len(lines)}: expected {n_nodes} rows, got {row}")
+    g = symmetric_from_upper(tri, dim)
     return MetricField.from_spec(chart, g.reshape(chart.shape + (dim, dim)))

@@ -15,6 +15,7 @@ just as reproducible.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,8 +118,8 @@ class Chart:
             raise ValueError("sizes and spacings must have one entry per axis")
         if any(s < 4 for s in self.sizes):
             raise ValueError(f"need at least 4 nodes per axis, got sizes={self.sizes}")
-        if any(h <= 0 for h in self.spacings):
-            raise ValueError(f"spacings must be positive, got {self.spacings}")
+        if not all(math.isfinite(h) and h > 0 for h in self.spacings):
+            raise ValueError(f"spacings must be finite and positive, got {self.spacings}")
         # plain attributes, not fields: the norm loops read them per solve
         object.__setattr__(self, "n_nodes", int(np.prod(self.sizes)))
         object.__setattr__(self, "cell_volume", float(np.prod(self.spacings)))
@@ -141,9 +142,6 @@ class Chart:
 
     def field(self, values) -> "ScalarField":
         return ScalarField(np.asarray(values, dtype=float), self)
-
-    def zeros(self) -> "ScalarField":
-        return self.field(np.zeros(self.shape))
 
     def constant(self, c: float) -> "ScalarField":
         return self.field(np.full(self.shape, float(c)))
@@ -236,6 +234,8 @@ class MetricField:
                 raise ValueError(
                     f"metric spec shape {arr.shape} not understood for dim {n}"
                 )
+        if not np.all(np.isfinite(g)):
+            raise ValueError("metric tensor contains non-finite values")
         sym_gap = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
         if sym_gap > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
             raise ValueError("metric tensor must be symmetric at every node")

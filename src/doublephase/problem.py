@@ -64,13 +64,21 @@ class PowerNonlinearity:
     amplitude: ScalarField
 
     def __post_init__(self):
-        if self.beta <= 1.0:
-            raise ValueError(f"beta must exceed 1, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 1.0):
+            raise ValueError(f"beta must be finite and exceed 1, got {self.beta}")
         if self.amplitude.values.min() <= 0:
             raise ValueError("amplitude must be positive everywhere")
 
     def f_values(self, u: np.ndarray) -> np.ndarray:
         return self.amplitude.values * _power(np.abs(u), self.beta - 2.0) * u
+
+
+def check_superlinearity(beta: float, exponents: ExponentField) -> None:
+    """Raise ValueError unless beta > p+, which (f1) and (f3) need."""
+    if not beta > exponents.p_plus:
+        raise ValueError(
+            f"superlinearity requires beta > p+ = {exponents.p_plus}, got beta = {beta}"
+        )
 
 
 @dataclass(frozen=True)
@@ -117,10 +125,7 @@ class ProblemInstance:
             )
         if nl.amplitude.chart != self.chart:
             raise ValueError("source amplitude must live on the problem chart")
-        if nl.beta <= e.p_plus:
-            raise ValueError(
-                f"superlinearity requires beta > p+ = {e.p_plus}, got beta = {nl.beta}"
-            )
+        check_superlinearity(nl.beta, e)
         warnings = []
         n = self.chart.dim
         if not e.p_plus < n:

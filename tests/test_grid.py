@@ -46,6 +46,19 @@ def test_chart_validation():
         dp.Chart(dim=4, sizes=(8,) * 4, spacings=(0.1,) * 4)
 
 
+@pytest.mark.parametrize("h", [np.nan, np.inf])
+def test_chart_rejects_non_finite_spacings(h):
+    with pytest.raises(ValueError, match="spacings must be finite and positive"):
+        dp.Chart(dim=2, sizes=(8, 8), spacings=(0.1, h))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_metric_rejects_non_finite_entries(value):
+    chart = dp.Chart(dim=2, sizes=(8, 8), spacings=(0.1, 0.1))
+    with pytest.raises(ValueError, match="non-finite"):
+        dp.MetricField.from_spec(chart, [[1.0, value], [value, 1.0]])
+
+
 def test_gradient_of_constant_is_exactly_zero():
     chart, _ = dp.build_torus(2, [16, 16])
     g = dp.gradient(chart.constant(3.7))

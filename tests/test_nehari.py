@@ -19,7 +19,7 @@ def _rand(chart, *path, amp=1.0, mean=0.0):
 
 class TestPsiAndFibering:
     def test_psi_zero_field(self, reference_instance):
-        assert dp.psi(reference_instance, reference_instance.chart.zeros()) == 0.0
+        assert dp.psi(reference_instance, reference_instance.chart.constant(0.0)) == 0.0
 
     def test_psi_equals_gateaux(self, reference_instance):
         u = _rand(reference_instance.chart, "psi", amp=1.3, mean=0.4)
@@ -327,7 +327,7 @@ class TestProject:
 
     def test_zero_field_is_rejected(self, reference_instance):
         with pytest.raises(ValueError, match="zero field"):
-            dp.project(reference_instance, reference_instance.chart.zeros())
+            dp.project(reference_instance, reference_instance.chart.constant(0.0))
 
     def test_no_root_reported(self):
         # above the fold value 1/4 a constant ray keeps one sign

@@ -25,7 +25,7 @@ def _rand(chart, *path, amp=1.0, mean=0.0):
 class TestNonlinearity:
     def test_zero_at_zero(self, ref):
         nl = ref.nonlinearity
-        zero = ref.chart.zeros()
+        zero = ref.chart.constant(0.0)
         assert np.all(nl.f_values(zero.values) == 0.0)
         assert dp.energy(ref, zero).F_term == 0.0
 
@@ -52,6 +52,11 @@ class TestNonlinearity:
             dp.PowerNonlinearity(beta=0.5, amplitude=ref.chart.constant(1.0))
         with pytest.raises(ValueError, match="positive"):
             dp.PowerNonlinearity(beta=4.0, amplitude=ref.chart.constant(-1.0))
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_beta_must_be_finite(self, ref, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            dp.PowerNonlinearity(beta=beta, amplitude=ref.chart.constant(1.0))
 
     def test_beta_must_exceed_p_plus_when_paired(self, ref):
         with pytest.raises(ValueError, match="beta > p"):
@@ -121,7 +126,7 @@ class TestHypotheses:
 
 class TestEnergy:
     def test_zero_field_all_terms_zero(self, ref):
-        br = dp.energy(ref, ref.chart.zeros())
+        br = dp.energy(ref, ref.chart.constant(0.0))
         assert br.to_dict() == {k: 0.0 for k in br.to_dict()}
 
     def test_constant_closed_form(self):
@@ -169,7 +174,7 @@ class TestEnergy:
 class TestGateaux:
     def test_zero_at_zero(self, var):
         phi = _rand(var.chart, "phi0")
-        assert dp.gateaux(var, var.chart.zeros(), phi) == 0.0
+        assert dp.gateaux(var, var.chart.constant(0.0), phi) == 0.0
 
     def test_linear_in_direction(self, var):
         u = _rand(var.chart, "lin-u", amp=1.0, mean=0.3)
@@ -199,7 +204,7 @@ class TestGateaux:
 
 class TestResidual:
     def test_zero_at_zero(self, var):
-        r, norm = dp.residual_gradient(var, var.chart.zeros())
+        r, norm = dp.residual_gradient(var, var.chart.constant(0.0))
         assert np.all(r.values == 0.0)
         assert norm == 0.0
 
