@@ -258,8 +258,9 @@ def parse_config(path: str | None = None) -> RunConfig:
     """Parse a run configuration file and build its problem parts; without a
     path, the built-in defaults.
 
-    Every error, of a value or of a condition between values, is one
-    ConfigError anchored at ``path:line: [section] option``.
+    Every error is one ConfigError that names the path and the line; a bad
+    value, or a condition between values, reads
+    ``path:line: [section] option: message``.
     """
     if path is None:
         path, text = "<builtin defaults>", default_config_text()

@@ -122,9 +122,13 @@ class TestConditionsBetweenValues:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(BASE_CFG.replace("sizes = 64", f"sizes = 64\nmetric = file {g_path}")
                        + f"\n[exponents]\np = file {p_path}\n")
-        reads = []
-        read = fieldio._read
-        monkeypatch.setattr(fieldio, "_read", lambda path, *args, **kw: reads.append(path) or read(path, *args, **kw))
+        reads, read = [], fieldio._read
+
+        def counted(path, *args, **kwargs):
+            reads.append(path)
+            return read(path, *args, **kwargs)
+
+        monkeypatch.setattr(fieldio, "_read", counted)
         P = parse_config(str(cfg)).build_instance()
         assert sorted(map(str, reads)) == [str(g_path), str(p_path)]
         assert P.metric.g[0, 0, 0] == 2.0 and P.exponents.p_plus == 3.0
