@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -42,10 +43,14 @@ def _meta(rc: RunConfig):
 def _parse_faults(pairs):
     fault = {}
     for pair in pairs or []:
-        if "=" not in pair:
-            raise ConfigError(f"--fault-inject expects KEY=VAL, got {pair!r}")
-        key, val = pair.split("=", 1)
-        fault[key.strip()] = float(val)
+        key, sep, val = pair.partition("=")
+        try:
+            value = float(val)
+        except ValueError:
+            value = math.nan
+        if not (sep and math.isfinite(value)):
+            raise ConfigError(f"--fault-inject expects KEY=VAL with VAL a finite number, got {pair!r}")
+        fault[key.strip()] = value
     return fault
 
 
@@ -126,7 +131,7 @@ def cmd_sweep(args, rc: RunConfig) -> int:
     consts = None
     if rc.lambda_grid is not None:
         lambdas = list(rc.lambda_grid)
-    elif rc.lambda_grid_auto is not None:
+    else:
         consts = estimate_constants(
             P.exponents, P.weight, P.metric, trials=cfg.constants_trials, seed=cfg.seed
         )
@@ -137,9 +142,6 @@ def cmd_sweep(args, rc: RunConfig) -> int:
         lambdas = list(
             np.geomspace(thr.lambda_star_star / 8.0, 2.0 * thr.lambda_star_star, rc.lambda_grid_auto)
         )
-    else:
-        print("error: sweep needs [problem] lambda_grid", file=sys.stderr)
-        return USAGE_ERROR
     rows = sweep(P, lambdas, cfg, constants=consts)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
@@ -219,20 +221,20 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VAL",
         help="test-only constant overrides, e.g. holder_rq=0.5",
     )
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, needs="lambda")
 
     p_solve = sub.add_parser("solve", help="two-branch constrained minimization")
     common(p_solve, config_required=True)
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=cmd_solve, needs="lambda")
 
     p_sweep = sub.add_parser("sweep", help="branch census over a lambda grid")
     common(p_sweep, config_required=True)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, needs="lambda_grid")
 
     p_project = sub.add_parser("project", help="project a stored field onto the constraint set")
     common(p_project, config_required=True)
     p_project.add_argument("--field", required=True, help="grid field file to project")
-    p_project.set_defaults(func=cmd_project)
+    p_project.set_defaults(func=cmd_project, needs="lambda")
     return parser
 
 
@@ -240,7 +242,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        rc = parse_config(args.config)
+        rc = parse_config(args.config, needs=args.needs)
         if args.seed is not None:
             rc.seed = args.seed
         return args.func(args, rc)

@@ -254,9 +254,9 @@ _PARTS = {"dim": 1, "metric": "identity", "p": "constant 3.0", "q": "constant 2.
           "mu": "constant 1.0", "beta": 4.0, "amplitude": "constant 1.0"}
 
 
-def parse_config(path: str | None = None) -> RunConfig:
+def parse_config(path: str | None = None, needs: str | None = None) -> RunConfig:
     """Parse a run configuration file and build its problem parts; without a
-    path, the built-in defaults.
+    path, the built-in defaults. ``needs`` names the [problem] option the command requires.
 
     Every error is one ConfigError that names the path and the line; a bad
     value, or a condition between values, reads
@@ -323,6 +323,8 @@ def parse_config(path: str | None = None) -> RunConfig:
     build("nonlinearity", "beta", check_superlinearity, beta, exponents)
     amplitude = build("nonlinearity", "amplitude", field_from_spec, values.pop("amplitude"), chart)
     nonlinearity = build("nonlinearity", "amplitude", PowerNonlinearity, beta, amplitude)
+    if needs is not None and not parser.has_option("problem", needs):
+        raise error("problem", needs, "is required for this command")
 
     if isinstance(values.get("lambda_grid"), int):
         values["lambda_grid_auto"] = values.pop("lambda_grid")

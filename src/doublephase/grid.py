@@ -194,62 +194,52 @@ class VectorField:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Symmetric positive-definite metric tensor per node, with caches.
+    """A symmetric positive-definite metric as the energy reads it: the read-only
+    inverse g^{ab} ``inv``, (*shape, n, n), and density sqrt(det g) ``sqrt_det``, (*shape,).
+    A constant metric stores both as ``np.broadcast_to`` views, zero strides on the chart axes."""
 
-    ``sqrt_det`` and ``inv`` are computed once at construction; ``volume`` is
-    the total Riemannian volume of the chart.
-    """
-
-    g: np.ndarray
     sqrt_det: np.ndarray
     inv: np.ndarray
     chart: Chart
-    volume: float
 
     def __post_init__(self):
-        for name in ("g", "sqrt_det", "inv"):
+        for name in ("sqrt_det", "inv"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            arr = arr.copy()
-            arr.setflags(write=False)
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @classmethod
     def from_spec(cls, chart: Chart, spec="identity") -> "MetricField":
-        """Build a metric from "identity", a scalar, a constant SPD matrix,
-        or a per-node (*shape, n, n) table."""
+        """Build a metric from "identity", a scalar, a constant SPD matrix, or a
+        per-node (*shape, n, n) table; a constant is checked, inverted and
+        reduced to its determinant as its one (n, n) tensor, a table per node."""
         n = chart.dim
         if isinstance(spec, str):
             if spec != "identity":
                 raise ValueError(f"unknown metric spec {spec!r}")
-            g = np.broadcast_to(np.eye(n), chart.shape + (n, n)).copy()
+            g = np.eye(n)
         else:
-            arr = np.asarray(spec, dtype=float)
-            if arr.ndim == 0:
-                g = np.broadcast_to(float(arr) * np.eye(n), chart.shape + (n, n)).copy()
-            elif arr.shape == (n, n):
-                g = np.broadcast_to(arr, chart.shape + (n, n)).copy()
-            elif arr.shape == chart.shape + (n, n):
-                g = arr.copy()
-            else:
-                raise ValueError(
-                    f"metric spec shape {arr.shape} not understood for dim {n}"
-                )
+            g = np.asarray(spec, dtype=float)
+            if g.ndim == 0:
+                g = float(g) * np.eye(n)
+            elif g.shape not in ((n, n), chart.shape + (n, n)):
+                raise ValueError(f"metric spec shape {g.shape} not understood for dim {n}")
         if not np.all(np.isfinite(g)):
             raise ValueError("metric tensor contains non-finite values")
         sym_gap = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
         if sym_gap > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
             raise ValueError("metric tensor must be symmetric at every node")
-        eigs = np.linalg.eigvalsh(g)
-        min_eig = eigs.min(axis=-1)
+        min_eig = np.linalg.eigvalsh(g).min(axis=-1)
         if np.any(min_eig <= 0):
-            bad = np.argwhere(min_eig <= 0)[0]
+            bad = np.argwhere(np.broadcast_to(min_eig <= 0, chart.shape))[0]
             raise ValueError(
                 f"metric is not positive definite at node {tuple(int(i) for i in bad)}"
             )
-        sqrt_det = np.sqrt(np.linalg.det(g))
-        inv = np.linalg.inv(g)
-        volume = pairwise_sum(sqrt_det) * chart.cell_volume
-        return cls(g=g, sqrt_det=sqrt_det, inv=inv, chart=chart, volume=volume)
+        sqrt_det = np.broadcast_to(np.sqrt(np.linalg.det(g)), chart.shape)
+        inv = np.broadcast_to(np.linalg.inv(g), chart.shape + (n, n))
+        return cls(sqrt_det=sqrt_det, inv=inv, chart=chart)
 
 
 def build_torus(dim, sizes, metric_spec="identity", spacings=None):
@@ -297,6 +287,15 @@ def metric_pairing(metric: MetricField, v: np.ndarray, w: np.ndarray) -> np.ndar
     ``np.einsum("...ab,...a,...b->...")`` and faster in 2-D and 3-D."""
     dim, inv = metric.chart.dim, metric.inv
     return sum(inv[..., a, b] * v[..., a] * w[..., b] for a in range(dim) for b in range(dim))
+
+
+def flux_divergence(metric: MetricField, coef: np.ndarray, comps: np.ndarray) -> np.ndarray:
+    """-div(coef g^{ab} v_b) per node for (..., *shape, dim) components v: the index
+    raised by the products g^{ab} v_b summed over b, as in ``metric_pairing``,
+    then ``gradient_adjoint_values`` of the flux, the adjoint of the gradient."""
+    dim, inv = metric.chart.dim, metric.inv
+    flux = np.stack([coef * sum(inv[..., a, b] * comps[..., b] for b in range(dim)) for a in range(dim)], axis=-1)
+    return gradient_adjoint_values(flux, metric.chart)
 
 
 def norm_g_values(comps: np.ndarray, metric: MetricField) -> np.ndarray:

@@ -17,7 +17,7 @@ from .grid import (
     Chart,
     MetricField,
     ScalarField,
-    gradient_adjoint_values,
+    flux_divergence,
     gradient_values,
     metric_pairing,
     norm_g_values,
@@ -268,8 +268,6 @@ def residual_gradient(P: ProblemInstance, u: ScalarField, truncated: bool = Fals
     """
     nw = _Nodewise(P, u.values, truncated)
     w = P.node_weight
-    flux = np.einsum("...ab,...b->...a", P.metric.inv, nw.grad)
-    w_coef = w * nw.flux_coef()
-    r = gradient_adjoint_values(w_coef[..., None] * flux, P.chart) / w + nw.source()
+    r = flux_divergence(P.metric, w * nw.flux_coef(), nw.grad) / w + nw.source()
     norm = math.sqrt(max(pairwise_sum(r * r * w), 0.0))
     return P.chart.field(r), norm

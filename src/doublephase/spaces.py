@@ -23,9 +23,9 @@ from .grid import (
     MetricField,
     ScalarField,
     _spectrum,
+    flux_divergence,
     grad_norm_g,
     gradient,
-    gradient_adjoint_values,
     gradient_values,
     integrate,
     metric_symbol,
@@ -478,7 +478,7 @@ def _poincare_ascent(exponents: ExponentField, weight: WeightField, metric: Metr
 
     The band is the ``_spectrum`` mask without k = 0. The gradient of the
     log ratio (``_luxemburg_gradient`` of both norms, the second chained
-    through ``gradient_adjoint_values``) is preconditioned by 1 / sigma(k),
+    through ``flux_divergence``) is preconditioned by 1 / sigma(k),
     sigma the ``metric_symbol``, and combined with the last direction by
     Polak-Ribiere, restarting when that is no ascent direction. A step is
     accepted only when the ratio increases; the next one maximizes the
@@ -518,8 +518,7 @@ def _poincare_ascent(exponents: ExponentField, weight: WeightField, metric: Metr
         norms = np.concatenate((norm_u, norm_grad))
         both = _luxemburg_gradient(np.concatenate((vals, grad_norm)), norms, q, None, metric) / lanes(norms)
         coef = np.divide(both[len(vals) :], grad_norm, out=np.zeros(grad_norm.shape), where=grad_norm > 0.0)
-        flux = np.stack([sum(inv[..., a, b] * comps[..., b] for b in range(dim)) for a in range(dim)], axis=-1)
-        g = both[: len(vals)] - gradient_adjoint_values(coef[..., None] * flux, chart)
+        g = both[: len(vals)] - flux_divergence(metric, coef, comps)
         return g, np.fft.irfftn(np.fft.rfftn(g, axes=axes) * half_inv_symbol, s=chart.shape, axes=axes)
 
     c_best, field, d_best, c1_best = 0.0, None, 0.0, 0.0

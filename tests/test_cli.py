@@ -101,6 +101,14 @@ class TestVerify:
         assert "holder_qr" in err and "holder_rq" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pair", ["holder_rq=abc", "holder_rq=nan"])
+    def test_fault_value_must_be_a_finite_number(self, tmp_path, capsys, pair):
+        out = tmp_path / "vn"
+        assert main(["verify", "--out", str(out), "--trials", "5", "--fault-inject", pair]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --fault-inject ") and repr(pair) in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_zero_trials_is_usage_error(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path / "x"), "--trials", "0"]) == 2
 
@@ -279,6 +287,26 @@ class TestConfigErrors:
         out = tmp_path / "x"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert f"lam.cfg:{line}: [problem]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, option, dropped",
+        [
+            pytest.param("solve", "lambda", "lambda = 0.125\n", id="solve-without-lambda"),
+            pytest.param("sweep", "lambda_grid", "lambda_grid = 0.05 0.125 0.24\n", id="sweep-without-grid"),
+            pytest.param("solve", "lambda", "[problem]\nlambda = 0.125\nlambda_grid = 0.05 0.125 0.24\n",
+                         id="solve-without-section"),
+        ],
+    )
+    def test_command_requirement_is_anchored_at_the_problem_header(self, tmp_path, capsys, command, option, dropped):
+        text = REF_CFG.replace(dropped, "")
+        # the [problem] header's line, or 0 when the section is absent
+        line = text.splitlines().index("[problem]") + 1 if "[problem]" in text else 0
+        cfg = tmp_path / "need.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "x"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: [problem] {option}: is required for this command\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -131,7 +131,7 @@ class TestConditionsBetweenValues:
         monkeypatch.setattr(fieldio, "_read", counted)
         P = parse_config(str(cfg)).build_instance()
         assert sorted(map(str, reads)) == [str(g_path), str(p_path)]
-        assert P.metric.g[0, 0, 0] == 2.0 and P.exponents.p_plus == 3.0
+        assert np.all(P.metric.inv == 0.5) and P.exponents.p_plus == 3.0
 
 
 class TestUnknownKeys:

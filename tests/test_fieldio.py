@@ -31,7 +31,7 @@ def test_metric_round_trip(tmp_path):
     rows = [f"{a!r} {b!r} {c!r}" for a, b, c in g[..., [0, 0, 1], [0, 1, 1]].reshape(-1, 3).tolist()]
     path.write_text("nehari-field v1 metric\ndim 2 sizes 8 8\n" + "\n".join(rows) + "\n")
     back = dp.read_metric(path, chart)
-    assert np.array_equal(metric.g, back.g)
+    assert np.array_equal(metric.inv, back.inv) and np.array_equal(metric.sqrt_det, back.sqrt_det)
 
 
 def test_read_errors_carry_line_numbers(tmp_path):

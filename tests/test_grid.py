@@ -11,7 +11,7 @@ import doublephase as dp
 def test_build_torus_identity_sqrt_det():
     chart, metric = dp.build_torus(1, [64], "identity")
     assert np.all(metric.sqrt_det == 1.0)
-    assert metric.volume == pytest.approx(1.0, rel=1e-15)
+    assert dp.pairwise_sum(metric.sqrt_det) * chart.cell_volume == pytest.approx(1.0, rel=1e-15)
 
 
 def test_build_torus_scalar_metric():
@@ -25,7 +25,7 @@ def test_build_torus_pernode_spd_table():
     base = rng.standard_normal(shape + (2, 2))
     g = np.einsum("...ab,...cb->...ac", base, base) + 0.5 * np.eye(2)
     chart, metric = dp.build_torus(2, [32, 32], g)
-    ident = np.einsum("...ab,...bc->...ac", metric.inv, metric.g)
+    ident = np.einsum("...ab,...bc->...ac", metric.inv, g)
     gap = np.max(np.abs(ident - np.eye(2)))
     assert gap <= 1e-12
 
@@ -399,3 +399,101 @@ def test_gradient_adjoint_is_the_transpose_of_the_gradient(sizes):
     lhs = np.sum(gradient_values(u, chart) * flux)
     rhs = np.sum(u * gradient_adjoint_values(flux, chart))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+_G2 = np.array([[1.0, 0.3], [0.3, 2.0]])
+_G3 = np.array([[1.5, 0.2, -0.1], [0.2, 1.0, 0.3], [-0.1, 0.3, 0.8]])
+# (id, sizes, spec, the spec's one tensor)
+_CONSTANT_SPECS = (
+    ("identity-1d", [64], "identity", np.eye(1)),
+    ("scalar-1d", [64], 4.0, np.array([[4.0]])),
+    ("identity-2d", [12, 8], "identity", np.eye(2)),
+    ("scalar-2d", [12, 8], 2.5, 2.5 * np.eye(2)),
+    ("matrix-2d", [12, 8], _G2, _G2),
+    ("identity-3d", [8, 6, 4], "identity", np.eye(3)),
+    ("matrix-3d", [8, 6, 4], _G3, _G3),
+)
+
+
+def _instance(chart, metric):
+    x = chart.coords()[0]
+    return dp.ProblemInstance(
+        chart=chart,
+        metric=metric,
+        exponents=dp.ExponentField(
+            p=chart.field(3.0 + 0.3 * np.sin(2 * np.pi * x)), q=chart.field(1.7 + 0.1 * np.cos(2 * np.pi * x))
+        ),
+        weight=dp.WeightField(mu=chart.constant(1.5)),
+        lam=0.3,
+        nonlinearity=dp.PowerNonlinearity(beta=4.0, amplitude=chart.constant(1.0)),
+    )
+
+
+@pytest.mark.parametrize("name, sizes, spec, tensor", _CONSTANT_SPECS, ids=[c[0] for c in _CONSTANT_SPECS])
+def test_constant_metric_is_stored_once_and_bitwise_its_table(name, sizes, spec, tensor):
+    chart, metric = dp.build_torus(len(sizes), sizes, spec)
+    n = chart.dim
+    table = dp.MetricField.from_spec(chart, np.broadcast_to(tensor, chart.shape + (n, n)).copy())
+    for field in ("inv", "sqrt_det"):
+        stored, per_node = getattr(metric, field), getattr(table, field)
+        assert not stored.flags.writeable
+        assert stored.strides[:n] == (0,) * n
+        assert stored.shape == per_node.shape and stored.tobytes() == per_node.tobytes()
+    u = dp.random_band_limited(chart, dp.substream(17, "stored-once", name), amplitude=1.0, mean=0.2)
+    results = []
+    for m in (metric, table):
+        P = _instance(chart, m)
+        r, norm = dp.residual_gradient(P, u, truncated=True)
+        results.append((dp.energy(P, u, truncated=True).to_dict(), r.values.tobytes(), norm))
+    assert results[0] == results[1]
+
+
+def test_constant_metric_build_allocates_no_node_tables():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        dp.build_torus(3, [32] * 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
+def _flux_metrics(dims):
+    for dim, sizes, g in ((1, [64], np.array([[2.5]])), (2, [16, 12], _G2), (3, [8, 12, 6], _G3)):
+        if dim not in dims:
+            continue
+        yield f"{dim}d-identity", dp.build_torus(dim, sizes)[1]
+        yield f"{dim}d-constant", dp.build_torus(dim, sizes, metric_spec=g)[1]
+        base = 0.2 * dp.substream(18, "flux", dim).standard_normal(tuple(sizes) + (dim, dim))
+        table = g + np.einsum("...ab,...cb->...ac", base, base)
+        yield f"{dim}d-per-node", dp.build_torus(dim, sizes, metric_spec=table)[1]
+
+
+@pytest.mark.parametrize("name, metric", [pytest.param(n, m, id=n) for n, m in _flux_metrics((1, 2))])
+def test_flux_divergence_is_bitwise_the_einsum_formula(name, metric):
+    from doublephase.grid import flux_divergence, gradient_adjoint_values
+
+    chart = metric.chart
+    rng = dp.substream(19, "flux", name)
+    for lead in ((), (3,)):
+        v = rng.uniform(-1e3, 1e3, lead + chart.shape + (chart.dim,))
+        coef = rng.uniform(0.1, 10.0, lead + chart.shape)
+        flux = np.einsum("...ab,...b->...a", metric.inv, v)
+        want = gradient_adjoint_values(coef[..., None] * flux, chart)
+        assert flux_divergence(metric, coef, v).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, metric", [pytest.param(n, m, id=n) for n, m in _flux_metrics((3,))])
+def test_flux_divergence_is_the_adjoint_of_the_weighted_gradient_pairing(name, metric):
+    from doublephase.grid import flux_divergence, gradient_values, metric_pairing
+
+    chart = metric.chart
+    rng = dp.substream(20, "flux", name)
+    v = rng.uniform(-1e3, 1e3, chart.shape + (chart.dim,))
+    coef = rng.uniform(0.1, 10.0, chart.shape)
+    phi = rng.standard_normal(chart.shape)
+    lhs = math.fsum((flux_divergence(metric, coef, v) * phi).ravel())
+    rhs = math.fsum((coef * metric_pairing(metric, v, gradient_values(phi, chart))).ravel())
+    assert lhs == pytest.approx(rhs, rel=1e-13)
