@@ -330,13 +330,14 @@ MAX_MODE_FRAC = 0.25
 def _spectrum(chart: Chart):
     """Read-only Fourier tables (modes, mask, stencil), built once per chart.
 
-    modes holds the integer mode number k_a of every axis, broadcast to the
-    chart shape; mask keeps the band |k_a| <= floor(n_a * MAX_MODE_FRAC) on
-    every axis; and stencil holds s_a = sin(2 pi k_a / n_a) / h_a per axis:
-    the central difference multiplies mode k by i s_a.
+    modes holds the integer mode number k_a of every axis, as an array that
+    varies along axis a only and broadcasts to the chart shape; mask keeps
+    the band |k_a| <= floor(n_a * MAX_MODE_FRAC) on every axis; and stencil
+    holds s_a = sin(2 pi k_a / n_a) / h_a per axis, shaped as k_a: the
+    central difference multiplies mode k by i s_a.
     """
     freqs = [np.fft.fftfreq(n, d=1.0 / n) for n in chart.shape]
-    modes = tuple(np.meshgrid(*freqs, indexing="ij"))
+    modes = tuple(np.meshgrid(*freqs, indexing="ij", sparse=True))
     mask = np.ones(chart.shape, dtype=bool)
     for k, n in zip(modes, chart.shape):
         mask &= np.abs(k) <= int(n * MAX_MODE_FRAC)
@@ -350,13 +351,20 @@ def metric_symbol(metric: MetricField) -> np.ndarray:
     """sigma(k) = sum_ab g_bar^{ab} s_a s_b per Fourier mode, g_bar the node mean of ``metric.inv``.
 
     The symbol of the central-difference -div(g_bar grad): the mean-metric
-    Laplacian that the descent filter and the Poincare ascent invert.
+    Laplacian that the descent filter and the Poincare ascent invert. Each
+    component is summed on its own, so a constant metric's broadcast table
+    is never copied whole, and the symbol is the only array of the chart's
+    size it allocates.
     """
     chart = metric.chart
     dim = chart.dim
-    g_bar = pairwise_sum_rows(metric.inv.reshape(-1, dim * dim).T).reshape(dim, dim) / chart.n_nodes
+    g_bar = np.array([[pairwise_sum(metric.inv[..., a, b]) for b in range(dim)] for a in range(dim)]) / chart.n_nodes
     s = _spectrum(chart)[2]
-    return sum(g_bar[a, b] * s[a] * s[b] for a in range(dim) for b in range(dim))
+    sigma = np.zeros(chart.shape)
+    for a in range(dim):
+        for b in range(dim):
+            sigma += g_bar[a, b] * s[a] * s[b]
+    return sigma
 
 
 def band_filter(values: np.ndarray, chart: Chart) -> np.ndarray:

@@ -11,8 +11,9 @@ loop refines every sign change of every ray by safeguarded Newton steps on
 the exact phi'. The roots are the constraint points on each ray; the sign
 of t phi'(t) there separates the local-minimum branch (positive), the
 local-maximum branch (negative), and inflections (zero within tolerance).
-A single field is the one-ray stack: ``project`` reports its roots, and
-the solver's descent probes one such profile per trial point.
+A single field is the one-ray stack: ``project`` reports its roots. The
+solver's descent probes one profile per round for the trial points of all
+its lanes.
 """
 
 from __future__ import annotations
@@ -233,8 +234,8 @@ class _RayProfile:
         code = self._branch_codes(np.zeros(1, dtype=np.intp), t, self.phi_prime(t))
         return _BRANCHES[code[0]]
 
-    def _events(self, t_pow, src_pow, block: slice):
-        """Root events of the rays in ``block`` on one shared probe grid.
+    def _events(self, t_pow, src_pow, block: np.ndarray):
+        """Root events of the rays ``block``, an increasing index array, on one shared probe grid.
 
         t_pow and src_pow hold the grid's powers t^e_k and t^beta. An event
         is phi exactly 0 at a node, or else a sign change in the cell from
@@ -252,7 +253,7 @@ class _RayProfile:
         event[:, :-1] |= pos[:, :-1] != pos[:, 1:]
         rays, node = np.nonzero(event)
         end = node + ~zero[rays, node]
-        return rays + block.start, node, end, f[rays, node], f[rays, end]
+        return block[rays], node, end, f[rays, node], f[rays, end]
 
     def refine_roots(self, rays, lo, hi, f_lo, f_hi) -> np.ndarray:
         """A root of phi in each bracket [lo[i], hi[i]] of ray rays[i], where phi changes sign.
@@ -312,7 +313,7 @@ class _RayProfile:
         roots[lane] = best_t
         return roots
 
-    def constraint_points(self, bracket=PROBE_BRACKET, n_grid: int = PROBE_POINTS) -> "_RayRoots":
+    def constraint_points(self, bracket=PROBE_BRACKET, n_grid: int = PROBE_POINTS, rays=None) -> "_RayRoots":
         """Every constraint point on every ray within the bracket.
 
         phi is probed on one log-spaced grid of ``n_grid`` points over the
@@ -322,16 +323,18 @@ class _RayProfile:
         whose profile vanishes identically (scale 0) have no roots. Roots
         come by ray, then by increasing t, without repeats, with their
         branch codes and phi values from one evaluation of phi and phi'.
+        ``rays``, an increasing index array, restricts the probe to those
+        rays; every ray's roots are those it has in the whole stack.
         """
         expo, coef, beta, _ = self._phi_terms
         t_grid, src_pow = _probe_grid(bracket[0], bracket[1], n_grid, beta)
         t_pow = t_grid[:, None] ** expo
+        probed = np.arange(len(coef)) if rays is None else rays
         # rays in blocks of at most PROBE_BLOCK (ray, t, term) products, or
         # one ray when a single ray's grid is larger
         step = max(1, PROBE_BLOCK // t_pow.size)
         rays, node, end, f_node, f_end = _join([
-            self._events(t_pow, src_pow, slice(b, b + step))
-            for b in range(0, max(len(coef), 1), step)
+            self._events(t_pow, src_pow, probed[b : b + step]) for b in range(0, max(probed.size, 1), step)
         ])
         t = self.refine_roots(rays, t_grid[node], t_grid[end], f_node, f_end)
         # lanes that stop on a shared node return the same root

@@ -40,14 +40,15 @@ def _power(base: np.ndarray, expo) -> np.ndarray:
     """base**expo for base >= 0 with the convention 0**negative = 0.
 
     Needed for the degenerate gradient density |grad u|^{e-2} at critical
-    points of u when e < 2: the product with grad u tends to 0 there.
+    points of u when e < 2: the product with grad u tends to 0 there. A
+    per-node ``expo`` broadcasts over leading stack axes of ``base``.
     """
     out = np.zeros_like(base)
     nz = base > 0
     if np.isscalar(expo) or np.ndim(expo) == 0:
         out[nz] = base[nz] ** float(expo)
     else:
-        out[nz] = base[nz] ** np.asarray(expo)[nz]
+        out[nz] = base[nz] ** np.broadcast_to(expo, base.shape)[nz]
     return out
 
 
@@ -171,13 +172,14 @@ class EnergyBreakdown:
 
 
 class _Nodewise:
-    """Per-node quantities of the energy at one field, computed once.
+    """Per-node quantities of the energy at one field, or a stack of fields, computed once.
 
     The gradient, its metric norm |grad u|_g, the source mask and |u| feed
     every reduction: the energy terms and the ray profile read the five
     power densities, the derivative and the node residual read the flux
     coefficient and the nodewise source. With ``truncated`` the mask
-    restricts the three source terms to {u >= 0}.
+    restricts the three source terms to {u >= 0}. Leading axes of ``vals``
+    before the chart shape are a stack; the per-node data broadcast over it.
     """
 
     def __init__(self, P: ProblemInstance, vals: np.ndarray, truncated: bool):
@@ -258,16 +260,22 @@ def gateaux(P: ProblemInstance, u: ScalarField, phi: ScalarField, truncated: boo
     return pairwise_sum(dens * P.node_weight)
 
 
-def residual_gradient(P: ProblemInstance, u: ScalarField, truncated: bool = False):
+def residual_gradient(P: ProblemInstance, u, truncated: bool = False):
     """Node representative r of the energy derivative, and its norm.
 
     r is defined by <J'(u), phi> = sum_i w_i r_i phi_i with w the quadrature
     node weight, i.e. r_i = gateaux(u, delta_i) / w_i. The returned norm is
     sqrt(integral of r^2 dv), the dual norm of the derivative in the
     w-weighted node pairing; it vanishes exactly at discrete critical points.
+    ``u`` is a field, or an (m, *shape) array of field values: then r is an
+    (m, *shape) array and the norm an array of m norms, row i bitwise the
+    result for row i alone.
     """
-    nw = _Nodewise(P, u.values, truncated)
+    vals = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
+    nw = _Nodewise(P, vals, truncated)
     w = P.node_weight
     r = flux_divergence(P.metric, w * nw.flux_coef(), nw.grad) / w + nw.source()
-    norm = math.sqrt(max(pairwise_sum(r * r * w), 0.0))
-    return P.chart.field(r), norm
+    norm = np.sqrt(np.maximum(pairwise_sum_rows((r * r * w).reshape(-1, w.size)), 0.0))
+    if isinstance(u, ScalarField):
+        return P.chart.field(r), float(norm[0])
+    return r, norm

@@ -3,11 +3,12 @@
 Projected descent: from a band-limited random start, scale onto the target
 branch, then repeat backtracking steps along the negative Sobolev gradient,
 re-projecting after every step, until the residual norm passes the stop
-threshold. Multistart runs are independent and merged deterministically.
-Every projection, of a start, a trial point or a census stack, builds one
-ray profile and reads both the roots and the energies J(t u) from it; a
-trial point probes a window around t = 1 and then the full bracket on that
-one profile.
+threshold. A branch's multistart starts descend as the lanes of one stack,
+each lane bitwise a lone run, and are merged deterministically. Every
+projection, of the starts, the trial points or a census stack, builds one
+ray profile and reads both the roots and the energies J(t u) from it;
+trial points probe a window around t = 1, and those without a root there
+the full bracket, on that one profile.
 
 The direction is the band-limited H^1 gradient of the derivative vector
 w r, the node residual r times the node weight w:
@@ -38,6 +39,7 @@ from .grid import (
     metric_symbol,
     normal_coefficients,
     pairwise_sum,
+    pairwise_sum_rows,
     random_band_limited_values,
     substream,
 )
@@ -179,30 +181,42 @@ def _start_values(P: ProblemInstance, cfg: SolverConfig, indices) -> np.ndarray:
 def _project_onto(P, vals, cfg, local=False):
     """Scale a candidate onto the target branch: (field, energy), or None.
 
-    The candidate's ray gets one truncated ray profile, and the smallest
-    root of the target class on it is taken, as in the census. Initial
-    projections probe the full bracket. Re-projections inside the descent
-    loop (``local``) first probe ``LOCAL_WINDOW`` around t = 1, where the
-    root continuous with the current iterate lives, and then the full
-    bracket on the same profile. Candidates with non-finite entries are
-    rejected before any profile is built; None is returned when no window
-    has a matching root, as for the zero field, whose profile vanishes. The
+    ``vals`` is one field's values, or an (m, *shape) stack: then a list of
+    one such result per row, bitwise that row's own. All rows share one
+    truncated ray profile, and each row's smallest root of the target class
+    on it is taken, as in the census. Initial projections probe the full
+    bracket. Re-projections inside the descent loop (``local``) first probe
+    ``LOCAL_WINDOW`` around t = 1, where the root continuous with the
+    current iterate lives; rows without a root there then probe the full
+    bracket on the same profile. Rows with non-finite entries are rejected
+    before any profile is built; a row gets None when no window has a
+    matching root, as the zero field, whose profile vanishes, does. The
     energy J(t u) is read from the same profile: every term is homogeneous
     in t, and for t > 0 the truncation mask of t u is the mask of u.
     """
-    if not np.all(np.isfinite(vals)):
-        return None
-    profile = _RayProfile(P, vals, truncated=True)
-    windows = (LOCAL_WINDOW,) if local else ()
-    for bracket, n_grid in windows + ((PROBE_BRACKET, PROBE_POINTS),):
-        rays, t = profile.constraint_points(bracket, n_grid).first(cfg.target)
-        if rays.size:
-            return P.chart.field(t[0] * vals), float(profile.energy_values(rays, t)[0])
-    return None
+    single = vals.ndim == P.chart.dim
+    rows = vals[None] if single else vals
+    out = [None] * len(rows)
+    live = np.flatnonzero(np.isfinite(rows.reshape(len(rows), -1)).all(axis=1))
+    if live.size:
+        profile = _RayProfile(P, rows[live], truncated=True)
+        left = np.arange(live.size)
+        windows = (LOCAL_WINDOW,) if local else ()
+        for bracket, n_grid in windows + ((PROBE_BRACKET, PROBE_POINTS),):
+            rays, t = profile.constraint_points(bracket, n_grid, left).first(cfg.target)
+            for ray, t_ray, J in zip(rays.tolist(), t.tolist(), profile.energy_values(rays, t).tolist()):
+                out[live[ray]] = (P.chart.field(t_ray * rows[live[ray]]), J)
+            left = left[~np.isin(left, rays)]
+            if not left.size:
+                break
+    return out[0] if single else out
 
 
 @dataclass
 class _StartOutcome:
+    """A start's descent: its iterate, energy and last residual norm, the
+    iterations it completed (counting the one it stalled in), and why it ended."""
+
     converged: bool
     projected: bool
     u: ScalarField | None = None
@@ -220,38 +234,57 @@ def _sobolev_filter(P: ProblemInstance) -> np.ndarray:
     return _spectrum(P.chart)[1] / (1.0 + metric_symbol(P.metric))
 
 
-def _run_start(P: ProblemInstance, cfg: SolverConfig, index: int) -> _StartOutcome:
-    """Sobolev-gradient descent from start ``index``.
+def _descend(P: ProblemInstance, cfg: SolverConfig, starts: np.ndarray) -> list:
+    """Sobolev-gradient descents from the rows of ``starts``, as the lanes of one stack.
 
     Each iteration filters w r / w_bar (``_sobolev_filter``), tries a unit
     step and halves it until the re-projected candidate passes the Armijo
     test. On constant weights w / w_bar is 1 (to rounding), so d filters r.
+    The lanes that have just projected or accepted a step take one stacked
+    residual, direction and slope; then every lane still searching
+    re-projects its candidate in one ``_project_onto`` call. Every row sums
+    as it would alone, so outcome i is bitwise that of row i descending by
+    itself.
     """
-    start = _project_onto(P, _start_values(P, cfg, [index])[0], cfg)
-    if start is None:
-        return _StartOutcome(converged=False, projected=False, note="start did not project")
-    u, J = start
     w = P.node_weight
     multiplier = _sobolev_filter(P)
     w_rel = w / (pairwise_sum(w) / P.chart.n_nodes)
-    rnorm = math.inf
-    for it in range(1, cfg.max_outer_iters + 1):
-        r_field, rnorm = residual_gradient(P, u, truncated=True)
-        if rnorm <= cfg.residual_tol:
-            return _StartOutcome(True, True, u, J, rnorm, it - 1)
-        r = r_field.values
-        d = -np.fft.ifftn(np.fft.fftn(r * w_rel) * multiplier).real
-        slope = pairwise_sum(r * d * w)
-        step = STEP0
-        for _ in range(MAX_BACKTRACKS):
-            trial = _project_onto(P, u.values + step * d, cfg, local=True)
-            if trial is not None and trial[1] <= J + ARMIJO * step * slope:
-                u, J = trial
-                break
-            step *= SHRINK
-        else:
-            return _StartOutcome(False, True, u, J, rnorm, it, note="backtracking stalled")
-    return _StartOutcome(False, True, u, J, rnorm, cfg.max_outer_iters, note="iteration cap reached")
+    axes = tuple(range(-P.chart.dim, 0))
+    outcomes = [
+        _StartOutcome(False, False, note="start did not project") if start is None else _StartOutcome(False, True, *start)
+        for start in _project_onto(P, starts, cfg)
+    ]
+    fresh = [i for i, out in enumerate(outcomes) if out.projected]
+    # each searching lane's (direction, slope, step, failed trials)
+    search = {}
+    while fresh:
+        r, rnorms = residual_gradient(P, np.array([outcomes[i].u.values for i in fresh]), truncated=True)
+        d = -np.fft.ifftn(np.fft.fftn(r * w_rel, axes=axes) * multiplier, axes=axes).real
+        slopes = pairwise_sum_rows((r * d * w).reshape(len(fresh), -1))
+        for i, rnorm, d_i, slope in zip(fresh, rnorms.tolist(), d, slopes.tolist()):
+            outcomes[i].residual_norm = rnorm
+            outcomes[i].converged = rnorm <= cfg.residual_tol
+            if not outcomes[i].converged:
+                search[i] = (d_i, slope, STEP0, 0)
+        fresh = []
+        while search and not fresh:
+            live = list(search)
+            candidates = np.array([outcomes[i].u.values + search[i][2] * search[i][0] for i in live])
+            for i, trial in zip(live, _project_onto(P, candidates, cfg, local=True)):
+                out, (d_i, slope, step, failed) = outcomes[i], search.pop(i)
+                if trial is not None and trial[1] <= out.J + ARMIJO * step * slope:
+                    out.u, out.J = trial
+                    out.iterations += 1
+                    if out.iterations < cfg.max_outer_iters:
+                        fresh.append(i)
+                    else:
+                        out.note = "iteration cap reached"
+                elif failed + 1 < MAX_BACKTRACKS:
+                    search[i] = (d_i, slope, step * SHRINK, failed + 1)
+                else:
+                    out.iterations += 1
+                    out.note = "backtracking stalled"
+    return outcomes
 
 
 def minimize_on_branch(
@@ -266,7 +299,7 @@ def minimize_on_branch(
     stop. Runs are merged by (J value, start index), so reports are
     deterministic for a fixed seed.
     """
-    outcomes = [_run_start(P, cfg, i) for i in range(cfg.multistart)]
+    outcomes = _descend(P, cfg, _start_values(P, cfg, range(cfg.multistart)))
     converged = [(o.J, i, o) for i, o in enumerate(outcomes) if o.converged]
     if not converged:
         if not any(o.projected for o in outcomes):

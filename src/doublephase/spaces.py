@@ -537,7 +537,7 @@ def _poincare_ascent(exponents: ExponentField, weight: WeightField, metric: Metr
     least.flat[np.argmax(inv_symbol)] = 1.0
     mode = np.fft.ifftn(least).real
     # q = 2 on a constant metric: the mode is the band supremum, so no seeded start can beat it
-    quadratic = np.all(q == 2.0) and np.all(inv == inv.reshape(-1, dim, dim)[0])
+    quadratic = np.all(q == 2.0) and np.all(inv == inv[(0,) * dim])
     rngs = [substream(seed, "constants", i) for i in range(0 if quadratic else ASCENT_SEEDED_STARTS)]
     u = np.concatenate(((mode / np.abs(mode).max())[None], random_band_limited_values(chart, rngs, [1.0] * len(rngs))))
     u = u[:trials]

@@ -497,3 +497,31 @@ def test_flux_divergence_is_the_adjoint_of_the_weighted_gradient_pairing(name, m
     lhs = math.fsum((flux_divergence(metric, coef, v) * phi).ravel())
     rhs = math.fsum((coef * metric_pairing(metric, v, gradient_values(phi, chart))).ravel())
     assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+@pytest.mark.parametrize("name, metric", [pytest.param(n, m, id=n) for n, m in _flux_metrics((1, 2, 3))])
+def test_metric_symbol_is_bitwise_the_whole_table_node_mean(name, metric):
+    from doublephase.grid import _spectrum, metric_symbol, pairwise_sum_rows
+
+    chart, dim = metric.chart, metric.chart.dim
+    g_bar = pairwise_sum_rows(metric.inv.reshape(-1, dim * dim).T).reshape(dim, dim) / chart.n_nodes
+    s = _spectrum(chart)[2]
+    want = sum(g_bar[a, b] * s[a] * s[b] for a in range(dim) for b in range(dim))
+    assert metric_symbol(metric).tobytes() == want.tobytes()
+
+
+def test_metric_symbol_does_not_copy_the_metric_table():
+    import tracemalloc
+
+    from doublephase.grid import metric_symbol
+
+    _, metric = dp.build_torus(3, [32] * 3)
+    metric_symbol(metric)
+    tracemalloc.start()
+    try:
+        metric_symbol(metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the symbol itself is 2**18 B; the (32^3, 3, 3) table would be 2.25 MiB
+    assert peak <= 2**19

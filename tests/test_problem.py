@@ -242,6 +242,37 @@ class TestResidual:
             assert r.values[i, j] == pytest.approx(g_dir / w[i, j], rel=1e-9, abs=1e-12)
 
 
+    @pytest.mark.parametrize("name", ["reference", "variable", "aniso2d", "per-node3d"])
+    def test_stacked_rows_are_bitwise_their_own_calls(self, ref, var, name):
+        if name in ("reference", "variable"):
+            P = ref if name == "reference" else var
+        else:
+            dim, n = (2, 16) if name == "aniso2d" else (3, 6)
+            g = np.array([[1.0, 0.3], [0.3, 2.0]])
+            if dim == 3:
+                base = 0.2 * dp.substream(56, "stack").standard_normal((n,) * 3 + (3, 3))
+                g = np.eye(3) + np.einsum("...ab,...cb->...ac", base, base)
+            chart, metric = dp.build_torus(dim, [n] * dim, g)
+            P = dp.ProblemInstance(
+                chart=chart,
+                metric=metric,
+                exponents=dp.ExponentField(p=chart.constant(3.0), q=chart.constant(1.8)),
+                weight=dp.WeightField(mu=chart.constant(1.0)),
+                lam=0.5,
+                nonlinearity=dp.PowerNonlinearity(beta=4.0, amplitude=chart.constant(1.0)),
+            )
+        # mixed signs, a constant (zero gradient everywhere) and zero
+        rows = [_rand(P.chart, "stack", name, i, amp=1.0, mean=m).values for i, m in enumerate((0.8, 0.1, -0.3))]
+        stack = np.array(rows + [np.full(P.chart.shape, 0.7), np.zeros(P.chart.shape)])
+        for truncated in (False, True):
+            r, norms = dp.residual_gradient(P, stack, truncated=truncated)
+            assert r.shape == stack.shape and norms.shape == (len(stack),)
+            for i, vals in enumerate(stack):
+                r_i, norm_i = dp.residual_gradient(P, P.chart.field(vals), truncated=truncated)
+                assert r[i].tobytes() == r_i.values.tobytes()
+                assert repr(float(norms[i])) == repr(norm_i)
+
+
 def test_instance_rejects_non_power_source(ref):
     class CubicSource:
         beta = 4.0

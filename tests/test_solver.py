@@ -168,6 +168,33 @@ class TestProjectOnto:
         t = res.t_roots[res.classes.index(target)]
         assert u_full.values.tobytes() == (t * vals).tobytes()
 
+    @pytest.mark.parametrize("target", [dp.NehariClass.PLUS, dp.NehariClass.MINUS])
+    def test_stacked_rows_are_bitwise_their_own_calls(self, instance, quick_cfg, target, monkeypatch):
+        from dataclasses import replace
+
+        from doublephase.solver import _project_onto
+
+        cfg = replace(quick_cfg, target=target)
+        chart = instance.chart
+        rows = [_rand(chart, "onto-stack", i, amp=0.01 * (i + 1), mean=0.3).values for i in range(4)]
+        non_finite = np.ones(chart.shape)
+        non_finite[3] = np.nan
+        # the constant 0.01 has no root in the local window; zero and -1 have none at all
+        extra = [np.full(chart.shape, 0.01), non_finite, np.zeros(chart.shape), np.full(chart.shape, -1.0)]
+        stack = np.array(rows[:2] + extra + rows[2:])
+        for local in (False, True):
+            counts = _count_profiles(monkeypatch)
+            stacked = _project_onto(instance, stack, cfg, local)
+            assert counts["calls"] == 1
+            monkeypatch.undo()
+            alone = [_project_onto(instance, vals, cfg, local) for vals in stack]
+            assert [out is None for out in stacked] == [out is None for out in alone]
+            assert sum(out is not None for out in stacked) >= 3
+            for got, want in zip(stacked, alone):
+                if want is not None:
+                    assert got[0].values.tobytes() == want[0].values.tobytes()
+                    assert repr(got[1]) == repr(want[1])
+
     def test_zero_field_does_not_project(self, instance, quick_cfg):
         from doublephase.solver import _project_onto
 
@@ -253,11 +280,51 @@ def _torus_instance(dim, n, metric_spec):
     )
 
 
+def _outcome_record(o):
+    u = None if o.u is None else o.u.values.tobytes()
+    return (o.converged, o.projected, u, repr(o.J), repr(o.residual_norm), o.iterations, o.note)
+
+
+def _lane_cases():
+    """(id, instance, config, backtracks allowed, the notes the lanes must end with)."""
+    from conftest import make_variable_instance
+
+    ref = make_reference_instance(lam=0.2)
+    aniso = _torus_instance(2, 32, np.array([[1.0, 0.3], [0.3, 2.0]]))
+    cube = _torus_instance(3, 8, np.array([[1.0, 0.2, 0.0], [0.2, 1.5, 0.1], [0.0, 0.1, 2.0]]))
+    var = make_variable_instance(lam=0.05)
+    plus, minus = dp.NehariClass.PLUS, dp.NehariClass.MINUS
+    converged, unprojected = "", "start did not project"
+    cap, stall = "iteration cap reached", "backtracking stalled"
+    for name, P, m in (("ref1d", ref, 8), ("aniso2d", aniso, 4), ("cube8", cube, 4)):
+        yield f"{name}-plus", P, dp.SolverConfig(seed=7, target=plus, multistart=m), None, {converged, unprojected}
+        yield f"{name}-minus", P, dp.SolverConfig(seed=7, target=minus, multistart=m), None, {converged}
+    yield "ref1d-minus-stall", ref, dp.SolverConfig(seed=7, target=minus, multistart=4), 2, {converged, stall}
+    for cap_iters in (1, 5):
+        for target in (plus, minus):
+            cfg = dp.SolverConfig(seed=42, target=target, multistart=8, max_outer_iters=cap_iters)
+            yield f"var-cap{cap_iters}-{target.value}", var, cfg, None, {cap, unprojected} if target is plus else {cap}
+
+
+@pytest.mark.parametrize("name, P, cfg, backtracks, notes", [pytest.param(*c, id=c[0]) for c in _lane_cases()])
+def test_every_lane_is_bitwise_its_own_one_lane_descent(name, P, cfg, backtracks, notes, monkeypatch):
+    from doublephase import solver
+
+    if backtracks is not None:
+        monkeypatch.setattr(solver, "MAX_BACKTRACKS", backtracks)
+    starts = solver._start_values(P, cfg, range(cfg.multistart))
+    stacked = solver._descend(P, cfg, starts)
+    assert {o.note for o in stacked} == notes
+    for i, out in enumerate(stacked):
+        (alone,) = solver._descend(P, cfg, starts[i : i + 1])
+        assert _outcome_record(out) == _outcome_record(alone)
+
+
 def _start0_iterations(P, target):
-    from doublephase.solver import _run_start
+    from doublephase.solver import _descend, _start_values
 
     cfg = dp.SolverConfig(seed=7, target=target, max_outer_iters=500)
-    out = _run_start(P, cfg, 0)
+    (out,) = _descend(P, cfg, _start_values(P, cfg, [0]))
     assert out.converged, out.note
     return out.iterations
 
