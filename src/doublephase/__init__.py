@@ -31,7 +31,6 @@ from .spaces import (
     luxemburg_norm,
     modular,
     modular_norm_relations,
-    sobolev_norm,
     weighted_modular,
     weighted_norm,
 )

@@ -75,6 +75,22 @@ def pairwise_sum_rows(values) -> np.ndarray:
     return _pairwise_tree(a.T).T
 
 
+# every pass over a stack runs in blocks of at most this many values per
+# temporary: (ray, node) values when a ray profile is built or census samples
+# are drawn, (ray, t, term) products when rays are probed or refined; this
+# bounds the memory of large stacks and of variable exponents
+BLOCK = 2**11
+
+
+def blocks(n: int, item_size: int) -> list:
+    """Slices of ``range(n)`` in order, each of at most ``BLOCK // item_size`` items and at least one.
+
+    ``n = 0`` gives one empty slice, so a blocked pass over an empty stack runs once.
+    """
+    step = max(1, BLOCK // item_size)
+    return [slice(b, min(b + step, n)) for b in range(0, max(n, 1), step)]
+
+
 def _pairwise_tree(a: np.ndarray):
     """The short-row tree of ``pairwise_sum_rows`` along the first axis of a nonempty array."""
     n = len(a)

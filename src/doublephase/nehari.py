@@ -11,9 +11,10 @@ loop refines every sign change of every ray by safeguarded Newton steps on
 the exact phi'. The roots are the constraint points on each ray; the sign
 of t phi'(t) there separates the local-minimum branch (positive), the
 local-maximum branch (negative), and inflections (zero within tolerance).
-A single field is the one-ray stack: ``project`` reports its roots. The
-solver's descent probes one profile per round for the trial points of all
-its lanes.
+Every profile is built from a stack of node values: a field or one field's
+values is the one-ray stack, whose roots ``project`` reports. The solver's
+descent probes one profile per round for the trial points of all its lanes.
+Every stacked pass runs in ``grid.blocks``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import ScalarField, pairwise_sum_rows
+from .grid import ScalarField, blocks, pairwise_sum_rows
 from .problem import ProblemInstance, _Nodewise, gateaux
 from .spaces import ConstantsEstimate
 
@@ -42,11 +43,6 @@ __all__ = [
 
 ROOT_TOL = 1e-10
 CLASS_TOL = 1e-9
-# stack passes run in blocks of at most this many values per temporary: (ray,
-# node) values when a profile is built, (ray, t, term) products when rays are
-# probed or refined; this bounds the memory of large stacks and of variable
-# exponents
-PROBE_BLOCK = 2**11
 MAX_REFINE_STEPS = 100
 # the full bracket of ``project`` and its probe grid size
 PROBE_BRACKET = (1e-6, 1e6)
@@ -96,8 +92,8 @@ def _ray_sums(terms, t) -> np.ndarray:
 
     ``terms`` is (e, C, c, S) with e of shape (F, K), C of shape
     (len(t), F, K), c a length-F sequence and S of shape (len(t), F): lane
-    i evaluates sum_k t_i^e_fk C_ifk - t_i^c_f S_if. Lanes run in blocks of
-    at most PROBE_BLOCK (t, term) products, each (lane, f) row of K terms
+    i evaluates sum_k t_i^e_fk C_ifk - t_i^c_f S_if. Lanes run in
+    ``grid.blocks`` of (t, term) products, each (lane, f) row of K terms
     summed by ``pairwise_sum_rows``, in the order its length K sets (the
     binary tree below ``grid.REDUCE_MIN_LEN`` terms, numpy's pairwise
     reduction from there), so a row sums as it would alone. The powers run
@@ -107,33 +103,30 @@ def _ray_sums(terms, t) -> np.ndarray:
     bitwise the one a single-point call gives.
     """
     expo, coef, src_expo, src = terms
-    step = max(1, PROBE_BLOCK // expo.size)
-    if t.size > step:
-        return np.concatenate([
-            _ray_sums((expo, coef[b : b + step], src_expo, src[b : b + step]), t[b : b + step])
-            for b in range(0, t.size, step)
-        ])
+    parts = blocks(t.size, expo.size)
+    if len(parts) > 1:
+        return np.concatenate([_ray_sums((expo, coef[b], src_expo, src[b]), t[b]) for b in parts])
     sums = pairwise_sum_rows(t[:, None, None] ** expo * coef)
     src_pow = np.array([tv**c for tv in t.tolist() for c in src_expo]).reshape(sums.shape)
     return sums - src_pow * src
 
 
-def _join(blocks):
+def _join(parts):
     """Concatenate per-block tuples of arrays into one tuple, field by field."""
-    if len(blocks) == 1:
-        return blocks[0]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _node_sums(P: ProblemInstance, vals: np.ndarray, truncated: bool):
-    """(source integral, scale, grouped coefficients) of each ray through ``vals``.
+    """(source integral, scale, grouped coefficients) of each ray of the stack ``vals``.
 
-    ``vals`` is one field or a stack of fields. The scale is the ray's five
-    integrals at t = 1, a dimensionless tolerance scale; the coefficients are
-    grouped sums in node order, one bincount over (ray, exponent) bins, so
-    each row's sums are those of that ray alone, whatever the thread count.
+    ``vals`` is (rays, *shape). The scale is the ray's five integrals at
+    t = 1, a dimensionless tolerance scale; the coefficients are grouped
+    sums in node order, one bincount over (ray, exponent) bins, so each
+    row's sums are those of that ray alone, whatever the thread count.
     """
-    rays = len(vals) if vals.ndim > P.chart.dim else 1
+    rays = len(vals)
     w = P.node_weight
     # the powers are fresh arrays, weighted in place
     a_grad_p, a_grad_q, a_u_q, a_u_p, a_src = (
@@ -157,20 +150,18 @@ class _RayProfile:
     summed once per distinct exponent: phi(t) = sum_k t^e_k C_k - t^beta S,
     with e_k running over the distinct values of p and then of q. A ray
     costs as many terms as there are distinct exponents, 2 on constant
-    exponents and at most twice the node count otherwise. ``u`` is one
-    field or an array of field values with one leading stack axis; row i of
-    the profile is ray i, and the point methods (``phi``, ``energy_at``,
-    ``classify_root``, ...) are those of a one-ray profile.
+    exponents and at most twice the node count otherwise. ``u`` is an
+    (m, *shape) stack of node values; a field or one field's values is the
+    one-ray stack. Row i of the profile is ray i, and the point methods
+    (``phi``, ``energy_at``, ``classify_root``, ...) are those of a one-ray
+    profile.
     """
 
     def __init__(self, P: ProblemInstance, u, truncated: bool = False):
         vals = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
-        if vals.ndim == P.chart.dim:
-            blocks = (vals,)
-        else:
-            step = max(1, PROBE_BLOCK // P.chart.n_nodes)
-            blocks = [vals[b : b + step] for b in range(0, max(len(vals), 1), step)]
-        src, self.scales, coef = _join([_node_sums(P, v, truncated) for v in blocks])
+        vals = vals.reshape((-1,) + P.chart.shape)
+        parts = [_node_sums(P, vals[b], truncated) for b in blocks(len(vals), P.chart.n_nodes)]
+        src, self.scales, coef = _join(parts)
         expo = P.exponents.groups[0]
         beta = float(P.nonlinearity.beta)
         # (e, C, c, S) of phi = sum_k t^e_k C_k - t^c S, with C and S one row per ray
@@ -330,11 +321,9 @@ class _RayProfile:
         t_grid, src_pow = _probe_grid(bracket[0], bracket[1], n_grid, beta)
         t_pow = t_grid[:, None] ** expo
         probed = np.arange(len(coef)) if rays is None else rays
-        # rays in blocks of at most PROBE_BLOCK (ray, t, term) products, or
-        # one ray when a single ray's grid is larger
-        step = max(1, PROBE_BLOCK // t_pow.size)
+        # rays in blocks of (ray, t, term) products
         rays, node, end, f_node, f_end = _join([
-            self._events(t_pow, src_pow, probed[b : b + step]) for b in range(0, max(probed.size, 1), step)
+            self._events(t_pow, src_pow, probed[b]) for b in blocks(probed.size, t_pow.size)
         ])
         t = self.refine_roots(rays, t_grid[node], t_grid[end], f_node, f_end)
         # lanes that stop on a shared node return the same root

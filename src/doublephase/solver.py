@@ -36,6 +36,7 @@ from .grid import (
     ScalarField,
     _spectrum,
     band_limited_values,
+    blocks,
     metric_symbol,
     normal_coefficients,
     pairwise_sum,
@@ -44,7 +45,6 @@ from .grid import (
     substream,
 )
 from .nehari import (
-    PROBE_BLOCK,
     PROBE_BRACKET,
     PROBE_POINTS,
     NehariClass,
@@ -179,13 +179,13 @@ def _start_values(P: ProblemInstance, cfg: SolverConfig, indices) -> np.ndarray:
 
 
 def _project_onto(P, vals, cfg, local=False):
-    """Scale a candidate onto the target branch: (field, energy), or None.
+    """Scale every row of the (m, *shape) stack ``vals`` onto the target branch.
 
-    ``vals`` is one field's values, or an (m, *shape) stack: then a list of
-    one such result per row, bitwise that row's own. All rows share one
-    truncated ray profile, and each row's smallest root of the target class
-    on it is taken, as in the census. Initial projections probe the full
-    bracket. Re-projections inside the descent loop (``local``) first probe
+    Returns one entry per row: the projected node values and their energy,
+    or None, each bitwise that row's own. All rows share one truncated ray
+    profile, and each row's smallest root of the target class on it is
+    taken, as in the census. Initial projections probe the full bracket.
+    Re-projections inside the descent loop (``local``) first probe
     ``LOCAL_WINDOW`` around t = 1, where the root continuous with the
     current iterate lives; rows without a root there then probe the full
     bracket on the same profile. Rows with non-finite entries are rejected
@@ -194,32 +194,30 @@ def _project_onto(P, vals, cfg, local=False):
     energy J(t u) is read from the same profile: every term is homogeneous
     in t, and for t > 0 the truncation mask of t u is the mask of u.
     """
-    single = vals.ndim == P.chart.dim
-    rows = vals[None] if single else vals
-    out = [None] * len(rows)
-    live = np.flatnonzero(np.isfinite(rows.reshape(len(rows), -1)).all(axis=1))
+    out = [None] * len(vals)
+    live = np.flatnonzero(np.isfinite(vals.reshape(len(vals), -1)).all(axis=1))
     if live.size:
-        profile = _RayProfile(P, rows[live], truncated=True)
+        profile = _RayProfile(P, vals[live], truncated=True)
         left = np.arange(live.size)
         windows = (LOCAL_WINDOW,) if local else ()
         for bracket, n_grid in windows + ((PROBE_BRACKET, PROBE_POINTS),):
             rays, t = profile.constraint_points(bracket, n_grid, left).first(cfg.target)
             for ray, t_ray, J in zip(rays.tolist(), t.tolist(), profile.energy_values(rays, t).tolist()):
-                out[live[ray]] = (P.chart.field(t_ray * rows[live[ray]]), J)
+                out[live[ray]] = (t_ray * vals[live[ray]], J)
             left = left[~np.isin(left, rays)]
             if not left.size:
                 break
-    return out[0] if single else out
+    return out
 
 
 @dataclass
 class _StartOutcome:
-    """A start's descent: its iterate, energy and last residual norm, the
-    iterations it completed (counting the one it stalled in), and why it ended."""
+    """A start's descent: its iterate's node values, energy and last residual norm,
+    the iterations it completed (counting the one it stalled in), and why it ended."""
 
     converged: bool
     projected: bool
-    u: ScalarField | None = None
+    u: np.ndarray | None = None
     J: float = math.inf
     residual_norm: float = math.inf
     iterations: int = 0
@@ -242,9 +240,9 @@ def _descend(P: ProblemInstance, cfg: SolverConfig, starts: np.ndarray) -> list:
     test. On constant weights w / w_bar is 1 (to rounding), so d filters r.
     The lanes that have just projected or accepted a step take one stacked
     residual, direction and slope; then every lane still searching
-    re-projects its candidate in one ``_project_onto`` call. Every row sums
-    as it would alone, so outcome i is bitwise that of row i descending by
-    itself.
+    re-projects its candidate in one ``_project_onto`` call. Iterates stay
+    node values. Every row sums as it would alone, so outcome i is bitwise
+    that of row i descending by itself.
     """
     w = P.node_weight
     multiplier = _sobolev_filter(P)
@@ -258,7 +256,7 @@ def _descend(P: ProblemInstance, cfg: SolverConfig, starts: np.ndarray) -> list:
     # each searching lane's (direction, slope, step, failed trials)
     search = {}
     while fresh:
-        r, rnorms = residual_gradient(P, np.array([outcomes[i].u.values for i in fresh]), truncated=True)
+        r, rnorms = residual_gradient(P, np.array([outcomes[i].u for i in fresh]), truncated=True)
         d = -np.fft.ifftn(np.fft.fftn(r * w_rel, axes=axes) * multiplier, axes=axes).real
         slopes = pairwise_sum_rows((r * d * w).reshape(len(fresh), -1))
         for i, rnorm, d_i, slope in zip(fresh, rnorms.tolist(), d, slopes.tolist()):
@@ -269,7 +267,7 @@ def _descend(P: ProblemInstance, cfg: SolverConfig, starts: np.ndarray) -> list:
         fresh = []
         while search and not fresh:
             live = list(search)
-            candidates = np.array([outcomes[i].u.values + search[i][2] * search[i][0] for i in live])
+            candidates = np.array([outcomes[i].u + search[i][2] * search[i][0] for i in live])
             for i, trial in zip(live, _project_onto(P, candidates, cfg, local=True)):
                 out, (d_i, slope, step, failed) = outcomes[i], search.pop(i)
                 if trial is not None and trial[1] <= out.J + ARMIJO * step * slope:
@@ -315,19 +313,21 @@ def minimize_on_branch(
             f"{cfg.residual_tol:g}; best residual {rnorm:.3e} (start {i}: {outcomes[i].note})",
         )
     J_best, index, out = min(converged, key=lambda rec: (rec[0], rec[1]))
-    profile = _RayProfile(P, out.u, truncated=True)
+    # the one field of the descent: it checks that the reported point is finite
+    u = P.chart.field(out.u)
+    profile = _RayProfile(P, u, truncated=True)
     psi_value = profile.phi(1.0)
     cls = profile.classify_root(1.0)
     warnings = list(P.warnings)
     if cls is not cfg.target:
         warnings.append(f"converged point classifies as {cls.value}, target was {cfg.target.value}")
     return SolutionReport(
-        u=out.u,
+        u=u,
         J_value=out.J,
         nehari_class=cls,
         psi_value=psi_value,
         residual_norm=out.residual_norm,
-        min_u=float(out.u.values.min()),
+        min_u=float(u.values.min()),
         theta_estimate=J_best,
         iterations=out.iterations,
         start_index=index,
@@ -452,20 +452,18 @@ def _census_samples(chart, seed, j, n) -> np.ndarray:
     ``substream(seed, "sweep-minus", j)``; each draws its amplitude and then
     its coefficients, so sample i is bitwise the i-th of sequential
     ``random_band_limited`` draws on that stream, and the first m of n
-    samples are the m samples. Built in blocks of PROBE_BLOCK (sample, node)
+    samples are the m samples. Built in ``grid.blocks`` of (sample, node)
     values, so that only one block's coefficients are alive at a time.
     """
     rng = substream(seed, "sweep-minus", j)
     stack = np.empty((n,) + chart.shape)
-    step = max(1, PROBE_BLOCK // chart.n_nodes)
-    for b in range(0, n, step):
-        m = min(step, n - b)
-        coef = np.empty((m,) + chart.shape, dtype=complex)
+    for b in blocks(n, chart.n_nodes):
+        coef = np.empty((b.stop - b.start,) + chart.shape, dtype=complex)
         amps = []
-        for k in range(m):
+        for k in range(len(coef)):
             amps.append(float(10.0 ** rng.uniform(-1, 1)))
             coef[k] = normal_coefficients(rng, chart.shape)
-        stack[b : b + m] = band_limited_values(chart, coef, amps)
+        stack[b] = band_limited_values(chart, coef, amps)
     return stack
 
 

@@ -24,8 +24,6 @@ from .grid import (
     ScalarField,
     _spectrum,
     flux_divergence,
-    grad_norm_g,
-    gradient,
     gradient_values,
     integrate,
     metric_symbol,
@@ -49,7 +47,6 @@ __all__ = [
     "weighted_norm",
     "holder_check",
     "modular_norm_relations",
-    "sobolev_norm",
     "estimate_constants",
 ]
 
@@ -275,12 +272,6 @@ def weighted_norm(u: ScalarField, e: ScalarField, w: WeightField, metric: Metric
     return _luxemburg(np.abs(u.values), e.values, w.mu.values, metric)
 
 
-def sobolev_norm(u: ScalarField, e: ScalarField, metric: MetricField) -> float:
-    """First-order norm: Luxemburg norm of u plus that of |grad u|_g."""
-    gnorm = grad_norm_g(gradient(u), metric)
-    return luxemburg_norm(u, e, metric) + luxemburg_norm(gnorm, e, metric)
-
-
 def holder_factor(e: ScalarField) -> float:
     """The constant 1 + 1/e- + 1/e+ used on the right of the Hoelder bound."""
     vals = e.values
@@ -441,7 +432,7 @@ def _stack_ratios(vals, exponents: ExponentField, weight: WeightField, metric: M
     and (gradient components, |grad u|_g, ||u||_q, || |grad u|_g ||_q) for the ascent.
 
     The three norms of every row are the lanes of one ``_luxemburg_rows``
-    loop; the Sobolev norm is the sum of the q-norms, as in ``sobolev_norm``.
+    loop; the first-order norm s is ||u||_q + || |grad u|_g ||_q.
     A Poincare ratio with a vanishing denominator is 0. Every ratio is
     bitwise what the row's own public norm calls give.
     """

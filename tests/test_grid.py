@@ -237,6 +237,20 @@ def test_pairwise_sum_rows_order_is_set_by_the_row_length():
     assert dp.pairwise_sum_rows(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 100, 2**11 + 1])
+@pytest.mark.parametrize("item_size", [1, 3, 64, 2**11, 2**11 + 1, 4096])
+def test_blocks_cover_the_range_in_order_within_the_item_bound(n, item_size):
+    parts = dp.grid.blocks(n, item_size)
+    bound = max(1, dp.grid.BLOCK // item_size)
+    assert [i for b in parts for i in range(n)[b]] == list(range(n))
+    if n == 0:
+        assert [range(n)[b] for b in parts] == [range(0)]
+    else:
+        assert all(1 <= len(range(n)[b]) <= bound for b in parts)
+        # only the last block may be short
+        assert all(len(range(n)[b]) == bound for b in parts[:-1])
+
+
 def test_scalar_field_rejects_nan_and_shape_mismatch():
     chart, _ = dp.build_torus(1, [8])
     with pytest.raises(ValueError):

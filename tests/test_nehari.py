@@ -5,7 +5,8 @@ import pytest
 
 import doublephase as dp
 from doublephase.config import parse_config
-from doublephase.nehari import PROBE_BLOCK, ROOT_TOL, _BRANCHES, _RayProfile
+from doublephase.grid import BLOCK
+from doublephase.nehari import ROOT_TOL, _BRANCHES, _RayProfile
 from doublephase.problem import _Nodewise
 from conftest import make_calibrated_ray, make_reference_instance
 
@@ -131,6 +132,23 @@ class TestGroupedProfile:
             )
             assert profile.energy_at(t) == pytest.approx(br.total, abs=1e-13 * magnitude)
 
+    @pytest.mark.parametrize("truncated", [False, True])
+    @pytest.mark.parametrize("which", ["reference", "variable_default", "aniso32"])
+    def test_field_values_and_one_row_stack_build_one_profile(self, which, truncated):
+        # every input becomes an (m, *shape) stack: a field, its values and
+        # the one-row stack give bitwise the same scales and term tables
+        P = INSTANCES[which]()
+        u = _rand(P.chart, "shapes", which, amp=0.7, mean=0.2)
+
+        def tables(profile):
+            arrays = (profile.scales, *profile._phi_terms, *profile._pair_terms)
+            return [(np.shape(a), np.asarray(a).tobytes()) for a in arrays]
+
+        want = tables(_RayProfile(P, u.values[None], truncated))
+        assert want[0][0] == (1,)
+        assert tables(_RayProfile(P, u, truncated)) == want
+        assert tables(_RayProfile(P, u.values, truncated)) == want
+
 
 def _project_rows(P, stack, truncated, window):
     """Per-ray ``project`` of every row: (roots, classes, phi at roots, J at roots), or None."""
@@ -246,9 +264,9 @@ class TestStackedProjection:
         stack = _ray_stack(P, "blocks", 240)
         terms = _RayProfile(P, stack[:1])._phi_terms[0].size
         roots = _RayProfile(P, stack).constraint_points()
-        assert stack.size > PROBE_BLOCK
-        assert 256 * terms > PROBE_BLOCK
-        assert roots.t.size > PROBE_BLOCK // (2 * terms)
+        assert stack.size > BLOCK
+        assert 256 * terms > BLOCK
+        assert roots.t.size > BLOCK // (2 * terms)
         assert repr(_stack_rows(P, stack, False, {})) == repr(_project_rows(P, stack, False, {}))
 
 

@@ -114,7 +114,7 @@ class TestProjectOnto:
             vals = np.ones(instance.chart.shape)
             vals[5] = bad
             for local in (False, True):
-                assert _project_onto(instance, vals, quick_cfg, local) is None
+                assert _project_onto(instance, vals[None], quick_cfg, local) == [None]
 
     @pytest.mark.parametrize("target", [dp.NehariClass.PLUS, dp.NehariClass.MINUS])
     def test_energy_is_the_energy_of_the_projected_field(self, instance, quick_cfg, target):
@@ -127,11 +127,11 @@ class TestProjectOnto:
         for i in range(6):
             vals = _rand(instance.chart, "onto", i, amp=0.02, mean=0.6).values
             for local in (False, True):
-                out = _project_onto(instance, vals, cfg, local)
+                (out,) = _project_onto(instance, vals[None], cfg, local)
                 if out is None:
                     continue
                 u, J = out
-                br = dp.energy(instance, u, truncated=True)
+                br = dp.energy(instance, instance.chart.field(u), truncated=True)
                 magnitude = (
                     br.grad_p_term + br.grad_q_term + br.lambda_q_term + br.u_p_term + br.F_term
                 )
@@ -159,14 +159,14 @@ class TestProjectOnto:
         out = {}
         for local in (False, True):
             counts["calls"] = 0
-            out[local] = _project_onto(instance, vals, cfg, local)
+            (out[local],) = _project_onto(instance, vals[None], cfg, local)
             assert counts["calls"] == 1
         monkeypatch.undo()
         (u_full, J_full), (u_local, J_local) = out[False], out[True]
-        assert u_local.values.tobytes() == u_full.values.tobytes()
+        assert u_local.tobytes() == u_full.tobytes()
         assert repr(J_local) == repr(J_full)
         t = res.t_roots[res.classes.index(target)]
-        assert u_full.values.tobytes() == (t * vals).tobytes()
+        assert u_full.tobytes() == (t * vals).tobytes()
 
     @pytest.mark.parametrize("target", [dp.NehariClass.PLUS, dp.NehariClass.MINUS])
     def test_stacked_rows_are_bitwise_their_own_calls(self, instance, quick_cfg, target, monkeypatch):
@@ -187,12 +187,12 @@ class TestProjectOnto:
             stacked = _project_onto(instance, stack, cfg, local)
             assert counts["calls"] == 1
             monkeypatch.undo()
-            alone = [_project_onto(instance, vals, cfg, local) for vals in stack]
+            alone = [_project_onto(instance, vals[None], cfg, local)[0] for vals in stack]
             assert [out is None for out in stacked] == [out is None for out in alone]
             assert sum(out is not None for out in stacked) >= 3
             for got, want in zip(stacked, alone):
                 if want is not None:
-                    assert got[0].values.tobytes() == want[0].values.tobytes()
+                    assert got[0].tobytes() == want[0].tobytes()
                     assert repr(got[1]) == repr(want[1])
 
     def test_zero_field_does_not_project(self, instance, quick_cfg):
@@ -200,7 +200,7 @@ class TestProjectOnto:
 
         vals = np.zeros(instance.chart.shape)
         for local in (False, True):
-            assert _project_onto(instance, vals, quick_cfg, local) is None
+            assert _project_onto(instance, vals[None], quick_cfg, local) == [None]
 
 
 class TestMinimizeOnBranch:
@@ -281,7 +281,7 @@ def _torus_instance(dim, n, metric_spec):
 
 
 def _outcome_record(o):
-    u = None if o.u is None else o.u.values.tobytes()
+    u = None if o.u is None else o.u.tobytes()
     return (o.converged, o.projected, u, repr(o.J), repr(o.residual_norm), o.iterations, o.note)
 
 
@@ -318,6 +318,25 @@ def test_every_lane_is_bitwise_its_own_one_lane_descent(name, P, cfg, backtracks
     for i, out in enumerate(stacked):
         (alone,) = solver._descend(P, cfg, starts[i : i + 1])
         assert _outcome_record(out) == _outcome_record(alone)
+
+
+@pytest.mark.parametrize("target", [dp.NehariClass.PLUS, dp.NehariClass.MINUS])
+def test_descent_builds_no_field_and_the_report_one(target, monkeypatch):
+    # starts, iterates and trial points stay node values; only the reported
+    # point becomes a field, whose construction checks that it is finite
+    from doublephase import solver
+
+    P = make_reference_instance(lam=0.2)
+    cfg = dp.SolverConfig(seed=7, target=target, multistart=4)
+    starts = solver._start_values(P, cfg, range(cfg.multistart))
+    counts = _count_calls(monkeypatch, dp.ScalarField, "__post_init__")
+    outcomes = solver._descend(P, cfg, starts)
+    assert sum(o.iterations for o in outcomes) > 0
+    assert counts["calls"] == 0
+    rep = dp.minimize_on_branch(P, cfg)
+    monkeypatch.undo()
+    assert counts["calls"] == 1
+    assert rep.residual_norm <= cfg.residual_tol
 
 
 def _start0_iterations(P, target):
@@ -503,8 +522,8 @@ def _sequential_census_samples(chart, seed, j, n):
 @pytest.mark.parametrize("j", [0, 7])
 @pytest.mark.parametrize(
     "sizes, n",
-    # 32 samples per PROBE_BLOCK block; 8 per block with a partial last one;
-    # one per block, the chart having more nodes than PROBE_BLOCK
+    # 32 samples per block; 8 per block with a partial last one; one per
+    # block, the chart having more nodes than grid.BLOCK
     [([64], 256), ([16, 16], 37), ([16, 16, 16], 3)],
 )
 def test_census_samples_are_sequential_draws_on_one_substream(sizes, n, seed, j, monkeypatch):
@@ -519,7 +538,7 @@ def test_census_samples_are_sequential_draws_on_one_substream(sizes, n, seed, j,
     assert samples.shape == (n,) + chart.shape
     assert samples.tobytes() == expected.tobytes()
     # the blocks do not change the draws: move every block boundary
-    monkeypatch.setattr(solver, "PROBE_BLOCK", 3 * chart.n_nodes)
+    monkeypatch.setattr(dp.grid, "BLOCK", 3 * chart.n_nodes)
     assert solver._census_samples(chart, seed, j, n).tobytes() == expected.tobytes()
     if n == 37:
         # fewer samples are a prefix of more
