@@ -3,8 +3,9 @@
 Every artifact embeds the resolved configuration and the seed, so any run
 can be replayed exactly; the one exception is the wall-clock record
 ``timing.json`` that ``solve`` writes next to its reports. Exit codes: 0
-success, 1 error (including any failing verify property or malformed
-input), 2 usage error or inconclusive solve.
+success, 1 error (including any failing verify property, malformed input,
+an ``--out`` that names a file, and a failed artifact write), 2 usage
+error or inconclusive solve.
 """
 
 from __future__ import annotations
@@ -242,12 +243,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise NotADirectoryError(f"--out {args.out} exists and is not a directory")
         rc = parse_config(args.config, needs=args.needs)
         if args.seed is not None:
             rc.seed = args.seed
         return args.func(args, rc)
-    except ValueError as exc:
-        # ConfigError and FieldFormatError are ValueErrors too
+    except (ValueError, OSError) as exc:
+        # ConfigError and FieldFormatError are ValueErrors too; OSError is a
+        # failed artifact write
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -93,8 +93,6 @@ class RunConfig:
 
 
 def _metric_from_spec(spec: str, chart: Chart) -> MetricField:
-    if spec == "identity":
-        return MetricField.from_spec(chart, "identity")
     if spec.startswith("constant"):
         vals = [float(tok) for tok in spec.split()[1:]]
         need = chart.dim * (chart.dim + 1) // 2
@@ -105,7 +103,8 @@ def _metric_from_spec(spec: str, chart: Chart) -> MetricField:
         return MetricField.from_spec(chart, symmetric_from_upper(vals, chart.dim))
     if spec.startswith("file"):
         return read_metric(_file_path(spec), chart)
-    raise ConfigError(f"unknown metric spec {spec!r}")
+    # "identity", or an unknown spec that from_spec rejects
+    return MetricField.from_spec(chart, spec)
 
 
 def field_from_spec(spec: str, chart: Chart) -> ScalarField:

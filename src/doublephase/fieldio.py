@@ -8,7 +8,8 @@ Layout::
 
 Scalars are written with 17 significant digits so a write/read cycle is
 bit-identical. Metric lines carry the n(n+1)/2 upper-triangle entries of the
-node tensor, row-major.
+node tensor, row-major. Every value must be finite, and every read error
+names the file and the line.
 """
 
 from __future__ import annotations
@@ -61,8 +62,13 @@ def write_field(path, field: ScalarField):
             fh.write(_fmt(v) + "\n")
 
 
-def _read(path, chart: Chart, metric: bool):
-    """The lines of a field file whose header matches ``chart``, and its node count."""
+def _read(path, chart: Chart, metric: bool) -> np.ndarray:
+    """The (nodes, width) finite values of a field file whose header matches ``chart``.
+
+    Every non-blank line after the header is one node's row: 1 value for a
+    field, n(n+1)/2 for a metric table. Each malformed row is an error at
+    ``path:line``.
+    """
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -74,28 +80,34 @@ def _read(path, chart: Chart, metric: bool):
             f"{path}:2: file grid dim={dim} sizes={sizes} does not match chart "
             f"dim={chart.dim} sizes={chart.sizes}"
         )
-    return lines, chart.n_nodes
+    n_nodes = chart.n_nodes
+    width = dim * (dim + 1) // 2 if metric else 1
+    unit = "rows" if metric else "values"
+    rows = np.empty((n_nodes, width))
+    row = 0
+    for lineno, line in enumerate(lines[2:], start=3):
+        parts = line.split()
+        if not parts:
+            continue
+        if row >= n_nodes:
+            raise FieldFormatError(f"{path}:{lineno}: more {unit} than {n_nodes} nodes")
+        if len(parts) != width:
+            raise FieldFormatError(f"{path}:{lineno}: expected {width} values per row, got {len(parts)}")
+        try:
+            rows[row] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise FieldFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not np.isfinite(rows[row]).all():
+            raise FieldFormatError(f"{path}:{lineno}: non-finite value in {line.strip()!r}")
+        row += 1
+    if row != n_nodes:
+        raise FieldFormatError(f"{path}:{len(lines)}: expected {n_nodes} {unit}, got {row}")
+    return rows
 
 
 def read_field(path, chart: Chart) -> ScalarField:
     """Read a scalar field on ``chart``; the file's grid must match it."""
-    lines, n_nodes = _read(path, chart, metric=False)
-    values = np.empty(n_nodes)
-    row = 0
-    for lineno, line in enumerate(lines[2:], start=3):
-        text = line.strip()
-        if not text:
-            continue
-        if row >= n_nodes:
-            raise FieldFormatError(f"{path}:{lineno}: more values than {n_nodes} nodes")
-        try:
-            values[row] = float(text)
-        except ValueError as exc:
-            raise FieldFormatError(f"{path}:{lineno}: {exc}") from exc
-        row += 1
-    if row != n_nodes:
-        raise FieldFormatError(f"{path}:{len(lines)}: expected {n_nodes} values, got {row}")
-    return chart.field(values.reshape(chart.shape))
+    return chart.field(_read(path, chart, metric=False).reshape(chart.shape))
 
 
 def symmetric_from_upper(tri, dim: int) -> np.ndarray:
@@ -110,28 +122,6 @@ def symmetric_from_upper(tri, dim: int) -> np.ndarray:
 
 def read_metric(path, chart: Chart) -> MetricField:
     """Read a metric table on ``chart``; the file's grid must match it."""
-    lines, n_nodes = _read(path, chart, metric=True)
     dim = chart.dim
-    n_tri = dim * (dim + 1) // 2
-    tri = np.empty((n_nodes, n_tri))
-    row = 0
-    for lineno, line in enumerate(lines[2:], start=3):
-        text = line.strip()
-        if not text:
-            continue
-        if row >= n_nodes:
-            raise FieldFormatError(f"{path}:{lineno}: more rows than {n_nodes} nodes")
-        parts = text.split()
-        if len(parts) != n_tri:
-            raise FieldFormatError(
-                f"{path}:{lineno}: expected {n_tri} upper-triangle values, got {len(parts)}"
-            )
-        try:
-            tri[row] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise FieldFormatError(f"{path}:{lineno}: {exc}") from exc
-        row += 1
-    if row != n_nodes:
-        raise FieldFormatError(f"{path}:{len(lines)}: expected {n_nodes} rows, got {row}")
-    g = symmetric_from_upper(tri, dim)
+    g = symmetric_from_upper(_read(path, chart, metric=True), dim)
     return MetricField.from_spec(chart, g.reshape(chart.shape + (dim, dim)))

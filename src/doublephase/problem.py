@@ -40,16 +40,12 @@ def _power(base: np.ndarray, expo) -> np.ndarray:
     """base**expo for base >= 0 with the convention 0**negative = 0.
 
     Needed for the degenerate gradient density |grad u|^{e-2} at critical
-    points of u when e < 2: the product with grad u tends to 0 there. A
-    per-node ``expo`` broadcasts over leading stack axes of ``base``.
+    points of u when e < 2: the product with grad u tends to 0 there. One
+    masked ufunc call: nodes with base > 0 get base**expo, the rest keep
+    the zero of ``out``. ``expo`` is a scalar or per-node, and a per-node
+    one broadcasts over leading stack axes of ``base``.
     """
-    out = np.zeros_like(base)
-    nz = base > 0
-    if np.isscalar(expo) or np.ndim(expo) == 0:
-        out[nz] = base[nz] ** float(expo)
-    else:
-        out[nz] = base[nz] ** np.broadcast_to(expo, base.shape)[nz]
-    return out
+    return np.power(base, expo, out=np.zeros_like(base), where=base > 0)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ residual norm is always the unfiltered one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
@@ -434,15 +434,7 @@ class SweepRow:
     lambda_star_star: float
 
     def to_csv_row(self):
-        return [
-            self.lam,
-            self.theta_plus_estimate,
-            self.theta_minus_estimate,
-            self.n_plus_found,
-            self.n_minus_found,
-            self.lambda_star,
-            self.lambda_star_star,
-        ]
+        return list(astuple(self))
 
 
 def _census_samples(chart, seed, j, n) -> np.ndarray:

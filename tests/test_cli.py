@@ -256,6 +256,44 @@ class TestProject:
         assert code == 1
         assert "bad.field:3" in capsys.readouterr().err
 
+    def test_non_finite_field_is_one_line_naming_the_file(self, tmp_path, ref_cfg, capsys):
+        bad = tmp_path / "nan.field"
+        bad.write_text("nehari-field v1\ndim 1 sizes 64\n" + "1.0\n" * 5 + "nan\n" + "1.0\n" * 58)
+        out = tmp_path / "x"
+        assert main(["project", "--config", ref_cfg, "--field", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:8: non-finite value in 'nan'\n"
+        assert not out.exists()
+
+
+class TestOutPath:
+    @pytest.mark.parametrize(
+        "command, runner",
+        [("solve", "two_solution_experiment"), ("sweep", "sweep"), ("verify", "run_verify_suite")],
+    )
+    def test_out_naming_a_file_fails_before_any_run(self, tmp_path, ref_cfg, capsys, monkeypatch, command, runner):
+        from doublephase import cli
+
+        def never(*args, **kwargs):
+            pytest.fail(f"{runner} ran although --out names a file")
+
+        monkeypatch.setattr(cli, runner, never)
+        out = tmp_path / "taken"
+        out.write_text("keep me\n")
+        assert main([command, "--config", ref_cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+        assert out.read_text() == "keep me\n"
+
+    def test_failed_artifact_write_is_one_line(self, tmp_path, ref_cfg, capsys):
+        parent = tmp_path / "file"
+        parent.write_text("")
+        out = parent / "sub"
+        assert main(["sweep", "--config", ref_cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestConfigErrors:
     def test_malformed_value_is_line_anchored(self, tmp_path, capsys):

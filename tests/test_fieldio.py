@@ -59,3 +59,45 @@ def test_read_rejects_chart_mismatch(tmp_path):
     dp.write_field(path, chart.constant(1.0))
     with pytest.raises(FieldFormatError, match="does not match chart"):
         dp.read_field(path, other)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_field_value_is_line_anchored(tmp_path, bad):
+    chart, _ = dp.build_torus(1, [8])
+    path = tmp_path / "bad.field"
+    path.write_text("nehari-field v1\ndim 1 sizes 8\n" + "1.0\n" * 3 + f"{bad}\n" + "1.0\n" * 4)
+    with pytest.raises(FieldFormatError, match=rf"bad\.field:6: non-finite value in '{bad}'"):
+        dp.read_field(path, chart)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_metric_value_is_line_anchored(tmp_path, bad):
+    chart, _ = dp.build_torus(2, [4, 4])
+    path = tmp_path / "bad.metric"
+    rows = ["1.0 0.0 1.0"] * 16
+    rows[9] = f"1.0 {bad} 1.0"
+    path.write_text("nehari-field v1 metric\ndim 2 sizes 4 4\n" + "\n".join(rows) + "\n")
+    with pytest.raises(FieldFormatError, match=rf"bad\.metric:12: non-finite value"):
+        dp.read_metric(path, chart)
+
+
+def test_metric_row_of_the_wrong_width_is_line_anchored(tmp_path):
+    chart, _ = dp.build_torus(2, [4, 4])
+    path = tmp_path / "wide.metric"
+    rows = ["1.0 0.0 1.0"] * 16
+    rows[4] = "1.0 0.0"
+    path.write_text("nehari-field v1 metric\ndim 2 sizes 4 4\n" + "\n".join(rows) + "\n")
+    with pytest.raises(FieldFormatError, match=r"wide\.metric:7: expected 3 values per row, got 2"):
+        dp.read_metric(path, chart)
+
+
+def test_metric_row_counts_are_line_anchored(tmp_path):
+    chart, _ = dp.build_torus(1, [4])
+    head = "nehari-field v1 metric\ndim 1 sizes 4\n"
+    short, long = tmp_path / "short.metric", tmp_path / "long.metric"
+    short.write_text(head + "2.0\n" * 3)
+    long.write_text(head + "2.0\n" * 5)
+    with pytest.raises(FieldFormatError, match=r"short\.metric:5: expected 4 rows, got 3"):
+        dp.read_metric(short, chart)
+    with pytest.raises(FieldFormatError, match=r"long\.metric:7: more rows than 4 nodes"):
+        dp.read_metric(long, chart)

@@ -1,11 +1,16 @@
-"""Package-level checks: every module's public names resolve."""
+"""Package-level checks: every module's public names resolve, and the
+README's CLI synopsis names exactly the parser's options."""
 
+import argparse
 import importlib
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
 import doublephase
+from doublephase.cli import build_parser
 
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(doublephase.__path__)))
@@ -15,3 +20,30 @@ def test_star_import_resolves_every_export(module):
     exec(f"from doublephase.{module} import *", namespace)
     exported = importlib.import_module(f"doublephase.{module}").__all__
     assert set(exported) <= set(namespace)
+
+
+def _readme_synopsis():
+    """Subcommand -> the options its lines in the README "## CLI" block name."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    options, command = {}, None
+    for line in section.splitlines():
+        if not line.startswith("    "):
+            if options:
+                break  # the synopsis is the first indented block
+            continue
+        words = line.split()
+        if words[0] == "doublephase":
+            command = words[1]
+            options[command] = set()
+        options[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return options
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert _readme_synopsis() == parsed

@@ -302,3 +302,30 @@ def test_instance_warnings(ref):
 def test_lambda_must_be_finite_and_positive(lam):
     with pytest.raises(ValueError, match="lambda must be finite and positive"):
         make_reference_instance(lam=lam)
+
+
+def _gather_scatter_power(base, expo):
+    """The masked power as a gather and a scatter of the nonzero bases: the oracle."""
+    out = np.zeros_like(base)
+    nz = base > 0
+    if np.ndim(expo) == 0:
+        out[nz] = base[nz] ** float(expo)
+    else:
+        out[nz] = base[nz] ** np.broadcast_to(expo, base.shape)[nz]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(64,), (8, 8), (4, 4, 4)])
+@pytest.mark.parametrize("stack", [None, 5])
+def test_masked_power_is_bitwise_the_gather_scatter_formula(shape, stack):
+    from doublephase.problem import _power
+
+    rng = np.random.default_rng(30)
+    full = shape if stack is None else (stack,) + shape
+    base = np.abs(rng.standard_normal(full)) * 10.0 ** rng.uniform(-3, 3, full)
+    base.flat[::5] = 0.0
+    per_node = [1.0 + rng.uniform(0, 2, shape), rng.uniform(-1.5, 0.5, shape)]
+    for expo in [2, 2.0, 1.0, 0.0, -0.3, 1.3, -1.0, *per_node]:
+        got = _power(base, expo)
+        assert np.array_equal(got, _gather_scatter_power(base, expo))
+        assert np.all(got[base == 0.0] == 0.0)
