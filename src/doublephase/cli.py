@@ -4,7 +4,7 @@ Every artifact embeds the resolved configuration and the seed, so any run
 can be replayed exactly; the one exception is the wall-clock record
 ``timing.json`` that ``solve`` writes next to its reports. Exit codes: 0
 success, 1 error (including any failing verify property, malformed input,
-an ``--out`` that names a file, and a failed artifact write), 2 usage
+an ``--out`` at or under a file, and a failed artifact write), 2 usage
 error or inconclusive solve.
 """
 
@@ -239,12 +239,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out):
+    """Reject an ``--out`` whose nearest existing ancestor, or itself, is not a
+    directory, so that no command runs to fail at its first write."""
+    ancestor = os.path.abspath(out)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise NotADirectoryError(f"--out {out}: {ancestor} exists and is not a directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise NotADirectoryError(f"--out {args.out} exists and is not a directory")
+        _check_out(args.out)
         rc = parse_config(args.config, needs=args.needs)
         if args.seed is not None:
             rc.seed = args.seed

@@ -5,9 +5,9 @@ convex and decreasing in log gamma, until a step moves log gamma by at most
 1e-12), weighted analogs, executable inequality checks, and seeded lower
 estimates of the functional constants that feed the branch thresholds.
 
-A norm call solves one field. The constants estimate scores its fields as
-stacks instead: each norm of a stack is one Newton loop with a lane per
-field (``_luxemburg_rows``), bitwise equal to the one-field solves.
+Every norm is one solve of one field by the one Newton loop
+(``_luxemburg``); the constants estimate solves the rows of its stacks one
+by one (``_luxemburg_rows``).
 """
 
 from __future__ import annotations
@@ -133,8 +133,9 @@ def conjugate_exponent(e: ScalarField) -> ScalarField:
 
 
 def _check_exponent(e: ScalarField):
-    if e.values.min() <= 1.0:
-        raise ValueError(f"exponent must exceed 1 everywhere, min is {e.values.min()}")
+    lowest = np.minimum.reduce(e.values, axis=None)
+    if lowest <= 1.0:
+        raise ValueError(f"exponent must exceed 1 everywhere, min is {lowest}")
 
 
 def modular(u: ScalarField, e: ScalarField, metric: MetricField) -> float:
@@ -158,100 +159,53 @@ _NEWTON_MAX_STEPS = 100
 # is a log-sum-exp of affine functions, convex and decreasing, so Newton
 # from x = 0 lands left of the root and then climbs to it monotonically.
 # Shifting by the largest term keeps spread exponents from overflowing.
-def _log_coefficients(abs_vals, peak, e, wsd, cell_volume):
-    """The a_i above, for |u| values (one row or a stack) and their peaks."""
-    return e * np.log(abs_vals / peak) + np.log(wsd * cell_volume)
-
-
-def _newton_step(shift, total, slope_sum):
-    """log rho over minus its slope, the term-weighted mean exponent.
-
-    In Python floats with ``math.log``: ``np.log`` on an array can differ
-    from it in the last bit, and every solve must take the same steps.
-    """
-    return (shift + math.log(total)) * total / slope_sum
-
-
-def _step_sums(a, e, x, rows):
-    """(shift, term sum, slope sum) of the log-modular at x, per row of ``a``.
-
-    ``x`` broadcasts against ``a``. ``rows`` is a (2, *a.shape) buffer that
-    takes the shifted terms exp(a - e x - shift) and the slope terms e times
-    them, in place, so that both sums are one ``pairwise_sum_rows`` call.
-    The values come back as Python floats, or lists of them for a stack.
-    """
-    terms, slopes = rows
-    np.multiply(e, x, out=terms)
-    np.subtract(a, terms, out=terms)
-    shift = terms.max(axis=-1, keepdims=True)
-    terms -= shift
-    np.exp(terms, out=terms)
-    np.multiply(e, terms, out=slopes)
-    return shift[..., 0].tolist(), *pairwise_sum_rows(rows).tolist()
-
-
 def _luxemburg(abs_vals, e_vals, weight_vals, metric):
-    peak = float(abs_vals.max())
+    """The Luxemburg norm of |u| values ``abs_vals`` for exponent values ``e_vals``.
+
+    The one Newton loop of the module. The step, log rho over minus its
+    slope, is taken in Python floats with ``math.log``: ``np.log`` on an
+    array can differ from it in the last bit, and every solve of the same
+    field must take the same steps.
+    """
+    peak = float(np.maximum.reduce(abs_vals, axis=None))
     if peak == 0.0:
         return 0.0
     wsd = metric.sqrt_det if weight_vals is None else metric.sqrt_det * weight_vals
-    if abs_vals.min() > 0.0:
-        vals, e, wsd = abs_vals.ravel(), e_vals.ravel(), wsd.ravel()
+    log_c = np.log(wsd * metric.chart.cell_volume)
+    if np.minimum.reduce(abs_vals, axis=None) > 0.0:
+        a, e, log_c = (abs_vals / peak).ravel(), e_vals.ravel(), log_c.ravel()
     else:
         support = abs_vals > 0.0
-        vals, e, wsd = abs_vals[support], e_vals[support], wsd[support]
-    a = _log_coefficients(vals, peak, e, wsd, metric.chart.cell_volume)
-    rows = np.empty((2, e.size))
-    x = 0.0
+        a, e, log_c = abs_vals[support] / peak, e_vals[support], log_c[support]
+    np.log(a, out=a)
+    a *= e
+    a += log_c
+    # terms exp(a - e x - shift) and slope terms e times them, summed in one call
+    rows = np.empty((2, a.size))
+    terms, slopes = rows
+    x, logs = 0.0, a  # the log terms a - e x; at x = 0, e x is exactly 0
     for _ in range(_NEWTON_MAX_STEPS):
-        step = _newton_step(*_step_sums(a, e, x, rows))
+        shift = float(np.maximum.reduce(logs))
+        np.subtract(logs, shift, out=terms)
+        np.exp(terms, out=terms)
+        np.multiply(e, terms, out=slopes)
+        total, slope_sum = pairwise_sum_rows(rows).tolist()
+        step = (shift + math.log(total)) * total / slope_sum
         x += step
         if abs(step) <= _NEWTON_STEP_TOL:
             break
+        logs = np.subtract(a, np.multiply(e, x, out=terms), out=terms)
     return peak * math.exp(x)
 
 
 def _luxemburg_rows(abs_rows, e_vals, weight_vals, metric) -> np.ndarray:
-    """``_luxemburg`` of every row of a (rows, *chart shape) stack of |u|, bitwise.
+    """``_luxemburg`` of every row of a (rows, *chart shape) stack of |u|.
 
     ``e_vals`` is one exponent field for every row, or a stack of one per
-    row. Rows with no zero node are the lanes of one Newton loop: every step
-    evaluates all live lanes at once, each lane takes its step in Python
-    floats (``math.log``, as the scalar loop does) and leaves the loop once
-    the step is at most 1e-12. A row with zero nodes runs ``_luxemburg``,
-    whose sums skip those nodes; an all-zero row has norm 0.
+    row. Every row is its own solve, so it is bitwise the row alone.
     """
-    flat = abs_rows.reshape(len(abs_rows), metric.chart.n_nodes)
     row_e = np.broadcast_to(e_vals, abs_rows.shape)
-    norms = np.zeros(len(flat))
-    peaks = flat.max(axis=1)
-    full = flat.min(axis=1) > 0.0
-    for r in np.flatnonzero(~full & (peaks > 0.0)):
-        norms[r] = _luxemburg(abs_rows[r], row_e[r], weight_vals, metric)
-    lanes = np.flatnonzero(full)
-    if not lanes.size:
-        return norms
-    e = row_e.reshape(len(flat), -1)[lanes]
-    wsd = metric.sqrt_det if weight_vals is None else metric.sqrt_det * weight_vals
-    a = _log_coefficients(flat[lanes], peaks[lanes, None], e, wsd.ravel(), metric.chart.cell_volume)
-    x = np.zeros(len(lanes))
-    logs = np.empty(len(lanes))
-    live = np.arange(len(lanes))
-    # a step holds four (lane, node) arrays: e, a and the two halves of rows
-    rows = np.empty((2,) + a.shape)
-    for _ in range(_NEWTON_MAX_STEPS):
-        step = np.array([_newton_step(*lane) for lane in zip(*_step_sums(a, e, x[:, None], rows))])
-        x += step
-        going = np.abs(step) > _NEWTON_STEP_TOL
-        if not going.all():
-            logs[live[~going]] = x[~going]
-            live, x, a, e = live[going], x[going], a[going], e[going]
-            if not live.size:
-                break
-            rows = np.empty((2,) + a.shape)
-    logs[live] = x
-    norms[lanes] = [peak * math.exp(v) for peak, v in zip(peaks[lanes].tolist(), logs.tolist())]
-    return norms
+    return np.array([_luxemburg(row, e, weight_vals, metric) for row, e in zip(abs_rows, row_e)])
 
 
 def luxemburg_norm(u: ScalarField, e: ScalarField, metric: MetricField) -> float:
@@ -431,18 +385,18 @@ def _stack_ratios(vals, exponents: ExponentField, weight: WeightField, metric: M
     """(Poincare, embedding, weighted) ratios of every field of a (rows, *shape) stack,
     and (gradient components, |grad u|_g, ||u||_q, || |grad u|_g ||_q) for the ascent.
 
-    The three norms of every row are the lanes of one ``_luxemburg_rows``
-    loop; the first-order norm s is ||u||_q + || |grad u|_g ||_q.
-    A Poincare ratio with a vanishing denominator is 0. Every ratio is
-    bitwise what the row's own public norm calls give.
+    Each row's three norms are one-field solves (``_luxemburg_rows``); the
+    first-order norm s is ||u||_q + || |grad u|_g ||_q. A Poincare ratio
+    with a vanishing denominator is 0. Every ratio is bitwise what the
+    row's own public norm calls give.
     """
     q = exponents.q.values
     abs_vals = np.abs(vals)
     comps = gradient_values(vals, metric.chart)
     grad_norm = norm_g_values(comps, metric)
-    exps = np.concatenate([np.broadcast_to(e, vals.shape) for e in (q, exponents.p.values, q)])
-    norms = _luxemburg_rows(np.concatenate((abs_vals, abs_vals, grad_norm)), exps, None, metric)
-    norm_u, norm_p, norm_grad = np.split(norms, 3)
+    norm_u = _luxemburg_rows(abs_vals, q, None, metric)
+    norm_p = _luxemburg_rows(abs_vals, exponents.p.values, None, metric)
+    norm_grad = _luxemburg_rows(grad_norm, q, None, metric)
     s = norm_u + norm_grad
     poincare = np.divide(norm_u, norm_grad, out=np.zeros(len(s)), where=norm_grad != 0.0)
     unit = vals / s.reshape((-1,) + (1,) * metric.chart.dim)

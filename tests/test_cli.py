@@ -285,13 +285,36 @@ class TestOutPath:
         assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
         assert out.read_text() == "keep me\n"
 
-    def test_failed_artifact_write_is_one_line(self, tmp_path, ref_cfg, capsys):
-        parent = tmp_path / "file"
-        parent.write_text("")
+    @pytest.mark.parametrize(
+        "command, runner",
+        [("solve", "two_solution_experiment"), ("sweep", "sweep"), ("verify", "run_verify_suite")],
+    )
+    def test_out_under_a_file_fails_before_any_run(self, tmp_path, ref_cfg, capsys, monkeypatch, command, runner):
+        from doublephase import cli
+
+        def never(*args, **kwargs):
+            pytest.fail(f"{runner} ran although --out lies under a file")
+
+        monkeypatch.setattr(cli, runner, never)
+        parent = tmp_path / "some.file"
+        parent.write_text("keep me\n")
         out = parent / "sub"
-        assert main(["sweep", "--config", ref_cfg, "--out", str(out)]) == 1
+        assert main([command, "--config", ref_cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(parent) in err
+        assert parent.read_text() == "keep me\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.cfg", "some.file"]
+
+    def test_failed_artifact_write_is_one_line(self, tmp_path, ref_cfg, capsys, monkeypatch):
+        from doublephase import cli
+
+        def refuse(path, payload):
+            raise OSError(f"cannot write {path}")
+
+        monkeypatch.setattr(cli, "_json_dump", refuse)
+        assert main(["solve", "--config", ref_cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert "Traceback" not in err
 
 

@@ -130,14 +130,39 @@ def test_luxemburg_homogeneity(t):
     assert scaled == pytest.approx(t * base, rel=1e-10)
 
 
+def _per_node_torus():
+    """A 2-D torus whose metric table, and so sqrt(det g), varies from node to node."""
+    x, y = dp.build_torus(2, [12, 10])[0].coords()
+    g = np.empty((12, 10, 2, 2))
+    g[..., 0, 0] = 1.0 + 0.5 * np.sin(2 * np.pi * x)
+    g[..., 1, 1] = 2.0 + 0.8 * np.cos(2 * np.pi * (x + y))
+    g[..., 0, 1] = g[..., 1, 0] = 0.3 * np.sin(2 * np.pi * y)
+    return dp.build_torus(2, [12, 10], metric_spec=g)
+
+
 _GRIDS = {
     "1d": lambda: dp.build_torus(1, [64]),
     "2d": lambda: dp.build_torus(2, [16, 12], metric_spec=[[2.0, 0.5], [0.5, 1.0]]),
+    "2d-per-node": _per_node_torus,
     "3d": lambda: dp.build_torus(3, [8, 8, 6]),
 }
 
 
-@pytest.mark.parametrize("support", ["random", "one_node"])
+@pytest.mark.parametrize("low", [1.0, 0.5])
+@pytest.mark.parametrize("name", ["luxemburg_norm", "weighted_norm", "modular", "weighted_modular"])
+@pytest.mark.parametrize("grid", ["1d", "3d"])
+def test_exponent_at_most_one_at_one_node_is_rejected(grid, name, low):
+    chart, metric = _GRIDS[grid]()
+    e_vals = np.full(chart.shape, 2.0)
+    e_vals.flat[chart.n_nodes // 2] = low
+    e = chart.field(e_vals)
+    u = chart.constant(1.0)
+    weight = (dp.WeightField(mu=chart.constant(1.0)),) if name.startswith("weighted") else ()
+    with pytest.raises(ValueError, match=f"exponent must exceed 1 everywhere, min is {low}"):
+        getattr(dp, name)(u, e, *weight, metric)
+
+
+@pytest.mark.parametrize("support", ["random", "one_node", "five_nodes"])
 @pytest.mark.parametrize("weighted", [False, True], ids=["luxemburg", "weighted"])
 @pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
 @pytest.mark.parametrize("grid", sorted(_GRIDS))
@@ -153,7 +178,10 @@ def test_norm_puts_modular_at_one(grid, variable, weighted, support):
             u = dp.random_band_limited(chart, rng, amplitude=amp)
         else:
             vals = np.zeros(chart.shape)
-            vals.flat[int(rng.integers(vals.size))] = amp
+            if support == "one_node":
+                vals.flat[int(rng.integers(vals.size))] = amp
+            else:
+                vals.flat[rng.choice(vals.size, 5, replace=False)] = amp * rng.uniform(0.1, 1.0, 5)
             u = chart.field(vals)
         if weighted:
             nu = dp.weighted_norm(u, e, w, metric)
@@ -554,7 +582,8 @@ def test_poincare_estimate_is_the_band_supremum_on_constant_metrics(sizes, upper
 
 def _norm_rows(chart):
     """|u| rows: random fields of spread amplitudes and means, a one-node field,
-    a field with one zero node, the zero field and a full-support field."""
+    a field with one zero node, the zero field, a full-support field and a
+    field on 5 nodes, whose sums take the tree of ``pairwise_sum_rows``."""
     rows = []
     for i in range(6):
         rng = dp.substream(3, "norm-rows", i)
@@ -564,7 +593,9 @@ def _norm_rows(chart):
     one_node.flat[7] = 2.5
     holed = rows[0].copy()
     holed.flat[3] = 0.0
-    return np.abs(np.stack(rows + [one_node, holed, np.zeros(chart.shape), rows[1] + 10.0]))
+    few = np.zeros(chart.shape)
+    few.flat[[0, 2, 9, 17, 30]] = rows[2].flat[:5]
+    return np.abs(np.stack(rows + [one_node, holed, np.zeros(chart.shape), rows[1] + 10.0, few]))
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["luxemburg", "weighted"])
@@ -579,9 +610,9 @@ def test_luxemburg_rows_equal_scalar_solves(grid, variable, weighted):
     got = spaces._luxemburg_rows(rows, e, mu, metric)
     want = [spaces._luxemburg(row, e, mu, metric) for row in rows]
     assert got.tolist() == want
-    assert got[-2] == 0.0
+    assert got[8] == 0.0
     # alone, every row is the one-row stack
-    for k in (0, 6, 7, 8):
+    for k in (0, 6, 7, 8, 10):
         assert spaces._luxemburg_rows(rows[k : k + 1], e, mu, metric).tolist() == [want[k]]
     # one exponent field per row
     row_e = np.stack([e + 0.1 * k for k in range(len(rows))])
@@ -595,7 +626,7 @@ def test_luxemburg_rows_with_widely_spread_exponents():
     e[5] = 1001.0
     sparse = np.zeros(64)
     sparse[0], sparse[5] = 1.0, 0.99
-    # full support, so the lane loop meets the 1001st power too
+    # full support, so the sums of every row meet the 1001st power too
     full = np.full(64, 1e-3)
     full[0], full[5] = 1.0, 0.99
     rows = np.stack([sparse, full, 0.5 * full])
