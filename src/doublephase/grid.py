@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -186,6 +186,12 @@ class ScalarField:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
+    # computed on first use and kept: every norm taken in this field as its exponent reads them
+    @cached_property
+    def extrema(self) -> tuple:
+        """(min, max) of the values, as floats."""
+        return float(np.minimum.reduce(self.values, axis=None)), float(np.maximum.reduce(self.values, axis=None))
+
 
 @dataclass(frozen=True)
 class VectorField:
@@ -225,6 +231,14 @@ class MetricField:
                 arr = arr.copy()
                 arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    # computed on first use and kept: every unweighted Luxemburg norm adds it to its log terms
+    @cached_property
+    def log_volume(self) -> np.ndarray:
+        """Read-only log(sqrt(det g) * cell volume), (*shape,): the log volume element of every node."""
+        out = np.log(self.sqrt_det * self.chart.cell_volume)
+        out.setflags(write=False)
+        return out
 
     @classmethod
     def from_spec(cls, chart: Chart, spec="identity") -> "MetricField":

@@ -266,6 +266,39 @@ def test_fields_are_immutable():
         u.values[0] = 2.0
 
 
+@pytest.mark.parametrize("sizes", [[64], [16, 12], [8, 8, 6]])
+def test_extrema_are_the_min_and_max_of_the_values(sizes):
+    chart, _ = dp.build_torus(len(sizes), sizes)
+    u = dp.random_band_limited(chart, dp.substream(19, "extrema", len(sizes)), amplitude=2.0, mean=0.3)
+    lo, hi = u.extrema
+    assert (lo, hi) == (u.values.min(), u.values.max())
+    assert type(lo) is float and type(hi) is float
+    # kept after the first read
+    assert u.extrema is u.extrema and vars(u)["extrema"] == (lo, hi)
+
+
+def _log_volume_metrics():
+    yield "identity", dp.build_torus(2, [16, 12])[1]
+    yield "constant", dp.build_torus(2, [16, 12], metric_spec=[[2.0, 0.5], [0.5, 1.0]])[1]
+    x, y = dp.build_torus(2, [16, 12])[0].coords()
+    table = np.zeros((16, 12, 2, 2))
+    table[..., 0, 0] = 1.0 + 0.5 * np.sin(2 * np.pi * x)
+    table[..., 1, 1] = 2.0 + 0.8 * np.cos(2 * np.pi * (x + y))
+    table[..., 0, 1] = table[..., 1, 0] = 0.3 * np.sin(2 * np.pi * y)
+    yield "per-node", dp.build_torus(2, [16, 12], metric_spec=table)[1]
+
+
+@pytest.mark.parametrize("name, metric", [pytest.param(n, m, id=n) for n, m in _log_volume_metrics()])
+def test_log_volume_is_read_only_and_bitwise_the_log_volume_element(name, metric):
+    got = metric.log_volume
+    want = np.log(metric.sqrt_det * metric.chart.cell_volume)
+    assert got.shape == metric.chart.shape and got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0] = 0.0
+    assert metric.log_volume is got
+
+
 def test_random_band_limited_is_band_limited_and_deterministic():
     chart, _ = dp.build_torus(1, [64])
     u1 = dp.random_band_limited(chart, dp.substream(9, "x"), amplitude=2.0, mean=1.0)

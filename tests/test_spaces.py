@@ -192,16 +192,74 @@ def test_norm_puts_modular_at_one(grid, variable, weighted, support):
         assert abs(rho - 1.0) <= 1e-14
 
 
-def test_norm_with_widely_spread_exponents():
+def _count_evaluations(monkeypatch):
+    """A list that grows by one per modular evaluation: the norm loop sums each through ``pairwise_sum_rows``."""
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return pairwise_sum_rows(rows)
+
+    pairwise_sum_rows = spaces.pairwise_sum_rows
+    monkeypatch.setattr(spaces, "pairwise_sum_rows", counted)
+    return calls
+
+
+def test_norm_with_widely_spread_exponents(monkeypatch):
     chart, metric = dp.build_torus(1, [64])
     e_vals = np.full(64, 2.0)
     e_vals[5] = 1001.0
     u_vals = np.zeros(64)
     u_vals[0], u_vals[5] = 1.0, 0.99
     e = chart.field(e_vals)
+    calls = _count_evaluations(monkeypatch)
     nu = dp.luxemburg_norm(chart.field(u_vals), e, metric)
+    assert len(calls) < spaces._MAX_STEPS  # a stop rule ended the loop, not the step cap
     assert math.isfinite(nu)
     assert abs(dp.modular(chart.field(u_vals / nu), e, metric) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+def test_constant_exponent_norm_takes_one_evaluation(grid, monkeypatch):
+    chart, metric = _GRIDS[grid]()
+    x = chart.coords()[0]
+    w = dp.WeightField(mu=chart.field(1.0 + 0.5 * np.cos(2 * np.pi * x)))
+    calls = _count_evaluations(monkeypatch)
+    for s in (1.3, 2.0, 2.5, 7.0):
+        e = chart.constant(s)
+        for i, amp in enumerate((1e-3, 1.0, 1e3)):
+            u = dp.random_band_limited(chart, dp.substream(41, "one-evaluation", grid, i), amplitude=amp, mean=0.2)
+            for weight in ((), (w,)):
+                calls.clear()
+                norm = (dp.weighted_norm if weight else dp.luxemburg_norm)(u, e, *weight, metric)
+                assert len(calls) == 1 and norm > 0.0
+
+
+def test_norms_of_the_default_instance_average_at_most_two_and_a_half_evaluations(monkeypatch):
+    # the inputs of the benchmark's norm workload: smooth fields of spread amplitudes and offsets,
+    # each normed in L^q(x), L^p(x) and a randomly weighted L^q(x); no path means default_config_text()
+    from doublephase import config
+
+    P = config.parse_config(None).build_instance()
+    chart, e, metric = P.chart, P.exponents, P.metric
+    x = chart.axis_coords(0)
+    modes = np.arange(1, 9)[:, None]
+
+    def smooth(rng):
+        a, b = rng.standard_normal((2, 8, 1))
+        f = ((a * np.cos(2 * np.pi * modes * x) + b * np.sin(2 * np.pi * modes * x)) / modes**2).sum(0)
+        return f / np.abs(f).max()
+
+    calls = _count_evaluations(monkeypatch)
+    for i in range(300):
+        rng = np.random.default_rng([43, i])
+        u = chart.field(rng.uniform(-1.0, 1.0) + 10.0 ** rng.uniform(-1.0, 1.0) * smooth(rng))
+        w = dp.WeightField(mu=chart.field(np.exp(rng.uniform(-1.0, 1.0)) * (1.2 + smooth(rng))))
+        dp.luxemburg_norm(u, e.q, metric)
+        dp.luxemburg_norm(u, e.p, metric)
+        dp.weighted_norm(u, e.q, w, metric)
+    assert set(calls) == {3}  # the terms, slope terms and curvature terms of one evaluation, summed together
+    assert len(calls) <= 2.5 * 900
 
 
 def test_weighted_reduces_to_unweighted(torus, variable_q):
@@ -598,6 +656,23 @@ def _norm_rows(chart):
     return np.abs(np.stack(rows + [one_node, holed, np.zeros(chart.shape), rows[1] + 10.0, few]))
 
 
+def _bisected_norm(abs_vals, e, coef):
+    """The Luxemburg norm by bisection on log gamma of the ``math.fsum`` of the
+    modular terms coef_i (|u_i| / gamma)^e_i, run until the midpoint repeats an end."""
+    support = abs_vals > 0.0
+    a, e, coef = abs_vals[support], e[support], coef[support]
+    center = math.log(a.max())
+    lo, hi = center - 60.0, center + 60.0  # modular above 1 at lo, below 1 at hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return math.exp(mid)
+        if math.fsum(coef * (a / math.exp(mid)) ** e) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 @pytest.mark.parametrize("weighted", [False, True], ids=["luxemburg", "weighted"])
 @pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
 @pytest.mark.parametrize("grid", sorted(_GRIDS))
@@ -611,6 +686,11 @@ def test_luxemburg_rows_equal_scalar_solves(grid, variable, weighted):
     want = [spaces._luxemburg(row, e, mu, metric) for row in rows]
     assert got.tolist() == want
     assert got[8] == 0.0
+    # an independent oracle: every nonzero row's norm to rounding
+    coef = (1.0 if mu is None else mu) * metric.sqrt_det * chart.cell_volume
+    for k, row in enumerate(rows):
+        if k != 8:
+            assert abs(got[k] / _bisected_norm(row, e, coef) - 1.0) <= 4e-15
     # alone, every row is the one-row stack
     for k in (0, 6, 7, 8, 10):
         assert spaces._luxemburg_rows(rows[k : k + 1], e, mu, metric).tolist() == [want[k]]
