@@ -54,13 +54,11 @@ from .nehari import (
 )
 from .solver import (
     BranchError,
-    Certificate,
     ExperimentResult,
     SolutionReport,
     SolverConfig,
     SweepRow,
     minimize_on_branch,
-    nonnegativity_certificate,
     sweep,
     two_solution_experiment,
 )

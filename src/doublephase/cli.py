@@ -17,13 +17,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, parse_config
 from .fieldio import read_field, write_field
-from .nehari import NoRootError, project, thresholds
-from .solver import sweep, two_solution_experiment
-from .spaces import estimate_constants
+from .nehari import NoRootError, project
+from .solver import SWEEP_CSV_HEADER, sweep, two_solution_experiment
 from .verify import CSV_HEADER, run_verify_suite
 
 __all__ = ["main"]
@@ -35,6 +32,14 @@ def _json_dump(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _csv_dump(path, header, rows):
+    """The header, then each row's ``to_csv_row()``; the csv module writes floats by repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(row.to_csv_row() for row in rows)
 
 
 def _meta(rc: RunConfig):
@@ -64,11 +69,7 @@ def cmd_verify(args, rc: RunConfig) -> int:
     rows, passed, consts = run_verify_suite(rc, seed=rc.seed, trials=trials, fault=fault)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "verify.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.to_csv_row())
+    _csv_dump(csv_path, CSV_HEADER, rows)
     meta = _meta(rc)
     meta["trials"] = trials
     meta["fault_inject"] = fault
@@ -128,41 +129,12 @@ def cmd_solve(args, rc: RunConfig) -> int:
 
 def cmd_sweep(args, rc: RunConfig) -> int:
     P = rc.build_instance(lam=rc.lam if rc.lam is not None else 1.0)
-    cfg = rc.build_solver_config()
-    consts = None
-    if rc.lambda_grid is not None:
-        lambdas = list(rc.lambda_grid)
-    else:
-        consts = estimate_constants(
-            P.exponents, P.weight, P.metric, trials=cfg.constants_trials, seed=cfg.seed
-        )
-        thr = thresholds(P, consts)
-        if thr.lambda_star_star <= 0:
-            print("error: auto lambda grid needs a positive threshold", file=sys.stderr)
-            return 1
-        lambdas = list(
-            np.geomspace(thr.lambda_star_star / 8.0, 2.0 * thr.lambda_star_star, rc.lambda_grid_auto)
-        )
-    rows = sweep(P, lambdas, cfg, constants=consts)
+    rows = sweep(P, rc.lambda_grid, rc.build_solver_config())
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "lambda",
-                "theta_plus_estimate",
-                "theta_minus_estimate",
-                "n_plus_found",
-                "n_minus_found",
-                "lambda_star",
-                "lambda_star_star",
-            ]
-        )
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.to_csv_row()])
+    _csv_dump(csv_path, SWEEP_CSV_HEADER, rows)
     meta = _meta(rc)
-    meta["lambdas"] = [float(v) for v in lambdas]
+    meta["lambdas"] = [row.lam for row in rows]
     _json_dump(os.path.join(args.out, "sweep_meta.json"), meta)
     print(f"sweep: {len(rows)} rows -> {csv_path}")
     return 0

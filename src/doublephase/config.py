@@ -68,8 +68,8 @@ class RunConfig:
     path: str
     echo: dict
     lam: float | None = None
-    lambda_grid: tuple | None = None
-    lambda_grid_auto: int | None = None
+    # the strictly increasing grid, or the point count N of ``auto N``
+    lambda_grid: tuple | int | None = None
     seed: int = 0
     solver: dict = dc_field(default_factory=dict)
     verify_trials: int = 200
@@ -325,8 +325,6 @@ def parse_config(path: str | None = None, needs: str | None = None) -> RunConfig
     if needs is not None and not parser.has_option("problem", needs):
         raise error("problem", needs, "is required for this command")
 
-    if isinstance(values.get("lambda_grid"), int):
-        values["lambda_grid_auto"] = values.pop("lambda_grid")
     echo = {s: dict(parser.items(s)) for s in parser.sections()}
     return RunConfig(chart, metric, exponents, weight, nonlinearity, path, echo, solver=solver, **values)
 

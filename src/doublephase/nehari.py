@@ -403,7 +403,8 @@ def threshold_formulas(p_minus, p_plus, q_minus, q_plus, mu0, c, D, c1):
     Returns (lambda_star_raw, lambda_star_star): below the first the
     inflection set is expected empty, below the second every maximum-branch
     point has positive energy. The first may be negative (callers clamp and
-    flag); the second vanishes exactly when p+ = q+.
+    flag). The second is positive unless the denominator overflows: every
+    ``ExponentField`` has q+ < p- <= p+.
     """
     denom = D**p_plus * (c + 1.0) ** p_plus
     lam_ss = mu0 * q_minus * (p_plus - q_plus) / (denom * p_plus * (p_plus - q_minus))

@@ -59,11 +59,10 @@ __all__ = [
     "SolverConfig",
     "SolutionReport",
     "BranchError",
-    "Certificate",
     "ExperimentResult",
     "SweepRow",
+    "SWEEP_CSV_HEADER",
     "minimize_on_branch",
-    "nonnegativity_certificate",
     "two_solution_experiment",
     "sweep",
 ]
@@ -115,7 +114,6 @@ class SolutionReport:
     psi_value: float
     residual_norm: float
     min_u: float
-    theta_estimate: float
     iterations: int
     start_index: int
     n_converged_starts: int
@@ -129,7 +127,8 @@ class SolutionReport:
             "psi_value": self.psi_value,
             "residual_norm": self.residual_norm,
             "min_u": self.min_u,
-            "theta_estimate": self.theta_estimate,
+            # the least converged energy of the multistart, which is J_value
+            "theta_estimate": self.J_value,
             "iterations": self.iterations,
             "start_index": self.start_index,
             "n_converged_starts": self.n_converged_starts,
@@ -146,21 +145,6 @@ class BranchError(RuntimeError):
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind  # "empty" or "stalled"
-
-
-@dataclass(frozen=True)
-class Certificate:
-    min_u: float
-    negative_part_norm: float
-    passed: bool
-
-
-def nonnegativity_certificate(P: ProblemInstance, u: ScalarField) -> Certificate:
-    """Minimum node value and the norm of the negative part min(0, u); passes at min >= -NONNEG_TOL."""
-    min_u = float(u.values.min())
-    neg = np.minimum(u.values, 0.0)
-    norm = math.sqrt(max(pairwise_sum(neg * neg * P.node_weight), 0.0))
-    return Certificate(min_u=min_u, negative_part_norm=norm, passed=min_u >= -NONNEG_TOL)
 
 
 def _start_values(P: ProblemInstance, cfg: SolverConfig, indices) -> np.ndarray:
@@ -312,7 +296,7 @@ def minimize_on_branch(
             f"{cfg.target.value} branch: no start reached residual "
             f"{cfg.residual_tol:g}; best residual {rnorm:.3e} (start {i}: {outcomes[i].note})",
         )
-    J_best, index, out = min(converged, key=lambda rec: (rec[0], rec[1]))
+    _, index, out = min(converged, key=lambda rec: (rec[0], rec[1]))
     # the one field of the descent: it checks that the reported point is finite
     u = P.chart.field(out.u)
     profile = _RayProfile(P, u, truncated=True)
@@ -328,7 +312,6 @@ def minimize_on_branch(
         psi_value=psi_value,
         residual_norm=out.residual_norm,
         min_u=float(u.values.min()),
-        theta_estimate=J_best,
         iterations=out.iterations,
         start_index=index,
         n_converged_starts=len(converged),
@@ -364,8 +347,9 @@ def two_solution_experiment(P: ProblemInstance, cfg: SolverConfig) -> Experiment
     """Search both branches.
 
     Returns status "inconclusive" instead of failing when a branch cannot be
-    found: the discrete search has no existence guarantee. Certificates and
-    the separation test are recorded either way.
+    found: the discrete search has no existence guarantee. When both
+    branches are found, their separation is recorded, and a minimizer whose
+    least node value ``min_u`` is below -NONNEG_TOL adds a warning.
     """
     start = perf_counter()
     consts = estimate_constants(
@@ -403,10 +387,9 @@ def two_solution_experiment(P: ProblemInstance, cfg: SolverConfig) -> Experiment
         separation = diff / denom if denom > 0 else 0.0
         distinct = separation > 1e-6
         for rep in (plus, minus):
-            cert = nonnegativity_certificate(P, rep.u)
-            if not cert.passed:
+            if rep.min_u < -NONNEG_TOL:
                 warnings.append(
-                    f"{rep.nehari_class.value} minimizer has negative nodes: min = {cert.min_u:.3e}"
+                    f"{rep.nehari_class.value} minimizer has negative nodes: min = {rep.min_u:.3e}"
                 )
     status = "converged" if plus is not None and minus is not None else "inconclusive"
     timing["total_s"] = perf_counter() - start
@@ -421,6 +404,11 @@ def two_solution_experiment(P: ProblemInstance, cfg: SolverConfig) -> Experiment
         failures=tuple(failures),
         timing=timing,
     )
+
+
+# the sweep CSV's columns, one per SweepRow field in order
+SWEEP_CSV_HEADER = ["lambda", "theta_plus_estimate", "theta_minus_estimate", "n_plus_found", "n_minus_found",
+                    "lambda_star", "lambda_star_star"]
 
 
 @dataclass(frozen=True)
@@ -477,9 +465,13 @@ def sweep(
     lambdas,
     cfg: SolverConfig,
     n_samples: int = 64,
-    constants: ConstantsEstimate | None = None,
 ) -> list:
     """Branch census over a lambda grid, without descent.
+
+    ``lambdas`` is the grid, or the point count N of ``auto N``: N points
+    geometric from lambda**/8 to 2 lambda**, which must be positive. The
+    constants are estimated once, with the solver's trials and seed, and
+    the thresholds, which do not depend on lambda, evaluated once from them.
 
     Per lambda: zero-mean band-limited samples are projected to estimate the
     maximum-branch level theta_minus (zero-mean rays are the family on which
@@ -491,15 +483,13 @@ def sweep(
     are drawn in order from one substream, and each start from its own. The
     ladder depends only on the chart, the seed and ``multistart``, so it is
     drawn once for all lambdas.
-    Thresholds are evaluated once (they do not depend on lambda), from
-    ``constants`` when given and otherwise from a fresh estimate with the
-    solver's trials and seed.
     """
-    if constants is None:
-        constants = estimate_constants(
-            P.exponents, P.weight, P.metric, trials=cfg.constants_trials, seed=cfg.seed
-        )
+    constants = estimate_constants(P.exponents, P.weight, P.metric, trials=cfg.constants_trials, seed=cfg.seed)
     thr = thresholds(P, constants)
+    if isinstance(lambdas, int):
+        if thr.lambda_star_star <= 0:
+            raise ValueError("auto lambda grid needs a positive threshold")
+        lambdas = np.geomspace(thr.lambda_star_star / 8.0, 2.0 * thr.lambda_star_star, lambdas)
     starts = _start_values(P, cfg, range(cfg.multistart))
     rows = []
     for j, lam in enumerate(lambdas):

@@ -9,7 +9,8 @@ thresholds.
 Every norm is one solve of one field by the one loop (``_luxemburg``),
 about two modular evaluations on variable exponents and one on a constant
 exponent; the constants estimate solves the rows of its stacks one by one
-(``_luxemburg_rows``).
+(``_luxemburg_rows``). The norm that calls the loop passes it the log of
+the modular's node weights; only ``weighted_norm`` builds its own.
 """
 
 from __future__ import annotations
@@ -174,24 +175,19 @@ _CUBIC_BOUND = 1.0 / (36.0 * math.sqrt(3.0))
 # 3.97 for Newton steps run until a step of at most 1e-12). n is taken as
 # f sum T / sum e T, so a constant exponent's one step is that Newton loop's first.
 # Shifting by the largest term keeps spread exponents from overflowing.
-def _luxemburg(abs_vals, e_vals, weight_vals, metric, extrema=None):
+def _luxemburg(abs_vals, e_vals, log_c, extrema):
     """The Luxemburg norm of |u| values ``abs_vals`` for exponent values ``e_vals``.
 
-    The one loop of the module. ``extrema`` is (min, max) of ``e_vals``,
-    computed here when not given. The step is taken in Python floats with
-    ``math.log``: ``np.log`` on an array can differ from it in the last bit,
-    and every solve of the same field must take the same steps.
+    The one loop of the module. ``log_c`` is the log of the modular's node
+    weights, log(w sqrt(det g) cell), and ``extrema`` is (min, max) of
+    ``e_vals``. The step is taken in Python floats with ``math.log``:
+    ``np.log`` on an array can differ from it in the last bit, and every
+    solve of the same field must take the same steps.
     """
     peak = float(np.maximum.reduce(abs_vals, axis=None))
     if peak == 0.0:
         return 0.0
-    if extrema is None:
-        extrema = float(np.minimum.reduce(e_vals, axis=None)), float(np.maximum.reduce(e_vals, axis=None))
     e_lo, e_hi = extrema
-    if weight_vals is None:
-        log_c = metric.log_volume
-    else:
-        log_c = np.log(metric.sqrt_det * weight_vals * metric.chart.cell_volume)
     if np.minimum.reduce(abs_vals, axis=None) > 0.0:
         a, e, log_c = (abs_vals / peak).ravel(), e_vals.ravel(), log_c.ravel()
     else:
@@ -231,7 +227,7 @@ def _luxemburg(abs_vals, e_vals, weight_vals, metric, extrema=None):
     return peak * math.exp(x)
 
 
-def _luxemburg_rows(abs_rows, e_vals, weight_vals, metric) -> np.ndarray:
+def _luxemburg_rows(abs_rows, e_vals, metric) -> np.ndarray:
     """``_luxemburg`` of every row of a (rows, *chart shape) stack of |u|.
 
     ``e_vals`` is one exponent field for every row, or a stack of one per
@@ -241,7 +237,7 @@ def _luxemburg_rows(abs_rows, e_vals, weight_vals, metric) -> np.ndarray:
     row_e = np.broadcast_to(e_vals, abs_rows.shape)
     axes = tuple(range(1, row_e.ndim))
     extrema = zip(np.minimum.reduce(row_e, axis=axes).tolist(), np.maximum.reduce(row_e, axis=axes).tolist())
-    return np.array([_luxemburg(row, e, weight_vals, metric, ext) for row, e, ext in zip(abs_rows, row_e, extrema)])
+    return np.array([_luxemburg(row, e, metric.log_volume, ext) for row, e, ext in zip(abs_rows, row_e, extrema)])
 
 
 def luxemburg_norm(u: ScalarField, e: ScalarField, metric: MetricField) -> float:
@@ -257,14 +253,15 @@ def luxemburg_norm(u: ScalarField, e: ScalarField, metric: MetricField) -> float
     on the closed form max|u| C^{1/e} in one evaluation.
     """
     _check_exponent(e)
-    return _luxemburg(np.abs(u.values), e.values, None, metric, e.extrema)
+    return _luxemburg(np.abs(u.values), e.values, metric.log_volume, e.extrema)
 
 
 def weighted_norm(u: ScalarField, e: ScalarField, w: WeightField, metric: MetricField) -> float:
     """inf{gamma > 0 : weighted_modular(u/gamma) <= 1}, solved as ``luxemburg_norm``:
     Halley steps with the same certified stop, the weight in every modular term."""
     _check_exponent(e)
-    return _luxemburg(np.abs(u.values), e.values, w.mu.values, metric, e.extrema)
+    log_c = np.log(metric.sqrt_det * w.mu.values * metric.chart.cell_volume)
+    return _luxemburg(np.abs(u.values), e.values, log_c, e.extrema)
 
 
 def holder_factor(e: ScalarField) -> float:
@@ -409,14 +406,13 @@ class ConstantsEstimate:
         return asdict(self)
 
 
-def _luxemburg_gradient(vals, norms, e_vals, weight_vals, metric) -> np.ndarray:
+def _luxemburg_gradient(vals, norms, e_vals, metric) -> np.ndarray:
     """d gamma / d vals of the Luxemburg norms gamma = ``norms`` > 0 of a (rows, *shape) stack:
     c_i e_i |v_i/gamma|^{e_i-1} sgn v_i / sum_j c_j e_j |v_j/gamma|^{e_j} by the implicit-function
-    theorem on rho(v / gamma) = 1, c = sqrt_det * cell volume (* weight); the cell volume cancels.
+    theorem on rho(v / gamma) = 1, c = sqrt_det * cell volume; the cell volume cancels.
     """
-    wsd = metric.sqrt_det if weight_vals is None else metric.sqrt_det * weight_vals
     r = np.abs(vals) / np.reshape(norms, (-1,) + (1,) * metric.chart.dim)
-    lead = wsd * e_vals * r ** (e_vals - 1.0)
+    lead = metric.sqrt_det * e_vals * r ** (e_vals - 1.0)
     total = pairwise_sum_rows((lead * r).reshape(len(vals), -1))
     return lead * np.sign(vals) / np.reshape(total, (-1,) + (1,) * metric.chart.dim)
 
@@ -434,9 +430,9 @@ def _stack_ratios(vals, exponents: ExponentField, weight: WeightField, metric: M
     abs_vals = np.abs(vals)
     comps = gradient_values(vals, metric.chart)
     grad_norm = norm_g_values(comps, metric)
-    norm_u = _luxemburg_rows(abs_vals, q, None, metric)
-    norm_p = _luxemburg_rows(abs_vals, exponents.p.values, None, metric)
-    norm_grad = _luxemburg_rows(grad_norm, q, None, metric)
+    norm_u = _luxemburg_rows(abs_vals, q, metric)
+    norm_p = _luxemburg_rows(abs_vals, exponents.p.values, metric)
+    norm_grad = _luxemburg_rows(grad_norm, q, metric)
     s = norm_u + norm_grad
     poincare = np.divide(norm_u, norm_grad, out=np.zeros(len(s)), where=norm_grad != 0.0)
     unit = vals / s.reshape((-1,) + (1,) * metric.chart.dim)
@@ -501,7 +497,7 @@ def _poincare_ascent(exponents: ExponentField, weight: WeightField, metric: Metr
         """The gradient of the log ratio of every row, and it preconditioned."""
         comps, grad_norm, norm_u, norm_grad = parts
         norms = np.concatenate((norm_u, norm_grad))
-        both = _luxemburg_gradient(np.concatenate((vals, grad_norm)), norms, q, None, metric) / lanes(norms)
+        both = _luxemburg_gradient(np.concatenate((vals, grad_norm)), norms, q, metric) / lanes(norms)
         coef = np.divide(both[len(vals) :], grad_norm, out=np.zeros(grad_norm.shape), where=grad_norm > 0.0)
         g = both[: len(vals)] - flux_divergence(metric, coef, comps)
         return g, np.fft.irfftn(np.fft.rfftn(g, axes=axes) * half_inv_symbol, s=chart.shape, axes=axes)

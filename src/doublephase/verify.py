@@ -53,7 +53,7 @@ def _weighted_relation_rows(u, q, w, metric, seed, rows):
     """The trichotomy and power-bound clauses of the weighted norm, one row each."""
     nu = weighted_norm(u, q, w, metric)
     rho = weighted_modular(u, q, w, metric)
-    for c in norm_modular_clauses(nu, rho, float(q.values.min()), float(q.values.max())):
+    for c in norm_modular_clauses(nu, rho, *q.extrema):
         # trichotomy_below -> weighted_trichotomy, power_bound_above -> weighted_power_bound
         name = "weighted_" + c.name.rpartition("_")[0]
         rows.append(TrialRow(name, seed, c.lhs, c.rhs, c.margin, c.ok))
@@ -95,6 +95,7 @@ def run_verify_suite(rc, seed: int, trials: int, fault: dict | None = None):
     r_fault = fault.get("holder_rq")
     r_tight = 1.0 + 1.0 / exponents.q_minus - 1.0 / exponents.q_plus
     said_factor = (1.01 * consts.D_embed * (1.01 * consts.c_poincare + 1.0)) ** exponents.p_plus
+    ones = WeightField(mu=chart.constant(1.0))
     rows: list[TrialRow] = []
 
     for i in range(trials):
@@ -126,7 +127,6 @@ def run_verify_suite(rc, seed: int, trials: int, fault: dict | None = None):
         gap = abs(scaled - t * nu) / max(t * nu, 1e-300)
         rows.append(TrialRow("lux_homogeneity", seed + i, scaled, t * nu, 1e-10 - gap, gap <= 1e-10))
 
-        ones = WeightField(mu=chart.constant(1.0))
         wm = weighted_modular(u, q, ones, metric)
         m = modular(u, q, metric)
         gap = abs(wm - m) / max(abs(m), 1e-300)

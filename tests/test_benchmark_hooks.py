@@ -1,10 +1,12 @@
-"""The benchmark's tracer wraps package names from outside; they must exist.
+"""The benchmark's tracer and workloads reach package names from outside; they must exist.
 
 perfbench/tracer.py patches module and class attributes by name and calls
-some of them positionally. A rename or a changed parameter list would break
-the traced benchmark run without failing any other test.
+some of them positionally, and perfbench/workloads.py calls the package's
+public functions. A rename or a changed parameter list would break the
+benchmark run without failing any other test.
 """
 
+import ast
 import importlib
 import inspect
 import sys
@@ -58,3 +60,53 @@ def test_patched_class_attributes_exist():
     for mod, cls_name, attr in CLASS_ATTRS:
         cls = getattr(importlib.import_module(f"doublephase.{mod}"), cls_name)
         assert callable(getattr(cls, attr, None)), f"{mod}.{cls_name}.{attr}"
+
+
+# every package function the workloads call, by the module they import it from
+WORKLOAD_CALLS = {
+    ("cli", "main"),
+    ("config", "default_config_text"),
+    ("solver", "SolverConfig"),
+    ("solver", "sweep"),
+    ("spaces", "WeightField"),
+    ("spaces", "luxemburg_norm"),
+    ("spaces", "modular"),
+    ("spaces", "weighted_modular"),
+    ("spaces", "weighted_norm"),
+}
+
+
+def _workload_calls():
+    """(module, name, positional count, keyword names) of every call perfbench/workloads.py
+    makes into the package, read from its source: names taken by ``from doublephase.m import
+    name``, and ``m.name`` after ``from doublephase import m``."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    names, modules = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "doublephase":
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("doublephase."):
+            names.update((alias.name, node.module.partition(".")[2]) for alias in node.names)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            target = (names[func.id], func.id)
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
+            target = (func.value.id, func.attr)
+        else:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args), target
+        calls.append((*target, len(node.args), [kw.arg for kw in node.keywords]))
+    return calls
+
+
+def test_workload_calls_bind():
+    calls = _workload_calls()
+    assert {(mod, name) for mod, name, _, _ in calls} == WORKLOAD_CALLS
+    for mod, name, n_args, keywords in calls:
+        fn = getattr(importlib.import_module(f"doublephase.{mod}"), name)
+        # raises TypeError when the call no longer fits the parameter list
+        inspect.signature(fn).bind(*[None] * n_args, **dict.fromkeys(keywords))

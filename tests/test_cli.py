@@ -192,7 +192,7 @@ class TestSweep:
     def test_auto_grid_estimates_constants_once(self, tmp_path, monkeypatch):
         from dataclasses import replace
 
-        from doublephase import cli, solver
+        from doublephase import solver
         from doublephase.config import parse_config
 
         cfg = tmp_path / "auto.cfg"
@@ -207,7 +207,6 @@ class TestSweep:
             calls.append((args, kwargs))
             return dp.estimate_constants(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "estimate_constants", counted)
         monkeypatch.setattr(solver, "estimate_constants", counted)
         out = tmp_path / "auto"
         assert main(["sweep", "--config", str(cfg), "--seed", "42", "--out", str(out)]) == 0
@@ -223,6 +222,21 @@ class TestSweep:
             [repr(v) if isinstance(v, float) else str(v) for v in row.to_csv_row()]
             for row in expected
         ]
+
+    def test_auto_grid_without_a_positive_threshold_is_one_line(self, tmp_path, monkeypatch, capsys):
+        from dataclasses import replace
+
+        from doublephase import solver
+
+        monkeypatch.setattr(
+            solver, "thresholds", lambda P, consts: replace(dp.thresholds(P, consts), lambda_star_star=0.0)
+        )
+        cfg = tmp_path / "auto.cfg"
+        cfg.write_text(REF_CFG.replace("lambda_grid = 0.05 0.125 0.24", "lambda_grid = auto 2"))
+        out = tmp_path / "auto"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: auto lambda grid needs a positive threshold\n"
+        assert not out.exists()
 
 
 class TestProject:

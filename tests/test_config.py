@@ -195,10 +195,9 @@ class TestListCasts:
     def test_auto_grid_point_count(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(BASE_CFG + "lambda_grid = auto 5\n")
-        assert parse_config(str(cfg)).lambda_grid_auto == 5
+        assert parse_config(str(cfg)).lambda_grid == 5
         cfg.write_text(BASE_CFG + "lambda_grid = auto\n")
-        rc = parse_config(str(cfg))
-        assert (rc.lambda_grid_auto, rc.lambda_grid) == (8, None)
+        assert parse_config(str(cfg)).lambda_grid == 8
 
     def test_sizes_and_spacings_parse(self, tmp_path):
         cfg = tmp_path / "c.cfg"

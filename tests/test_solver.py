@@ -6,6 +6,7 @@ import pytest
 
 import doublephase as dp
 from conftest import make_reference_instance
+from doublephase.solver import NONNEG_TOL
 
 
 @pytest.fixture(scope="module")
@@ -92,18 +93,40 @@ class TestTruncatedEnergy:
             assert abs(g - fd) <= 1e-6 * (1 + abs(g))
 
 
-class TestCertificate:
-    def test_positive_field_passes(self, instance):
-        cert = dp.nonnegativity_certificate(instance, instance.chart.constant(1.0))
-        assert cert.passed and cert.negative_part_norm == 0.0
+@pytest.mark.parametrize("min_u, warned", [(-1e-3, True), (-1e-11, False)], ids=["below-tol", "within-tol"])
+def test_negative_minimizer_warns_below_the_tolerance(instance, quick_cfg, monkeypatch, min_u, warned):
+    # each branch reports a field whose least node is min_u; the experiment
+    # warns about it exactly when min_u < -NONNEG_TOL
+    from doublephase import solver
 
-    def test_single_negative_node_fails(self, instance):
-        vals = np.ones(64)
-        vals[10] = -1e-3
-        cert = dp.nonnegativity_certificate(instance, instance.chart.field(vals))
-        assert not cert.passed
-        assert cert.min_u == -1e-3
-        assert cert.negative_part_norm > 0
+    def report(P, cfg, constants=None):
+        sign = -1.0 if cfg.target is dp.NehariClass.PLUS else 1.0
+        vals = np.full(P.chart.shape, 0.5 + 0.3 * sign)
+        vals[10] = min_u
+        return solver.SolutionReport(
+            u=P.chart.field(vals),
+            J_value=sign,
+            nehari_class=cfg.target,
+            psi_value=0.0,
+            residual_norm=0.0,
+            min_u=float(vals.min()),
+            iterations=0,
+            start_index=0,
+            n_converged_starts=1,
+            warnings=(),
+            constants=constants,
+        )
+
+    monkeypatch.setattr(solver, "minimize_on_branch", report)
+    result = dp.two_solution_experiment(instance, quick_cfg)
+    assert result.status == "converged"
+    negative = [w for w in result.warnings if "negative nodes" in w]
+    if warned:
+        assert negative == [
+            f"{tag} minimizer has negative nodes: min = {min_u:.3e}" for tag in ("plus", "minus")
+        ]
+    else:
+        assert negative == []
 
 
 class TestProjectOnto:
@@ -235,7 +258,7 @@ class TestMinimizeOnBranch:
                 seed=7, multistart=m, max_outer_iters=2000, target=dp.NehariClass.MINUS
             )
             try:
-                thetas.append(dp.minimize_on_branch(instance, cfg).theta_estimate)
+                thetas.append(dp.minimize_on_branch(instance, cfg).J_value)
             except dp.BranchError:
                 thetas.append(np.inf)
         assert thetas[1] <= thetas[0] + 1e-14
@@ -421,8 +444,7 @@ class TestTwoSolutionExperiment:
         assert result.distinct
         assert result.separation > 1e-6
         for rep in (result.report_plus, result.report_minus):
-            cert = dp.nonnegativity_certificate(instance, rep.u)
-            assert cert.passed
+            assert rep.min_u == float(rep.u.values.min()) >= -NONNEG_TOL
 
     def test_residuals_are_weak_solution_level(self, result, instance):
         for rep in (result.report_plus, result.report_minus):
@@ -461,12 +483,9 @@ class TestSweep:
         # one profile each; the rows equal a census of per-ray projections
         from doublephase import nehari
 
-        consts = dp.estimate_constants(
-            instance.exponents, instance.weight, instance.metric, trials=100, seed=7
-        )
         lambdas = [0.125, 0.2]
         counts = _count_profiles(monkeypatch)
-        rows = dp.sweep(instance, lambdas, quick_cfg, n_samples=16, constants=consts)
+        rows = dp.sweep(instance, lambdas, quick_cfg, n_samples=16)
         monkeypatch.undo()
         assert counts["calls"] == 2 * len(lambdas)
         assert rows[0].n_minus_found > 0 and rows[0].n_plus_found > 0
@@ -500,6 +519,28 @@ class TestSweep:
             theta_plus, n_plus = per_ray_census(P, starts, dp.NehariClass.PLUS)
             assert repr((row.theta_minus_estimate, row.n_minus_found)) == repr((theta_minus, n_minus))
             assert repr((row.theta_plus_estimate, row.n_plus_found)) == repr((theta_plus, n_plus))
+
+    def test_point_count_is_the_auto_grid(self, instance, quick_cfg):
+        # N points geometric from lambda**/8 to 2 lambda**, from the sweep's own estimate
+        consts = dp.estimate_constants(
+            instance.exponents, instance.weight, instance.metric, trials=quick_cfg.constants_trials, seed=7
+        )
+        lam_ss = dp.thresholds(instance, consts).lambda_star_star
+        rows = dp.sweep(instance, 3, quick_cfg, n_samples=8)
+        grid = np.geomspace(lam_ss / 8.0, 2.0 * lam_ss, 3)
+        assert repr(rows) == repr(dp.sweep(instance, grid, quick_cfg, n_samples=8))
+        assert [row.lam for row in rows] == grid.tolist()
+
+    def test_auto_grid_needs_a_positive_threshold(self, instance, quick_cfg, monkeypatch):
+        from dataclasses import replace
+
+        from doublephase import solver
+
+        monkeypatch.setattr(
+            solver, "thresholds", lambda P, consts: replace(dp.thresholds(P, consts), lambda_star_star=0.0)
+        )
+        with pytest.raises(ValueError, match="^auto lambda grid needs a positive threshold$"):
+            dp.sweep(instance, 3, quick_cfg, n_samples=8)
 
     def test_start_ladder_is_drawn_once(self, instance, quick_cfg, monkeypatch):
         # the ladder depends on the chart, the seed and multistart, not on lambda

@@ -578,29 +578,31 @@ def test_trials_is_the_budget_of_scored_fields():
         previous = ascent
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["luxemburg", "weighted"])
+def _extrema(e):
+    return float(e.min()), float(e.max())
+
+
 @pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
 @pytest.mark.parametrize("grid", ["1d", "aniso2d"])
-def test_luxemburg_gradient_matches_central_differences(grid, variable, weighted):
+def test_luxemburg_gradient_matches_central_differences(grid, variable):
     if grid == "1d":
         chart, metric = dp.build_torus(1, [64])
     else:
         chart, metric = dp.build_torus(2, [12, 12], metric_spec=[[1.0, 0.3], [0.3, 2.0]])
     x = chart.coords()[0]
     e = 1.7 + 0.2 * np.sin(2 * np.pi * x) if variable else np.full(chart.shape, 2.5)
-    mu = 1.0 + 0.5 * np.cos(2 * np.pi * x) if weighted else None
     rng = dp.substream(6, "norm-gradient", grid)
     u = dp.random_band_limited(chart, rng, amplitude=2.0, mean=0.3).values
-    norm = spaces._luxemburg(np.abs(u), e, mu, metric)
-    got = spaces._luxemburg_gradient(u[None], [norm], e, mu, metric)[0]
+    norm = spaces._luxemburg(np.abs(u), e, metric.log_volume, _extrema(e))
+    got = spaces._luxemburg_gradient(u[None], [norm], e, metric)[0]
     h = 1e-6
     fd = np.empty(chart.n_nodes)
     for i in range(chart.n_nodes):
         bump = np.zeros(chart.n_nodes)
         bump[i] = h
         bump = bump.reshape(chart.shape)
-        up = spaces._luxemburg(np.abs(u + bump), e, mu, metric)
-        down = spaces._luxemburg(np.abs(u - bump), e, mu, metric)
+        up = spaces._luxemburg(np.abs(u + bump), e, metric.log_volume, _extrema(e))
+        down = spaces._luxemburg(np.abs(u - bump), e, metric.log_volume, _extrema(e))
         fd[i] = (up - down) / (2 * h)
     assert np.max(np.abs(fd - got.ravel())) <= 1e-6 * np.max(np.abs(got))
 
@@ -673,31 +675,46 @@ def _bisected_norm(abs_vals, e, coef):
             hi = mid
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["luxemburg", "weighted"])
 @pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
 @pytest.mark.parametrize("grid", sorted(_GRIDS))
-def test_luxemburg_rows_equal_scalar_solves(grid, variable, weighted):
+def test_luxemburg_rows_equal_scalar_solves(grid, variable):
     chart, metric = _GRIDS[grid]()
     x = chart.coords()[0]
     e = 1.7 + 0.2 * np.sin(2 * np.pi * x) if variable else np.full(chart.shape, 2.5)
-    mu = 1.0 + 0.5 * np.cos(2 * np.pi * x) if weighted else None
     rows = _norm_rows(chart)
-    got = spaces._luxemburg_rows(rows, e, mu, metric)
-    want = [spaces._luxemburg(row, e, mu, metric) for row in rows]
+    got = spaces._luxemburg_rows(rows, e, metric)
+    want = [spaces._luxemburg(row, e, metric.log_volume, _extrema(e)) for row in rows]
     assert got.tolist() == want
     assert got[8] == 0.0
     # an independent oracle: every nonzero row's norm to rounding
-    coef = (1.0 if mu is None else mu) * metric.sqrt_det * chart.cell_volume
+    coef = metric.sqrt_det * chart.cell_volume
     for k, row in enumerate(rows):
         if k != 8:
             assert abs(got[k] / _bisected_norm(row, e, coef) - 1.0) <= 4e-15
     # alone, every row is the one-row stack
     for k in (0, 6, 7, 8, 10):
-        assert spaces._luxemburg_rows(rows[k : k + 1], e, mu, metric).tolist() == [want[k]]
+        assert spaces._luxemburg_rows(rows[k : k + 1], e, metric).tolist() == [want[k]]
     # one exponent field per row
     row_e = np.stack([e + 0.1 * k for k in range(len(rows))])
-    got = spaces._luxemburg_rows(rows, row_e, mu, metric)
-    assert got.tolist() == [spaces._luxemburg(row, ek, mu, metric) for row, ek in zip(rows, row_e)]
+    got = spaces._luxemburg_rows(rows, row_e, metric)
+    want = [spaces._luxemburg(row, ek, metric.log_volume, _extrema(ek)) for row, ek in zip(rows, row_e)]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+def test_weighted_luxemburg_matches_bisection(grid, variable):
+    # the one loop with a weighted log modular weight, against the same oracle
+    chart, metric = _GRIDS[grid]()
+    x = chart.coords()[0]
+    e = 1.7 + 0.2 * np.sin(2 * np.pi * x) if variable else np.full(chart.shape, 2.5)
+    coef = (1.0 + 0.5 * np.cos(2 * np.pi * x)) * metric.sqrt_det * chart.cell_volume
+    for k, row in enumerate(_norm_rows(chart)):
+        got = spaces._luxemburg(row, e, np.log(coef), _extrema(e))
+        if k == 8:
+            assert got == 0.0
+        else:
+            assert abs(got / _bisected_norm(row, e, coef) - 1.0) <= 4e-15
 
 
 def test_luxemburg_rows_with_widely_spread_exponents():
@@ -710,9 +727,9 @@ def test_luxemburg_rows_with_widely_spread_exponents():
     full = np.full(64, 1e-3)
     full[0], full[5] = 1.0, 0.99
     rows = np.stack([sparse, full, 0.5 * full])
-    got = spaces._luxemburg_rows(rows, e, None, metric)
+    got = spaces._luxemburg_rows(rows, e, metric)
     assert np.all(np.isfinite(got))
-    assert got.tolist() == [spaces._luxemburg(row, e, None, metric) for row in rows]
+    assert got.tolist() == [spaces._luxemburg(row, e, metric.log_volume, _extrema(e)) for row in rows]
 
 
 def test_estimate_computes_three_norms_per_scored_field(monkeypatch):
