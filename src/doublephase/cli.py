@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
-from .config import ConfigError, RunConfig, parse_config
+from .config import RunConfig, parse_config
 from .fieldio import read_field, write_field
 from .nehari import NoRootError, project
 from .solver import SWEEP_CSV_HEADER, sweep, two_solution_experiment
@@ -46,33 +45,17 @@ def _meta(rc: RunConfig):
     return {"config": rc.echo, "config_path": rc.path, "seed": rc.seed}
 
 
-def _parse_faults(pairs):
-    fault = {}
-    for pair in pairs or []:
-        key, sep, val = pair.partition("=")
-        try:
-            value = float(val)
-        except ValueError:
-            value = math.nan
-        if not (sep and math.isfinite(value)):
-            raise ConfigError(f"--fault-inject expects KEY=VAL with VAL a finite number, got {pair!r}")
-        fault[key.strip()] = value
-    return fault
-
-
 def cmd_verify(args, rc: RunConfig) -> int:
     trials = args.trials if args.trials is not None else rc.verify_trials
     if trials < 1:
         print(f"error: verify needs a positive trial count, got {trials}", file=sys.stderr)
         return USAGE_ERROR
-    fault = _parse_faults(args.fault_inject)
-    rows, passed, consts = run_verify_suite(rc, seed=rc.seed, trials=trials, fault=fault)
+    rows, passed, consts = run_verify_suite(rc, seed=rc.seed, trials=trials)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "verify.csv")
     _csv_dump(csv_path, CSV_HEADER, rows)
     meta = _meta(rc)
     meta["trials"] = trials
-    meta["fault_inject"] = fault
     meta["constants"] = consts.to_dict()
     meta["passed"] = passed
     _json_dump(os.path.join(args.out, "verify_meta.json"), meta)
@@ -188,12 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the inequality property suite")
     common(p_verify, config_required=False)
     p_verify.add_argument("--trials", type=int, default=None, help="trial count (overrides config)")
-    p_verify.add_argument(
-        "--fault-inject",
-        action="append",
-        metavar="KEY=VAL",
-        help="test-only constant overrides, e.g. holder_rq=0.5",
-    )
     p_verify.set_defaults(func=cmd_verify, needs="lambda")
 
     p_solve = sub.add_parser("solve", help="two-branch constrained minimization")

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import ScalarField, blocks, pairwise_sum_rows
-from .problem import ProblemInstance, _Nodewise, gateaux
+from .problem import PROBE_BRACKET, ProblemInstance, _Nodewise, gateaux
 from .spaces import ConstantsEstimate
 
 __all__ = [
@@ -44,8 +44,7 @@ __all__ = [
 ROOT_TOL = 1e-10
 CLASS_TOL = 1e-9
 MAX_REFINE_STEPS = 100
-# the full bracket of ``project`` and its probe grid size
-PROBE_BRACKET = (1e-6, 1e6)
+# the probe grid size of the full bracket
 PROBE_POINTS = 256
 
 

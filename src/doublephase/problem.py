@@ -9,6 +9,7 @@ are ever assembled (weak formulation); the operator itself never is.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -70,11 +71,23 @@ class PowerNonlinearity:
         return self.amplitude.values * _power(np.abs(u), self.beta - 2.0) * u
 
 
+# the full bracket of ``nehari.project``; its source powers t^beta are Python
+# float pows, which overflow at t = 1e6 once beta exceeds BETA_MAX
+PROBE_BRACKET = (1e-6, 1e6)
+BETA_MAX = math.log(sys.float_info.max) / math.log(PROBE_BRACKET[1])
+
+
 def check_superlinearity(beta: float, exponents: ExponentField) -> None:
-    """Raise ValueError unless beta > p+, which (f1) and (f3) need."""
+    """Raise ValueError unless p+ < beta <= BETA_MAX: (f1) and (f3) need beta > p+,
+    and the probe bracket's source powers stay finite up to BETA_MAX."""
     if not beta > exponents.p_plus:
         raise ValueError(
             f"superlinearity requires beta > p+ = {exponents.p_plus}, got beta = {beta}"
+        )
+    if not beta <= BETA_MAX:
+        raise ValueError(
+            f"beta = {beta} exceeds {BETA_MAX!r}, past which t^beta overflows "
+            f"at the top of the probe bracket [{PROBE_BRACKET[0]:g}, {PROBE_BRACKET[1]:g}]"
         )
 
 

@@ -45,14 +45,13 @@ from .grid import (
     substream,
 )
 from .nehari import (
-    PROBE_BRACKET,
     PROBE_POINTS,
     NehariClass,
     Thresholds,
     _RayProfile,
     thresholds,
 )
-from .problem import ProblemInstance, residual_gradient
+from .problem import PROBE_BRACKET, ProblemInstance, residual_gradient
 from .spaces import ConstantsEstimate, estimate_constants
 
 __all__ = [

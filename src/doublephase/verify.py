@@ -72,27 +72,13 @@ def _weighted_sequence_rows(u, q, w, metric, seed, rows):
     rows.append(TrialRow("weighted_seq_inf", seed, grow_mod, grow_norm, min(grow_mod, grow_norm) - 1e6, ok))
 
 
-def run_verify_suite(rc, seed: int, trials: int, fault: dict | None = None):
-    """Run all trials; returns (rows, passed, constants).
-
-    ``fault`` accepts test-only overrides; its one key, ``holder_rq``,
-    replaces the Hoelder factor so a broken constant demonstrably fails the
-    suite. Any other key is an error.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    fault = fault or {}
-    unknown = sorted(set(fault) - {"holder_rq"})
-    if unknown:
-        raise ValueError(f"unknown fault key {', '.join(unknown)}; the known key is holder_rq")
+def run_verify_suite(rc, seed: int, trials: int):
+    """Run ``trials`` trials, a positive count; returns (rows, passed, constants)."""
     P = rc.build_instance()
     chart, metric = P.chart, P.metric
     exponents, weight = P.exponents, P.weight
     p, q = exponents.p, exponents.q
-    consts = estimate_constants(
-        exponents, weight, metric, trials=rc.constants_trials, seed=seed
-    )
-    r_fault = fault.get("holder_rq")
+    consts = estimate_constants(exponents, weight, metric, trials=rc.constants_trials, seed=seed)
     r_tight = 1.0 + 1.0 / exponents.q_minus - 1.0 / exponents.q_plus
     said_factor = (1.01 * consts.D_embed * (1.01 * consts.c_poincare + 1.0)) ** exponents.p_plus
     ones = WeightField(mu=chart.constant(1.0))
@@ -105,7 +91,7 @@ def run_verify_suite(rc, seed: int, trials: int, fault: dict | None = None):
         u = random_band_limited(chart, rng, amplitude=amp, mean=mean)
         v = random_band_limited(chart, rng, amplitude=float(10.0 ** rng.uniform(-1.0, 1.0)))
 
-        hol = holder_check(u, v, q, metric, r_factor=r_fault)
+        hol = holder_check(u, v, q, metric)
         rows.append(TrialRow("holder", seed + i, hol.lhs, hol.rhs, hol.margin, hol.passed))
         rhs_tight = r_tight * hol.norm_u * hol.norm_v
         rows.append(

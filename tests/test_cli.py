@@ -82,32 +82,14 @@ class TestVerify:
         rows = [r for r in _read_rows(tmp_path / "v" / "verify.csv") if r["property"] == "gateaux_fd"]
         assert rows and all(r["pass"] == "0" for r in rows)
 
-    def test_fault_injection_fails(self, tmp_path, capsys):
-        out = str(tmp_path / "vf")
-        code = main(
-            ["verify", "--seed", "42", "--out", out, "--trials", "5", "--fault-inject", "holder_rq=0.5"]
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "holder" in captured.err
+    def test_a_broken_holder_factor_fails(self, tmp_path, capsys, monkeypatch):
+        from doublephase import spaces
+
+        monkeypatch.setattr(spaces, "holder_factor", lambda e: 0.5)
+        assert main(["verify", "--seed", "42", "--out", str(tmp_path / "vf"), "--trials", "5"]) == 1
+        assert "first failing row: holder " in capsys.readouterr().err
         rows = _read_rows(tmp_path / "vf" / "verify.csv")
         assert any(r["property"] == "holder" and r["pass"] == "0" for r in rows)
-
-    def test_unknown_fault_key_is_rejected(self, tmp_path, capsys):
-        out = tmp_path / "vk"
-        code = main(["verify", "--out", str(out), "--trials", "5", "--fault-inject", "holder_qr=0.5"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "holder_qr" in err and "holder_rq" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("pair", ["holder_rq=abc", "holder_rq=nan"])
-    def test_fault_value_must_be_a_finite_number(self, tmp_path, capsys, pair):
-        out = tmp_path / "vn"
-        assert main(["verify", "--out", str(out), "--trials", "5", "--fault-inject", pair]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: --fault-inject ") and repr(pair) in err and err.count("\n") == 1
-        assert not out.exists()
 
     def test_zero_trials_is_usage_error(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path / "x"), "--trials", "0"]) == 2
@@ -443,6 +425,8 @@ class TestConfigErrors:
             ("beta = 4.0", "beta = 2.5", "beta > p+"),
             ("beta = 4.0", "beta = nan", "must be finite and positive"),
             ("beta = 4.0", "beta = inf", "must be finite and positive"),
+            ("beta = 4.0", "beta = 51.4", "exceeds 51.37578592665279, past which t^beta overflows "
+             "at the top of the probe bracket [1e-06, 1e+06]"),
             ("sizes = 64", "sizes = 64\nspacings = nan", "must be finite and positive"),
             ("sizes = 64", "sizes = 2", "at least 4 nodes"),
             ("sizes = 64", "sizes = 0", "must be at least 1"),

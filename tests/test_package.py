@@ -1,5 +1,6 @@
-"""Package-level checks: every module's public names resolve, and the
-README's CLI synopsis names exactly the parser's options."""
+"""Package-level checks: every module's public names resolve, the README's
+CLI synopsis names exactly the parser's options, and its configuration
+section exactly the options a config accepts."""
 
 import argparse
 import importlib
@@ -11,6 +12,7 @@ import pytest
 
 import doublephase
 from doublephase.cli import build_parser
+from doublephase.config import _OPTIONS
 
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(doublephase.__path__)))
@@ -22,12 +24,16 @@ def test_star_import_resolves_every_export(module):
     assert set(exported) <= set(namespace)
 
 
+def _readme_section(title):
+    """The text of the README section headed ``## title``."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_synopsis():
     """Subcommand -> the options its lines in the README "## CLI" block name."""
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     options, command = {}, None
-    for line in section.splitlines():
+    for line in _readme_section("CLI").splitlines():
         if not line.startswith("    "):
             if options:
                 break  # the synopsis is the first indented block
@@ -47,3 +53,8 @@ def test_readme_cli_synopsis_matches_the_parser():
         for name, p in sub.choices.items()
     }
     assert _readme_synopsis() == parsed
+
+
+def test_readme_configuration_names_every_option():
+    named = set(re.findall(r"`\[([a-z_]+)\] ([a-z_]+)`", _readme_section("Configuration")))
+    assert named == {(section, option) for section, options in _OPTIONS.items() for option in options}

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import doublephase as dp
+from doublephase import problem
 from conftest import make_reference_instance, make_variable_instance
 
 
@@ -68,6 +70,21 @@ class TestNonlinearity:
                 lam=0.5,
                 nonlinearity=dp.PowerNonlinearity(beta=3.0, amplitude=ref.chart.constant(1.0)),
             )
+
+    def test_beta_must_keep_the_probe_powers_finite(self, ref):
+        def with_beta(beta):
+            return replace(ref, nonlinearity=dp.PowerNonlinearity(beta=beta, amplitude=ref.chart.constant(1.0)))
+
+        assert with_beta(51.35).nonlinearity.beta == 51.35
+        with pytest.raises(ValueError, match=r"beta = 51.4 exceeds 51.37578592665279, .* \[1e-06, 1e\+06\]"):
+            with_beta(51.4)
+
+    def test_beta_bound_is_the_last_finite_probe_power(self):
+        # the top of the bracket to the bound is finite; one ulp more overflows
+        hi = problem.PROBE_BRACKET[1]
+        assert math.isfinite(hi**problem.BETA_MAX)
+        with pytest.raises(OverflowError):
+            hi ** math.nextafter(problem.BETA_MAX, math.inf)
 
 
 class TestHypotheses:

@@ -149,17 +149,26 @@ _GRIDS = {
 
 
 @pytest.mark.parametrize("low", [1.0, 0.5])
-@pytest.mark.parametrize("name", ["luxemburg_norm", "weighted_norm", "modular", "weighted_modular"])
+@pytest.mark.parametrize(
+    "name",
+    ["luxemburg_norm", "weighted_norm", "modular", "weighted_modular", "holder_check", "modular_norm_relations"],
+)
 @pytest.mark.parametrize("grid", ["1d", "3d"])
 def test_exponent_at_most_one_at_one_node_is_rejected(grid, name, low):
+    # holder_check and modular_norm_relations reject it through their luxemburg_norm
     chart, metric = _GRIDS[grid]()
     e_vals = np.full(chart.shape, 2.0)
     e_vals.flat[chart.n_nodes // 2] = low
     e = chart.field(e_vals)
     u = chart.constant(1.0)
-    weight = (dp.WeightField(mu=chart.constant(1.0)),) if name.startswith("weighted") else ()
+    if name == "holder_check":
+        args = (u, u, e, metric)
+    elif name.startswith("weighted"):
+        args = (u, e, dp.WeightField(mu=chart.constant(1.0)), metric)
+    else:
+        args = (u, e, metric)
     with pytest.raises(ValueError, match=f"exponent must exceed 1 everywhere, min is {low}"):
-        getattr(dp, name)(u, e, *weight, metric)
+        getattr(dp, name)(*args)
 
 
 @pytest.mark.parametrize("support", ["random", "one_node", "five_nodes"])
