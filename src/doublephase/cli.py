@@ -18,9 +18,9 @@ import sys
 
 from .config import RunConfig, parse_config
 from .fieldio import read_field, write_field
+from .grid import master_seed
 from .nehari import NoRootError, project
 from .solver import SWEEP_CSV_HEADER, sweep, two_solution_experiment
-from .verify import CSV_HEADER, run_verify_suite
 
 __all__ = ["main"]
 
@@ -46,6 +46,9 @@ def _meta(rc: RunConfig):
 
 
 def cmd_verify(args, rc: RunConfig) -> int:
+    # imported here: no other command needs the property suite
+    from .verify import CSV_HEADER, run_verify_suite
+
     trials = args.trials if args.trials is not None else rc.verify_trials
     if trials < 1:
         print(f"error: verify needs a positive trial count, got {trials}", file=sys.stderr)
@@ -205,7 +208,7 @@ def main(argv=None) -> int:
         _check_out(args.out)
         rc = parse_config(args.config, needs=args.needs)
         if args.seed is not None:
-            rc.seed = args.seed
+            rc.seed = master_seed(args.seed)
         return args.func(args, rc)
     except (ValueError, OSError) as exc:
         # ConfigError and FieldFormatError are ValueErrors too; OSError is a

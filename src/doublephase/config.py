@@ -17,12 +17,11 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .fieldio import read_field, read_metric, symmetric_from_upper
-from .grid import Chart, MetricField, ScalarField
+from .grid import Chart, MetricField, ScalarField, master_seed
 from .problem import PowerNonlinearity, ProblemInstance, check_superlinearity
 from .solver import SolverConfig
 from .spaces import MIN_TRIALS, ExponentField, WeightField
@@ -55,25 +54,43 @@ def _option_line(text: str, section: str, option: str | None = None) -> int:
     return header
 
 
-@dataclass
 class RunConfig:
     """The problem parts a configuration builds, its run settings, and the
-    raw text echo for artifacts."""
+    raw text echo for artifacts. ``lambda_grid`` is the strictly increasing
+    grid, or the point count N of ``auto N``."""
 
-    chart: Chart
-    metric: MetricField
-    exponents: ExponentField
-    weight: WeightField
-    nonlinearity: PowerNonlinearity
-    path: str
-    echo: dict
-    lam: float | None = None
-    # the strictly increasing grid, or the point count N of ``auto N``
-    lambda_grid: tuple | int | None = None
-    seed: int = 0
-    solver: dict = dc_field(default_factory=dict)
-    verify_trials: int = 200
-    constants_trials: int = 200
+    __slots__ = ("chart", "metric", "exponents", "weight", "nonlinearity", "path", "echo", "solver", "lam",
+                 "lambda_grid", "seed", "verify_trials", "constants_trials")
+
+    def __init__(
+        self,
+        chart: Chart,
+        metric: MetricField,
+        exponents: ExponentField,
+        weight: WeightField,
+        nonlinearity: PowerNonlinearity,
+        path: str,
+        echo: dict,
+        solver: dict,
+        lam: float | None = None,
+        lambda_grid: tuple | int | None = None,
+        seed: int = 0,
+        verify_trials: int = 200,
+        constants_trials: int = 200,
+    ):
+        self.chart = chart
+        self.metric = metric
+        self.exponents = exponents
+        self.weight = weight
+        self.nonlinearity = nonlinearity
+        self.path = path
+        self.echo = echo
+        self.solver = solver
+        self.lam = lam
+        self.lambda_grid = lambda_grid
+        self.seed = seed
+        self.verify_trials = verify_trials
+        self.constants_trials = constants_trials
 
     def build_instance(self, lam: float | None = None) -> ProblemInstance:
         lam = self.lam if lam is None else lam
@@ -246,7 +263,7 @@ _OPTIONS = {
     },
     "verify": {"trials": ("verify_trials", _count(1))},
     "constants": {"trials": ("constants_trials", _count(MIN_TRIALS))},
-    "run": {"seed": ("seed", int)},
+    "run": {"seed": ("seed", master_seed)},
 }
 # the inputs of the problem parts, with their values when a config omits them
 _PARTS = {"dim": 1, "metric": "identity", "p": "constant 3.0", "q": "constant 2.0",
@@ -326,7 +343,7 @@ def parse_config(path: str | None = None, needs: str | None = None) -> RunConfig
         raise error("problem", needs, "is required for this command")
 
     echo = {s: dict(parser.items(s)) for s in parser.sections()}
-    return RunConfig(chart, metric, exponents, weight, nonlinearity, path, echo, solver=solver, **values)
+    return RunConfig(chart, metric, exponents, weight, nonlinearity, path, echo, solver, **values)
 
 
 def default_config_text() -> str:

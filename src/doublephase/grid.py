@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -34,6 +33,7 @@ __all__ = [
     "pairwise_sum_rows",
     "random_band_limited",
     "band_filter",
+    "master_seed",
     "substream",
 ]
 
@@ -103,42 +103,70 @@ def _pairwise_tree(a: np.ndarray):
     return a[0]
 
 
+def master_seed(seed) -> int:
+    """``seed`` as an int in [0, 2**64), the seeds that ``substream`` takes; ValueError outside."""
+    value = int(seed)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {value}")
+    return value
+
+
 def substream(seed, *path) -> np.random.Generator:
-    """Independent counter-based generator for ``(seed, *path)``.
+    """Independent counter-based generator for ``(seed, *path)``, ``seed`` a ``master_seed``.
 
     Path components are hashed with blake2s, so strings and ints give stable
     entropy regardless of PYTHONHASHSEED. Built on Philox, so substreams are
     statistically independent and cheap to spawn.
     """
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    entropy = [master_seed(seed)]
     for part in path:
         digest = hashlib.blake2s(repr(part).encode(), digest_size=8).digest()
         entropy.append(int.from_bytes(digest, "little"))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-@dataclass(frozen=True)
-class Chart:
-    """Uniform periodic grid on [0, L_1) x ... x [0, L_n), n in {1, 2, 3}."""
+class Frozen:
+    """Base of the package's immutable value types: ``__init__`` sets each attribute
+    once, with ``object.__setattr__`` or into the instance dict, and any later
+    assignment raises."""
 
-    dim: int
-    sizes: tuple
-    spacings: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        object.__setattr__(self, "spacings", tuple(float(h) for h in self.spacings))
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if len(self.sizes) != self.dim or len(self.spacings) != self.dim:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Chart(Frozen):
+    """Uniform periodic grid on [0, L_1) x ... x [0, L_n), n in {1, 2, 3}.
+
+    Equal and hashed by its sizes and spacings, which fix ``dim``.
+    """
+
+    def __init__(self, dim: int, sizes: tuple, spacings: tuple):
+        sizes = tuple(int(s) for s in sizes)
+        spacings = tuple(float(h) for h in spacings)
+        if dim not in (1, 2, 3):
+            raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+        if len(sizes) != dim or len(spacings) != dim:
             raise ValueError("sizes and spacings must have one entry per axis")
-        if any(s < 4 for s in self.sizes):
-            raise ValueError(f"need at least 4 nodes per axis, got sizes={self.sizes}")
-        if not all(math.isfinite(h) and h > 0 for h in self.spacings):
-            raise ValueError(f"spacings must be finite and positive, got {self.spacings}")
-        # plain attributes, not fields: the norm loops read them per solve
-        object.__setattr__(self, "n_nodes", int(np.prod(self.sizes)))
-        object.__setattr__(self, "cell_volume", float(np.prod(self.spacings)))
+        if any(s < 4 for s in sizes):
+            raise ValueError(f"need at least 4 nodes per axis, got sizes={sizes}")
+        if not all(math.isfinite(h) and h > 0 for h in spacings):
+            raise ValueError(f"spacings must be finite and positive, got {spacings}")
+        # n_nodes and cell_volume are stored, not properties: the norm loops read them per solve
+        vars(self).update(dim=dim, sizes=sizes, spacings=spacings, n_nodes=int(np.prod(sizes)),
+                          cell_volume=float(np.prod(spacings)))
+
+    def __eq__(self, other):
+        if type(other) is not Chart:
+            return NotImplemented
+        return self.sizes == other.sizes and self.spacings == other.spacings
+
+    def __hash__(self):
+        return hash((self.sizes, self.spacings))
 
     @property
     def shape(self):
@@ -163,13 +191,15 @@ class Chart:
         return self.field(np.full(self.shape, float(c)))
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(Frozen):
     """One real value per node of a chart."""
 
-    values: np.ndarray
-    chart: Chart
+    def __init__(self, values: np.ndarray, chart: Chart):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "chart", chart)
+        self.__post_init__()
 
+    # every construction runs this check by its name, which a profiler can count
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.chart.shape:
@@ -193,44 +223,39 @@ class ScalarField:
         return float(np.minimum.reduce(self.values, axis=None)), float(np.maximum.reduce(self.values, axis=None))
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Frozen):
     """Chart-coordinate components, stored as (*shape, dim)."""
 
-    components: np.ndarray
-    chart: Chart
+    __slots__ = ("components", "chart")
 
-    def __post_init__(self):
-        comp = np.asarray(self.components, dtype=float)
-        if comp.shape != self.chart.shape + (self.chart.dim,):
+    def __init__(self, components: np.ndarray, chart: Chart):
+        comp = np.asarray(components, dtype=float)
+        if comp.shape != chart.shape + (chart.dim,):
             raise ValueError(
                 f"components shape {comp.shape} does not match chart "
-                f"{self.chart.shape} with dim {self.chart.dim}"
+                f"{chart.shape} with dim {chart.dim}"
             )
         if not np.all(np.isfinite(comp)):
             raise ValueError("vector field contains non-finite values")
         comp = comp.copy()
         comp.setflags(write=False)
         object.__setattr__(self, "components", comp)
+        object.__setattr__(self, "chart", chart)
 
 
-@dataclass(frozen=True)
-class MetricField:
+class MetricField(Frozen):
     """A symmetric positive-definite metric as the energy reads it: the read-only
     inverse g^{ab} ``inv``, (*shape, n, n), and density sqrt(det g) ``sqrt_det``, (*shape,).
     A constant metric stores both as ``np.broadcast_to`` views, zero strides on the chart axes."""
 
-    sqrt_det: np.ndarray
-    inv: np.ndarray
-    chart: Chart
-
-    def __post_init__(self):
-        for name in ("sqrt_det", "inv"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+    def __init__(self, sqrt_det: np.ndarray, inv: np.ndarray, chart: Chart):
+        for name, value in (("sqrt_det", sqrt_det), ("inv", inv)):
+            arr = np.asarray(value, dtype=float)
             if arr.flags.writeable:
                 arr = arr.copy()
                 arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "chart", chart)
 
     # computed on first use and kept: every unweighted Luxemburg norm adds it to its log terms
     @cached_property

@@ -19,7 +19,6 @@ Every stacked pass runs in ``grid.blocks``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -58,8 +57,7 @@ class NoRootError(RuntimeError):
     """The fibering map kept one sign over the whole probe bracket."""
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(NamedTuple):
     t_roots: tuple
     classes: tuple
     phi_at_roots: tuple
@@ -417,8 +415,7 @@ def threshold_formulas(p_minus, p_plus, q_minus, q_plus, mu0, c, D, c1):
     return lam_s, lam_ss
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     lambda_star: float
     lambda_star_star: float
     lambda_bar: float
@@ -427,7 +424,7 @@ class Thresholds:
     constants: ConstantsEstimate
 
     def to_dict(self):
-        return asdict(self)
+        return {**self._asdict(), "constants": self.constants.to_dict()}
 
 
 def thresholds(P: ProblemInstance, consts: ConstantsEstimate) -> Thresholds:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .grid import (
     Chart,
+    Frozen,
     MetricField,
     ScalarField,
     flux_divergence,
@@ -49,8 +50,7 @@ def _power(base: np.ndarray, expo) -> np.ndarray:
     return np.power(base, expo, out=np.zeros_like(base), where=base > 0)
 
 
-@dataclass(frozen=True)
-class PowerNonlinearity:
+class PowerNonlinearity(Frozen):
     """Source f(x, s) = a(x) |s|^{beta-2} s with primitive a(x) |s|^beta / beta.
 
     For this family the superlinearity inequality holds with equality for
@@ -58,14 +58,15 @@ class PowerNonlinearity:
     holds whenever beta exceeds the largest q.
     """
 
-    beta: float
-    amplitude: ScalarField
+    __slots__ = ("beta", "amplitude")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 1.0):
-            raise ValueError(f"beta must be finite and exceed 1, got {self.beta}")
-        if self.amplitude.values.min() <= 0:
+    def __init__(self, beta: float, amplitude: ScalarField):
+        if not (math.isfinite(beta) and beta > 1.0):
+            raise ValueError(f"beta must be finite and exceed 1, got {beta}")
+        if amplitude.values.min() <= 0:
             raise ValueError("amplitude must be positive everywhere")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "amplitude", amplitude)
 
     def f_values(self, u: np.ndarray) -> np.ndarray:
         return self.amplitude.values * _power(np.abs(u), self.beta - 2.0) * u
@@ -91,8 +92,7 @@ def check_superlinearity(beta: float, exponents: ExponentField) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(Frozen):
     """One fully specified instance: grid, exponents, weight, lambda, source.
 
     Construction enforces the hypotheses the existence result needs of the
@@ -114,30 +114,32 @@ class ProblemInstance:
     jumps at the periodic wrap.
     """
 
-    chart: Chart
-    metric: MetricField
-    exponents: ExponentField
-    weight: WeightField
-    lam: float
-    nonlinearity: PowerNonlinearity
+    __slots__ = ("chart", "metric", "exponents", "weight", "lam", "nonlinearity", "warnings", "node_weight")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lambda must be finite and positive, got {self.lam}")
-        for other in (self.metric.chart, self.exponents.chart, self.weight.chart):
-            if other != self.chart:
+    def __init__(
+        self,
+        chart: Chart,
+        metric: MetricField,
+        exponents: ExponentField,
+        weight: WeightField,
+        lam: float,
+        nonlinearity: PowerNonlinearity,
+    ):
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"lambda must be finite and positive, got {lam}")
+        for other in (metric.chart, exponents.chart, weight.chart):
+            if other != chart:
                 raise ValueError("all fields must share the problem chart")
-        e = self.exponents
-        nl = self.nonlinearity
+        e, nl = exponents, nonlinearity
         if not isinstance(nl, PowerNonlinearity):
             raise TypeError(
                 f"the source must be a PowerNonlinearity, got {type(nl).__name__}"
             )
-        if nl.amplitude.chart != self.chart:
+        if nl.amplitude.chart != chart:
             raise ValueError("source amplitude must live on the problem chart")
         check_superlinearity(nl.beta, e)
         warnings = []
-        n = self.chart.dim
+        n = chart.dim
         if not e.p_plus < n:
             warnings.append(
                 f"p+ = {e.p_plus} is not below the dimension {n}; "
@@ -154,19 +156,18 @@ class ProblemInstance:
             warnings.append("exponent-spread inequality inapplicable: q+ equals q-")
         if not e.p_minus / e.q_plus <= 1.0 + 1.0 / n:
             warnings.append(f"p-/q+ exceeds 1 + 1/{n} (diagnostic only)")
-        object.__setattr__(self, "warnings", tuple(warnings))
         # quadrature weight of each node in the discrete pairing
-        nw = self.metric.sqrt_det * self.chart.cell_volume
+        nw = metric.sqrt_det * chart.cell_volume
         nw = nw.copy()
         nw.setflags(write=False)
-        object.__setattr__(self, "node_weight", nw)
+        for name, value in zip(self.__slots__, (chart, metric, exponents, weight, lam, nl, tuple(warnings), nw)):
+            object.__setattr__(self, name, value)
 
     def with_lambda(self, lam: float) -> "ProblemInstance":
-        return replace(self, lam=float(lam))
+        return ProblemInstance(self.chart, self.metric, self.exponents, self.weight, float(lam), self.nonlinearity)
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(NamedTuple):
     """The five named terms; total = grad_p + grad_q - lambda_q + u_p - F."""
 
     grad_p_term: float
@@ -177,7 +178,7 @@ class EnergyBreakdown:
     total: float
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 class _Nodewise:

@@ -27,12 +27,13 @@ residual norm is always the unfiltered one.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, replace
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
 from .grid import (
+    Frozen,
     ScalarField,
     _spectrum,
     band_limited_values,
@@ -81,32 +82,41 @@ START_MEAN = 1.0
 NONNEG_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Frozen):
     """Descent and multistart budget for one branch search.
 
     Every search runs on the truncated energy, whose source terms are
     integrated over {u >= 0} only.
     """
 
-    target: NehariClass = NehariClass.MINUS
-    multistart: int = 8
-    seed: int = 0
-    max_outer_iters: int = 5000
-    residual_tol: float = 1e-6
-    constants_trials: int = 200
+    __slots__ = ("target", "multistart", "seed", "max_outer_iters", "residual_tol", "constants_trials")
 
-    def __post_init__(self):
-        if self.multistart < 1:
+    def __init__(
+        self,
+        target: NehariClass = NehariClass.MINUS,
+        multistart: int = 8,
+        seed: int = 0,
+        max_outer_iters: int = 5000,
+        residual_tol: float = 1e-6,
+        constants_trials: int = 200,
+    ):
+        if multistart < 1:
             raise ValueError("multistart must be at least 1")
-        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
+        if not (math.isfinite(residual_tol) and residual_tol > 0):
             raise ValueError("residual_tol must be finite and positive")
-        if self.max_outer_iters < 1:
+        if max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
+        for name, value in zip(self.__slots__, (target, multistart, seed, max_outer_iters, residual_tol,
+                                                constants_trials)):
+            object.__setattr__(self, name, value)
+
+    def with_target(self, target: NehariClass) -> "SolverConfig":
+        """This budget aimed at the branch ``target``."""
+        return SolverConfig(target, self.multistart, self.seed, self.max_outer_iters, self.residual_tol,
+                            self.constants_trials)
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(NamedTuple):
     u: ScalarField
     J_value: float
     nehari_class: NehariClass
@@ -193,18 +203,21 @@ def _project_onto(P, vals, cfg, local=False):
     return out
 
 
-@dataclass
 class _StartOutcome:
     """A start's descent: its iterate's node values, energy and last residual norm,
     the iterations it completed (counting the one it stalled in), and why it ended."""
 
-    converged: bool
-    projected: bool
-    u: np.ndarray | None = None
-    J: float = math.inf
-    residual_norm: float = math.inf
-    iterations: int = 0
-    note: str = ""
+    __slots__ = ("converged", "projected", "u", "J", "residual_norm", "iterations", "note")
+
+    def __init__(self, converged: bool, projected: bool, u: np.ndarray | None = None, J: float = math.inf,
+                 note: str = ""):
+        self.converged = converged
+        self.projected = projected
+        self.u = u
+        self.J = J
+        self.residual_norm = math.inf
+        self.iterations = 0
+        self.note = note
 
 
 def _sobolev_filter(P: ProblemInstance) -> np.ndarray:
@@ -319,19 +332,32 @@ def minimize_on_branch(
     )
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    status: str  # "converged" or "inconclusive"
-    report_plus: SolutionReport | None
-    report_minus: SolutionReport | None
-    distinct: bool
-    separation: float
-    thresholds: Thresholds
-    warnings: tuple
-    failures: tuple
-    # wall seconds of the constants estimate, each branch and the whole
-    # experiment; they differ between reruns, so results compare without them
-    timing: dict = field(default_factory=dict, compare=False)
+class ExperimentResult(Frozen):
+    """Both branch searches: ``status`` is "converged" or "inconclusive".
+
+    ``timing`` holds the wall seconds of the constants estimate, each branch
+    and the whole experiment. They differ between reruns, and results compare
+    by identity only, so no equality reads them.
+    """
+
+    __slots__ = ("status", "report_plus", "report_minus", "distinct", "separation", "thresholds", "warnings",
+                 "failures", "timing")
+
+    def __init__(
+        self,
+        status: str,
+        report_plus: SolutionReport | None,
+        report_minus: SolutionReport | None,
+        distinct: bool,
+        separation: float,
+        thresholds: Thresholds,
+        warnings: tuple,
+        failures: tuple,
+        timing: dict,
+    ):
+        for name, value in zip(self.__slots__, (status, report_plus, report_minus, distinct, separation,
+                                                thresholds, warnings, failures, timing)):
+            object.__setattr__(self, name, value)
 
     @property
     def exit_code(self) -> int:
@@ -369,7 +395,7 @@ def two_solution_experiment(P: ProblemInstance, cfg: SolverConfig) -> Experiment
     reports = {}
     failures = []
     for target in (NehariClass.PLUS, NehariClass.MINUS):
-        run_cfg = replace(cfg, target=target)
+        run_cfg = cfg.with_target(target)
         branch_start = perf_counter()
         try:
             reports[target] = minimize_on_branch(P, run_cfg, constants=consts)
@@ -410,8 +436,7 @@ SWEEP_CSV_HEADER = ["lambda", "theta_plus_estimate", "theta_minus_estimate", "n_
                     "lambda_star", "lambda_star_star"]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     lam: float
     theta_plus_estimate: float
     theta_minus_estimate: float
@@ -421,7 +446,7 @@ class SweepRow:
     lambda_star_star: float
 
     def to_csv_row(self):
-        return list(astuple(self))
+        return list(self)
 
 
 def _census_samples(chart, seed, j, n) -> np.ndarray:

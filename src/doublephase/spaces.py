@@ -16,13 +16,14 @@ the modular's node weights; only ``weighted_norm`` builds its own.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .grid import (
     Chart,
+    Frozen,
     MetricField,
     ScalarField,
     _spectrum,
@@ -67,8 +68,7 @@ UNIT_BAND = 1e-9
 UNIT_MODULAR_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class ExponentField:
+class ExponentField(Frozen):
     """The exponent pair p(x), q(x) with cached extrema and distinct values.
 
     Construction enforces the ordering 1 < q- <= q+ < p- <= p+, so the
@@ -77,13 +77,10 @@ class ExponentField:
     rarely holds and is surfaced as an instance warning instead.
     """
 
-    p: ScalarField
-    q: ScalarField
-
-    def __post_init__(self):
-        if self.p.chart != self.q.chart:
+    def __init__(self, p: ScalarField, q: ScalarField):
+        if p.chart != q.chart:
             raise ValueError("p and q must live on the same chart")
-        for name, value in zip(("p_minus", "p_plus", "q_minus", "q_plus"), self.p.extrema + self.q.extrema):
+        for name, value in zip(("p", "q", "p_minus", "p_plus", "q_minus", "q_plus"), (p, q) + p.extrema + q.extrema):
             object.__setattr__(self, name, value)
         if not (1.0 < self.q_minus <= self.q_plus < self.p_minus <= self.p_plus):
             raise ValueError(
@@ -110,16 +107,17 @@ class ExponentField:
         return self.p.chart
 
 
-@dataclass(frozen=True)
-class WeightField:
+class WeightField(Frozen):
     """Positive weight with cached infimum mu0 > 0."""
 
-    mu: ScalarField
+    __slots__ = ("mu", "mu0")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu0", float(self.mu.values.min()))
-        if self.mu0 <= 0:
-            raise ValueError(f"weight must be positive everywhere, min is {self.mu0}")
+    def __init__(self, mu: ScalarField):
+        mu0 = float(mu.values.min())
+        if mu0 <= 0:
+            raise ValueError(f"weight must be positive everywhere, min is {mu0}")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu0", mu0)
 
     @property
     def chart(self) -> Chart:
@@ -270,8 +268,7 @@ def holder_factor(e: ScalarField) -> float:
     return 1.0 + 1.0 / e_lo + 1.0 / e_hi
 
 
-@dataclass(frozen=True)
-class HolderReport:
+class HolderReport(NamedTuple):
     lhs: float
     rhs: float
     norm_u: float
@@ -293,8 +290,7 @@ def holder_check(u: ScalarField, v: ScalarField, e: ScalarField, metric: MetricF
     return HolderReport(lhs=lhs, rhs=rhs, norm_u=nu, norm_v=nv, passed=lhs <= rhs + 1e-12)
 
 
-@dataclass(frozen=True)
-class ClauseCheck:
+class ClauseCheck(NamedTuple):
     name: str
     lhs: float
     rhs: float
@@ -302,8 +298,7 @@ class ClauseCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class RelationsReport:
+class RelationsReport(NamedTuple):
     norm: float
     modular_value: float
     clauses: tuple
@@ -362,8 +357,7 @@ def modular_norm_relations(u: ScalarField, e: ScalarField, metric: MetricField) 
     return RelationsReport(norm=nu, modular_value=rho, clauses=clauses, ok=all(c.ok for c in clauses))
 
 
-@dataclass(frozen=True)
-class ConstantsEstimate:
+class ConstantsEstimate(Frozen):
     """Finite-sample lower estimates of the functional constants.
 
     c_poincare: sup ||u||_q / || |grad u| ||_q over zero-mean fields.
@@ -376,19 +370,16 @@ class ConstantsEstimate:
     and seed.
     """
 
-    c_poincare: float
-    D_embed: float
-    c1_embed: float
-    r_q: float
-    trials: int
-    seed: int
+    __slots__ = ("c_poincare", "D_embed", "c1_embed", "r_q", "trials", "seed")
 
-    def __post_init__(self):
-        if min(self.c_poincare, self.D_embed, self.c1_embed, self.r_q) <= 0:
+    def __init__(self, c_poincare: float, D_embed: float, c1_embed: float, r_q: float, trials: int, seed: int):
+        if min(c_poincare, D_embed, c1_embed, r_q) <= 0:
             raise ValueError("estimated constants must be positive")
+        for name, value in zip(self.__slots__, (c_poincare, D_embed, c1_embed, r_q, trials, seed)):
+            object.__setattr__(self, name, value)
 
     def to_dict(self):
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _luxemburg_gradient(vals, norms, e_vals, metric) -> np.ndarray:
@@ -426,8 +417,7 @@ def _stack_ratios(vals, exponents: ExponentField, weight: WeightField, metric: M
     return poincare, norm_p / s, weighted, (comps, grad_norm, norm_u, norm_grad)
 
 
-@dataclass(frozen=True)
-class _Ascent:
+class _Ascent(NamedTuple):
     """The field of the largest Poincare ratio, the three maxima, the fields
     scored, and per start the ratios of the start and each accepted step."""
 

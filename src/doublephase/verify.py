@@ -8,7 +8,7 @@ tighter Hoelder factor, which the adopted constant deliberately exceeds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ __all__ = ["TrialRow", "run_verify_suite", "CSV_HEADER"]
 CSV_HEADER = ["property", "seed", "lhs", "rhs", "margin", "pass"]
 
 
-@dataclass(frozen=True)
-class TrialRow:
+class TrialRow(NamedTuple):
     prop: str
     seed: int
     lhs: float

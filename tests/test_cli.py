@@ -152,6 +152,32 @@ class TestSolve:
         assert exp["failures"]
 
 
+class TestSeedRange:
+    # grid.substream takes seeds in [0, 2**64); masked to 64 bits, -5 and
+    # 2**64 - 5 ran the same solve under two recorded seeds
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_range_fails_before_any_run(self, tmp_path, ref_cfg, capsys, seed):
+        out = tmp_path / "x"
+        assert main(["solve", "--config", ref_cfg, "--seed", str(seed), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+
+    def test_config_seed_outside_the_range_is_anchored_at_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(REF_CFG + "\n[run]\nseed = -1\n")
+        line = (REF_CFG + "\n[run]\nseed = -1\n").splitlines().index("seed = -1") + 1
+        out = tmp_path / "x"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: [run] seed: seed must be in [0, 2**64), got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_both_ends_of_the_range_run(self, tmp_path, ref_cfg, seed):
+        out = tmp_path / "s"
+        assert main(["solve", "--config", ref_cfg, "--seed", str(seed), "--out", str(out)]) == 0
+        assert json.loads((out / "experiment.json").read_text())["seed"] == seed
+
+
 class TestSweep:
     def test_csv_columns_and_rows(self, tmp_path, ref_cfg):
         out = tmp_path / "sw"
@@ -172,8 +198,6 @@ class TestSweep:
             assert int(row["n_minus_found"]) > 0
 
     def test_auto_grid_estimates_constants_once(self, tmp_path, monkeypatch):
-        from dataclasses import replace
-
         from doublephase import solver
         from doublephase.config import parse_config
 
@@ -197,7 +221,8 @@ class TestSweep:
         rc = parse_config(str(cfg))
         P = rc.build_instance(lam=rc.lam)
         lambdas = json.loads((out / "sweep_meta.json").read_text())["lambdas"]
-        expected = dp.sweep(P, lambdas, replace(rc.build_solver_config(), seed=42))
+        rc.seed = 42
+        expected = dp.sweep(P, lambdas, rc.build_solver_config())
         assert len(calls) == 2
         rows = _read_rows(out / "sweep.csv")
         assert [list(r.values()) for r in rows] == [
@@ -206,12 +231,10 @@ class TestSweep:
         ]
 
     def test_auto_grid_without_a_positive_threshold_is_one_line(self, tmp_path, monkeypatch, capsys):
-        from dataclasses import replace
-
         from doublephase import solver
 
         monkeypatch.setattr(
-            solver, "thresholds", lambda P, consts: replace(dp.thresholds(P, consts), lambda_star_star=0.0)
+            solver, "thresholds", lambda P, consts: dp.thresholds(P, consts)._replace(lambda_star_star=0.0)
         )
         cfg = tmp_path / "auto.cfg"
         cfg.write_text(REF_CFG.replace("lambda_grid = 0.05 0.125 0.24", "lambda_grid = auto 2"))
@@ -268,12 +291,11 @@ class TestOutPath:
         [("solve", "two_solution_experiment"), ("sweep", "sweep"), ("verify", "run_verify_suite")],
     )
     def test_out_naming_a_file_fails_before_any_run(self, tmp_path, ref_cfg, capsys, monkeypatch, command, runner):
-        from doublephase import cli
-
         def never(*args, **kwargs):
             pytest.fail(f"{runner} ran although --out names a file")
 
-        monkeypatch.setattr(cli, runner, never)
+        # the verify command imports its runner when it runs
+        monkeypatch.setattr(f"doublephase.{'verify' if command == 'verify' else 'cli'}.{runner}", never)
         out = tmp_path / "taken"
         out.write_text("keep me\n")
         assert main([command, "--config", ref_cfg, "--out", str(out)]) == 1
@@ -286,12 +308,11 @@ class TestOutPath:
         [("solve", "two_solution_experiment"), ("sweep", "sweep"), ("verify", "run_verify_suite")],
     )
     def test_out_under_a_file_fails_before_any_run(self, tmp_path, ref_cfg, capsys, monkeypatch, command, runner):
-        from doublephase import cli
-
         def never(*args, **kwargs):
             pytest.fail(f"{runner} ran although --out lies under a file")
 
-        monkeypatch.setattr(cli, runner, never)
+        # the verify command imports its runner when it runs
+        monkeypatch.setattr(f"doublephase.{'verify' if command == 'verify' else 'cli'}.{runner}", never)
         parent = tmp_path / "some.file"
         parent.write_text("keep me\n")
         out = parent / "sub"

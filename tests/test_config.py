@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -73,14 +72,25 @@ def test_parse_echo_and_defaults(tmp_path):
 BASE_CFG = "[chart]\ndim = 1\nsizes = 64\n\n[problem]\nlambda = 0.5\n"
 
 
+def _stored(record):
+    """Name -> value of every attribute a package record stores: a NamedTuple's
+    fields, or a class's slots and instance dict."""
+    if isinstance(record, tuple):
+        return record._asdict()
+    slots = [name for cls in type(record).__mro__ for name in getattr(cls, "__slots__", ())]
+    return {name: getattr(record, name) for name in slots} | getattr(record, "__dict__", {})
+
+
 def _assert_same(x, y):
-    """x equals y, field by field for dataclasses and bitwise for arrays."""
+    """x equals y, attribute by attribute for package records and bitwise for arrays."""
     assert type(x) is type(y)
     if isinstance(x, np.ndarray):
         assert x.shape == y.shape and np.array_equal(x, y)
-    elif dataclasses.is_dataclass(x):
-        for f in dataclasses.fields(x):
-            _assert_same(getattr(x, f.name), getattr(y, f.name))
+    elif type(x).__module__.startswith("doublephase."):
+        fields_x, fields_y = _stored(x), _stored(y)
+        assert fields_x and fields_x.keys() == fields_y.keys()
+        for name in fields_x:
+            _assert_same(fields_x[name], fields_y[name])
     else:
         assert x == y
 

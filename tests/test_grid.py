@@ -266,6 +266,59 @@ def test_fields_are_immutable():
         u.values[0] = 2.0
 
 
+def test_chart_is_a_hashable_value_that_keys_one_spectrum():
+    from doublephase.grid import _spectrum
+
+    a = dp.Chart(dim=2, sizes=[8, 12], spacings=[0.125, 0.25])
+    b = dp.Chart(2, (8.0, 12), (0.125, 0.25))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert not a != b
+    assert a != dp.Chart(2, (12, 8), (0.125, 0.25)) and a != dp.Chart(2, (8, 12), (0.125, 0.5))
+    assert a != (2, (8, 12), (0.125, 0.25))
+    _spectrum.cache_clear()
+    assert _spectrum(a) is _spectrum(b)
+    info = _spectrum.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_chart_attributes_cannot_be_assigned_or_deleted():
+    chart = dp.Chart(1, [8], [0.125])
+    for name in ("dim", "sizes", "spacings", "n_nodes", "cell_volume"):
+        with pytest.raises(AttributeError):
+            setattr(chart, name, getattr(chart, name))
+        with pytest.raises(AttributeError):
+            delattr(chart, name)
+    assert (chart.sizes, chart.n_nodes) == ((8,), 8)
+
+
+def test_scalar_field_post_init_runs_once_per_field(monkeypatch):
+    chart, _ = dp.build_torus(1, [8])
+    checked = []
+    original = dp.ScalarField.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        original(self)
+
+    monkeypatch.setattr(dp.ScalarField, "__post_init__", counted)
+    u = chart.field(np.arange(8))
+    v = chart.constant(2.0)
+    assert len(checked) == 2 and checked[0] is u and checked[1] is v
+    assert u.values.dtype == float and not u.values.flags.writeable
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 10**23])
+def test_substream_rejects_a_seed_outside_its_range(seed):
+    # masked to 64 bits, -5 and 2**64 - 5 drew the same stream
+    with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+        dp.substream(seed, "s", 0)
+
+
+def test_substream_takes_both_ends_of_its_range():
+    assert dp.substream(0, "s").random() != dp.substream(2**64 - 1, "s").random()
+    assert dp.substream(2**64 - 1, "s").random() == dp.substream(2**64 - 1, "s").random()
+
+
 @pytest.mark.parametrize("sizes", [[64], [16, 12], [8, 8, 6]])
 def test_extrema_are_the_min_and_max_of_the_values(sizes):
     chart, _ = dp.build_torus(len(sizes), sizes)

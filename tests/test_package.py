@@ -1,12 +1,16 @@
-"""Package-level checks: every module's public names resolve, the README's
-CLI synopsis names exactly the parser's options, and its configuration
-section exactly the options a config accepts."""
+"""Package-level checks: every module's public names resolve, no module
+imports ``dataclasses``, the CLI does not load ``verify`` until the verify
+command runs, the README's CLI synopsis names exactly the parser's options,
+and its configuration section exactly the options a config accepts."""
 
 import argparse
+import ast
 import importlib
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +26,27 @@ def test_star_import_resolves_every_export(module):
     exec(f"from doublephase.{module} import *", namespace)
     exported = importlib.import_module(f"doublephase.{module}").__all__
     assert set(exported) <= set(namespace)
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples or plain classes: defining dataclasses was
+    # most of the package's import time
+    for path in sorted(pathlib.Path(doublephase.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in [m.split(".")[0] for m in modules], f"{path.name}:{node.lineno}"
+
+
+def test_cli_import_leaves_verify_unloaded():
+    src = str(pathlib.Path(doublephase.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import doublephase.cli; print(sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert "'doublephase.cli'" in loaded and "'doublephase.verify'" not in loaded
 
 
 def _readme_section(title):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,7 +72,8 @@ class TestNonlinearity:
 
     def test_beta_must_keep_the_probe_powers_finite(self, ref):
         def with_beta(beta):
-            return replace(ref, nonlinearity=dp.PowerNonlinearity(beta=beta, amplitude=ref.chart.constant(1.0)))
+            nonlinearity = dp.PowerNonlinearity(beta=beta, amplitude=ref.chart.constant(1.0))
+            return dp.ProblemInstance(ref.chart, ref.metric, ref.exponents, ref.weight, ref.lam, nonlinearity)
 
         assert with_beta(51.35).nonlinearity.beta == 51.35
         with pytest.raises(ValueError, match=r"beta = 51.4 exceeds 51.37578592665279, .* \[1e-06, 1e\+06\]"):
@@ -313,6 +313,18 @@ def test_instance_warnings(ref):
     assert any("inapplicable" in w for w in ref.warnings)
     with pytest.raises(ValueError, match="lambda"):
         make_reference_instance(lam=-1.0)
+
+
+def test_instance_is_immutable_and_with_lambda_builds_a_checked_one(ref):
+    for name in ("chart", "lam", "nonlinearity", "warnings", "node_weight"):
+        with pytest.raises(AttributeError):
+            setattr(ref, name, getattr(ref, name))
+    other = ref.with_lambda(0.25)
+    assert other.lam == 0.25 and ref.lam != 0.25
+    assert other.chart is ref.chart and other.nonlinearity is ref.nonlinearity
+    assert other.warnings == ref.warnings and np.array_equal(other.node_weight, ref.node_weight)
+    with pytest.raises(ValueError, match="lambda must be finite and positive"):
+        ref.with_lambda(-1.0)
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0])

@@ -141,11 +141,9 @@ class TestProjectOnto:
 
     @pytest.mark.parametrize("target", [dp.NehariClass.PLUS, dp.NehariClass.MINUS])
     def test_energy_is_the_energy_of_the_projected_field(self, instance, quick_cfg, target):
-        from dataclasses import replace
-
         from doublephase.solver import _project_onto
 
-        cfg = replace(quick_cfg, target=target)
+        cfg = quick_cfg.with_target(target)
         checked = 0
         for i in range(6):
             vals = _rand(instance.chart, "onto", i, amp=0.02, mean=0.6).values
@@ -168,8 +166,6 @@ class TestProjectOnto:
     ):
         # the constant 0.01 has its roots near t = 14.6 (plus) and 85 (minus),
         # outside the local window [0.25, 4]
-        from dataclasses import replace
-
         from doublephase.solver import _project_onto
 
         vals = np.full(instance.chart.shape, 0.01)
@@ -177,7 +173,7 @@ class TestProjectOnto:
         assert res.classes == (dp.NehariClass.PLUS, dp.NehariClass.MINUS)
         assert min(res.t_roots) > 4.0
 
-        cfg = replace(quick_cfg, target=target)
+        cfg = quick_cfg.with_target(target)
         counts = _count_profiles(monkeypatch)
         out = {}
         for local in (False, True):
@@ -193,11 +189,9 @@ class TestProjectOnto:
 
     @pytest.mark.parametrize("target", [dp.NehariClass.PLUS, dp.NehariClass.MINUS])
     def test_stacked_rows_are_bitwise_their_own_calls(self, instance, quick_cfg, target, monkeypatch):
-        from dataclasses import replace
-
         from doublephase.solver import _project_onto
 
-        cfg = replace(quick_cfg, target=target)
+        cfg = quick_cfg.with_target(target)
         chart = instance.chart
         rows = [_rand(chart, "onto-stack", i, amp=0.01 * (i + 1), mean=0.3).values for i in range(4)]
         non_finite = np.ones(chart.shape)
@@ -228,9 +222,7 @@ class TestProjectOnto:
 
 class TestMinimizeOnBranch:
     def test_minus_branch_converges(self, instance, quick_cfg):
-        from dataclasses import replace
-
-        cfg = replace(quick_cfg, target=dp.NehariClass.MINUS)
+        cfg = quick_cfg.with_target(dp.NehariClass.MINUS)
         rep = dp.minimize_on_branch(instance, cfg)
         assert rep.nehari_class is dp.NehariClass.MINUS
         assert rep.J_value > 0
@@ -241,9 +233,7 @@ class TestMinimizeOnBranch:
         assert np.allclose(rep.u.values, expected, atol=1e-5)
 
     def test_plus_branch_converges_negative_energy(self, instance, quick_cfg):
-        from dataclasses import replace
-
-        cfg = replace(quick_cfg, target=dp.NehariClass.PLUS)
+        cfg = quick_cfg.with_target(dp.NehariClass.PLUS)
         rep = dp.minimize_on_branch(instance, cfg)
         assert rep.nehari_class is dp.NehariClass.PLUS
         assert rep.J_value < 0
@@ -532,12 +522,10 @@ class TestSweep:
         assert [row.lam for row in rows] == grid.tolist()
 
     def test_auto_grid_needs_a_positive_threshold(self, instance, quick_cfg, monkeypatch):
-        from dataclasses import replace
-
         from doublephase import solver
 
         monkeypatch.setattr(
-            solver, "thresholds", lambda P, consts: replace(dp.thresholds(P, consts), lambda_star_star=0.0)
+            solver, "thresholds", lambda P, consts: dp.thresholds(P, consts)._replace(lambda_star_star=0.0)
         )
         with pytest.raises(ValueError, match="^auto lambda grid needs a positive threshold$"):
             dp.sweep(instance, 3, quick_cfg, n_samples=8)
@@ -606,3 +594,28 @@ def test_solver_config_rejects_a_residual_tol_that_is_not_finite_and_positive(to
     # at nan no residual passes the stop test, at inf every start stops at once
     with pytest.raises(ValueError, match="residual_tol"):
         dp.SolverConfig(residual_tol=tol)
+
+
+def test_solver_config_is_immutable_and_with_target_keeps_the_budget():
+    cfg = dp.SolverConfig(seed=7, multistart=3, max_outer_iters=20, residual_tol=1e-7, constants_trials=150)
+    for name in ("target", "seed", "multistart"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, getattr(cfg, name))
+    plus = cfg.with_target(dp.NehariClass.PLUS)
+    assert cfg.target is dp.NehariClass.MINUS and plus.target is dp.NehariClass.PLUS
+    budget = ("multistart", "seed", "max_outer_iters", "residual_tol", "constants_trials")
+    assert [getattr(plus, name) for name in budget] == [3, 7, 20, 1e-7, 150]
+
+
+def test_record_serialisations_are_pinned():
+    consts = dp.ConstantsEstimate(c_poincare=0.25, D_embed=1.5, c1_embed=2.0, r_q=2.0, trials=100, seed=7)
+    consts_dict = {"c_poincare": 0.25, "D_embed": 1.5, "c1_embed": 2.0, "r_q": 2.0, "trials": 100, "seed": 7}
+    assert consts.to_dict() == consts_dict
+    thr = dp.Thresholds(lambda_star=0.0, lambda_star_star=0.125, lambda_bar=0.0, star_clamped=True,
+                        star_star_degenerate=False, constants=consts)
+    assert thr.to_dict() == {"lambda_star": 0.0, "lambda_star_star": 0.125, "lambda_bar": 0.0,
+                             "star_clamped": True, "star_star_degenerate": False, "constants": consts_dict}
+    row = dp.SweepRow(lam=0.5, theta_plus_estimate=-0.25, theta_minus_estimate=1.5, n_plus_found=3,
+                      n_minus_found=64, lambda_star=0.0, lambda_star_star=0.125)
+    assert row.to_csv_row() == [0.5, -0.25, 1.5, 3, 64, 0.0, 0.125]
+    assert len(row.to_csv_row()) == len(dp.solver.SWEEP_CSV_HEADER)

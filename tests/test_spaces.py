@@ -443,7 +443,7 @@ class TestEstimateConstants:
         chart, metric, e, w = setup
         a = dp.estimate_constants(e, w, metric, trials=100, seed=3)
         b = dp.estimate_constants(e, w, metric, trials=100, seed=3)
-        assert a == b
+        assert a.to_dict() == b.to_dict()
 
 
 def _constant_exponents(chart, metric):
