@@ -11,7 +11,6 @@ error or inconclusive solve.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -35,6 +34,9 @@ def _json_dump(path, payload):
 
 def _csv_dump(path, header, rows):
     """The header, then each row's ``to_csv_row()``; the csv module writes floats by repr."""
+    # imported here: only verify and sweep write CSV
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -77,17 +77,22 @@ def pairwise_sum_rows(values) -> np.ndarray:
 
 # every pass over a stack runs in blocks of at most this many values per
 # temporary: (ray, node) values when a ray profile is built or census samples
-# are drawn, (ray, t, term) products when rays are probed or refined; this
-# bounds the memory of large stacks and of variable exponents
+# are drawn, (ray, t, term) products when rays are refined; this bounds the
+# memory of large stacks and of variable exponents
 BLOCK = 2**11
+# the (ray, t, term) budget of the probe, whose cost on constant exponents is
+# mostly per block: 16 rays at 256 points and 2 terms; a census round frees
+# its sample stack before it probes, so its memory peak stays where 2**11 had it
+PROBE_BLOCK = 2**13
 
 
-def blocks(n: int, item_size: int) -> list:
-    """Slices of ``range(n)`` in order, each of at most ``BLOCK // item_size`` items and at least one.
+def blocks(n: int, item_size: int, budget: int | None = None) -> list:
+    """Slices of ``range(n)`` in order, each of at most ``budget // item_size`` items and at least one.
 
-    ``n = 0`` gives one empty slice, so a blocked pass over an empty stack runs once.
+    ``budget`` is ``BLOCK`` unless given. ``n = 0`` gives one empty slice,
+    so a blocked pass over an empty stack runs once.
     """
-    step = max(1, BLOCK // item_size)
+    step = max(1, (BLOCK if budget is None else budget) // item_size)
     return [slice(b, min(b + step, n)) for b in range(0, max(n, 1), step)]
 
 
@@ -458,8 +463,20 @@ def random_band_limited_values(chart: Chart, rngs, amplitudes, *, mean: float = 
 
 
 def normal_coefficients(rng: np.random.Generator, shape) -> np.ndarray:
-    """The complex normal coefficients of one random band-limited field: real parts drawn first."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """The complex normal coefficients of one random band-limited field, in one generator call.
+
+    Bitwise ``standard_normal(shape) + 1j * standard_normal(shape)``, two
+    draws in turn: a generator fills an array in order.
+    """
+    return complex_normals(rng.standard_normal((1, 2, *shape)))[0]
+
+
+def complex_normals(draws: np.ndarray) -> np.ndarray:
+    """Complex coefficients of stacked fields from their (fields, 2, *shape) standard normal draws.
+
+    Each field draws its real parts first, then its imaginary parts.
+    """
+    return draws[:, 0] + 1j * draws[:, 1]
 
 
 def band_limited_values(chart: Chart, coef: np.ndarray, amplitudes, *, mean: float = 0.0) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import ScalarField, blocks, pairwise_sum_rows
+from .grid import PROBE_BLOCK, ScalarField, blocks, pairwise_sum_rows
 from .problem import PROBE_BRACKET, ProblemInstance, _Nodewise, gateaux
 from .spaces import ConstantsEstimate
 
@@ -313,22 +313,27 @@ class _RayProfile:
         branch codes and phi values from one evaluation of phi and phi'.
         ``rays``, an increasing index array, restricts the probe to those
         rays; every ray's roots are those it has in the whole stack.
+
+        The call computes under ``np.errstate(over="ignore")``: for a beta
+        near ``problem.BETA_MAX`` the source term t^beta S can overflow at
+        the top of the bracket, and phi there reads -inf, its true sign.
         """
         expo, coef, beta, _ = self._phi_terms
         t_grid, src_pow = _probe_grid(bracket[0], bracket[1], n_grid, beta)
         t_pow = t_grid[:, None] ** expo
         probed = np.arange(len(coef)) if rays is None else rays
-        # rays in blocks of (ray, t, term) products
-        rays, node, end, f_node, f_end = _join([
-            self._events(t_pow, src_pow, probed[b]) for b in blocks(probed.size, t_pow.size)
-        ])
-        t = self.refine_roots(rays, t_grid[node], t_grid[end], f_node, f_end)
-        # lanes that stop on a shared node return the same root
-        repeat = (t[1:] == t[:-1]) & (rays[1:] == rays[:-1])
-        if repeat.any():
-            keep = np.concatenate(([True], ~repeat))
-            rays, t = rays[keep], t[keep]
-        phi, slope = _ray_sums(self._lanes(self._pair_terms, rays), t).T
+        with np.errstate(over="ignore"):
+            # rays in blocks of (ray, t, term) products
+            rays, node, end, f_node, f_end = _join([
+                self._events(t_pow, src_pow, probed[b]) for b in blocks(probed.size, t_pow.size, PROBE_BLOCK)
+            ])
+            t = self.refine_roots(rays, t_grid[node], t_grid[end], f_node, f_end)
+            # lanes that stop on a shared node return the same root
+            repeat = (t[1:] == t[:-1]) & (rays[1:] == rays[:-1])
+            if repeat.any():
+                keep = np.concatenate(([True], ~repeat))
+                rays, t = rays[keep], t[keep]
+            phi, slope = _ray_sums(self._lanes(self._pair_terms, rays), t).T
         return _RayRoots(rays, t, self._branch_codes(rays, t, slope), phi)
 
 

@@ -38,8 +38,8 @@ from .grid import (
     _spectrum,
     band_limited_values,
     blocks,
+    complex_normals,
     metric_symbol,
-    normal_coefficients,
     pairwise_sum,
     pairwise_sum_rows,
     random_band_limited_values,
@@ -457,17 +457,18 @@ def _census_samples(chart, seed, j, n) -> np.ndarray:
     its coefficients, so sample i is bitwise the i-th of sequential
     ``random_band_limited`` draws on that stream, and the first m of n
     samples are the m samples. Built in ``grid.blocks`` of (sample, node)
-    values, so that only one block's coefficients are alive at a time.
+    values, so that only one block's coefficients are alive at a time; a
+    sample's coefficients are one generator call into the block's draws.
     """
     rng = substream(seed, "sweep-minus", j)
     stack = np.empty((n,) + chart.shape)
     for b in blocks(n, chart.n_nodes):
-        coef = np.empty((b.stop - b.start,) + chart.shape, dtype=complex)
+        draws = np.empty((b.stop - b.start, 2) + chart.shape)
         amps = []
-        for k in range(len(coef)):
+        for row in draws:
             amps.append(float(10.0 ** rng.uniform(-1, 1)))
-            coef[k] = normal_coefficients(rng, chart.shape)
-        stack[b] = band_limited_values(chart, coef, amps)
+            rng.standard_normal(out=row)
+        stack[b] = band_limited_values(chart, complex_normals(draws), amps)
     return stack
 
 
@@ -475,9 +476,12 @@ def _census(P: ProblemInstance, stack: np.ndarray, target: NehariClass):
     """(least energy, count) over the stacked fields whose ray meets the target branch.
 
     Each field counts once, at its smallest root of the target class; the
-    energy is nan when no field does. The whole stack is projected at once.
+    energy is nan when no field does. The whole stack is projected at once;
+    the profile keeps no reference to it, so a stack the caller passes
+    without a name of its own is freed before the rays are probed.
     """
     profile = _RayProfile(P, stack)
+    del stack
     rays, t = profile.constraint_points().first(target)
     if not rays.size:
         return math.nan, 0
@@ -518,10 +522,8 @@ def sweep(
     rows = []
     for j, lam in enumerate(lambdas):
         Pj = P.with_lambda(float(lam))
-        samples = _census_samples(Pj.chart, cfg.seed, j, n_samples)
-        theta_minus, n_minus = _census(Pj, samples, NehariClass.MINUS)
-        # free this lambda's samples before the next lambda draws its own
-        del samples
+        # the samples get no name here, so _census frees them before it probes
+        theta_minus, n_minus = _census(Pj, _census_samples(Pj.chart, cfg.seed, j, n_samples), NehariClass.MINUS)
         theta_plus, n_plus = _census(Pj, starts, NehariClass.PLUS)
         rows.append(
             SweepRow(

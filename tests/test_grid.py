@@ -379,6 +379,20 @@ def test_stacked_band_limited_builder_equals_per_field(sizes):
         assert stack[i].tobytes() == alone.values.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(64,), (12, 8), (8, 6, 4)])
+def test_normal_coefficients_are_two_sequential_draws(shape):
+    # one generator call draws the real parts, then the imaginary parts, as
+    # two standard_normal(shape) calls in turn; the stream goes on unchanged
+    from doublephase.grid import normal_coefficients
+
+    rng, ref = dp.substream(11, "coef", shape), dp.substream(11, "coef", shape)
+    coef = normal_coefficients(rng, shape)
+    want = ref.standard_normal(shape) + 1j * ref.standard_normal(shape)
+    assert coef.shape == shape and coef.dtype == complex
+    assert coef.tobytes() == want.tobytes()
+    assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+
+
 def test_band_limited_amplitude_and_mean_are_keyword_only():
     chart, _ = dp.build_torus(1, [16])
     with pytest.raises(TypeError):

@@ -5,7 +5,7 @@ import pytest
 
 import doublephase as dp
 from doublephase.config import parse_config
-from doublephase.grid import BLOCK
+from doublephase.grid import BLOCK, PROBE_BLOCK
 from doublephase.nehari import ROOT_TOL, _BRANCHES, _RayProfile
 from doublephase.problem import _Nodewise
 from conftest import make_calibrated_ray, make_reference_instance
@@ -265,9 +265,36 @@ class TestStackedProjection:
         terms = _RayProfile(P, stack[:1])._phi_terms[0].size
         roots = _RayProfile(P, stack).constraint_points()
         assert stack.size > BLOCK
-        assert 256 * terms > BLOCK
+        assert 256 * terms > PROBE_BLOCK
         assert roots.t.size > BLOCK // (2 * terms)
         assert repr(_stack_rows(P, stack, False, {})) == repr(_project_rows(P, stack, False, {}))
+
+    def test_probe_blocks_do_not_change_roots(self, monkeypatch):
+        # 256 points x 2 terms per ray: budgets of 1, 4, 16 and 256 rays per
+        # probe block give bitwise the same roots
+        from doublephase import nehari
+
+        P = make_reference_instance(lam=0.1)
+        profile = _RayProfile(P, _ray_stack(P, "probe-blocks", 256))
+        sizes = []
+        events = _RayProfile._events
+
+        def counted(self, t_pow, src_pow, block):
+            sizes.append(block.size)
+            return events(self, t_pow, src_pow, block)
+
+        monkeypatch.setattr(_RayProfile, "_events", counted)
+        results = {}
+        for rays_per_block in (1, 4, 16, 256):
+            monkeypatch.setattr(nehari, "PROBE_BLOCK", rays_per_block * 256 * 2)
+            sizes.clear()
+            results[rays_per_block] = profile.constraint_points()
+            assert sizes == [rays_per_block] * (256 // rays_per_block)
+        reference = results[16]
+        assert reference.t.size >= 256
+        for roots in results.values():
+            for got, want in zip(roots, reference):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _refine_one_lane(profile, lo, hi, f_lo, f_hi):

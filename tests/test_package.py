@@ -47,6 +47,8 @@ def test_cli_import_leaves_verify_unloaded():
     code = f"import sys; sys.path.insert(0, {src!r}); import doublephase.cli; print(sorted(sys.modules))"
     loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert "'doublephase.cli'" in loaded and "'doublephase.verify'" not in loaded
+    # only verify and sweep write CSV
+    assert "'csv'" not in loaded
 
 
 def _readme_section(title):

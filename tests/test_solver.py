@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -587,6 +588,50 @@ def test_census_samples_peak_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak <= 2**19
+
+
+def test_census_round_frees_its_samples_before_probing():
+    # the 256 x 64 sample stack is 128 KiB; a census round that keeps it
+    # alive through the 16-ray probe blocks peaks at about 375 KiB, one that
+    # frees it once the ray profile is built at about 323 KiB
+    from doublephase.solver import _census, _census_samples
+
+    P = make_reference_instance()
+    _census(P, _census_samples(P.chart, 42, 0, 256), dp.NehariClass.MINUS)
+    tracemalloc.start()
+    try:
+        _census(P, _census_samples(P.chart, 42, 0, 256), dp.NehariClass.MINUS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 340 * 2**10
+
+
+def test_a_beta_near_the_bound_probes_without_overflow_warnings():
+    # t^beta S overflows at the top of the probe bracket for beta = 51.35;
+    # it reads -inf, phi's true sign, so the rows and roots are those of a
+    # probe that warned
+    chart, metric = dp.build_torus(1, [16])
+    P = dp.ProblemInstance(
+        chart=chart,
+        metric=metric,
+        exponents=dp.ExponentField(p=chart.constant(3.0), q=chart.constant(2.0)),
+        weight=dp.WeightField(mu=chart.constant(1.0)),
+        lam=0.125,
+        nonlinearity=dp.PowerNonlinearity(beta=51.35, amplitude=chart.constant(1.0)),
+    )
+    u = dp.random_band_limited(chart, dp.substream(42, "start", 0), amplitude=1.0, mean=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = dp.sweep(P, [0.05, 0.125], dp.SolverConfig(seed=42, multistart=4, constants_trials=100), n_samples=8)
+        res = dp.project(P, u)
+    thresholds = {"lambda_star": 0.0, "lambda_star_star": 0.42345839001714985}
+    assert rows == [
+        dp.SweepRow(0.05, -1.2967554673213437e-05, 40.389602017805224, 1, 6, **thresholds),
+        dp.SweepRow(0.125, -0.0002713006773174027, 57.47325158095785, 2, 5, **thresholds),
+    ]
+    assert res.t_roots == (0.7092270349868592,) and res.classes == (dp.NehariClass.MINUS,)
+    assert res.phi_at_roots == (-0.12073428438639411,)
 
 
 @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
