@@ -110,15 +110,17 @@ class RunConfig:
 
 
 def _metric_from_spec(spec: str, chart: Chart) -> MetricField:
-    if spec.startswith("constant"):
-        vals = [float(tok) for tok in spec.split()[1:]]
+    tokens = spec.split()
+    kind = tokens[0] if tokens else ""
+    if kind == "constant":
+        vals = [float(tok) for tok in tokens[1:]]
         need = chart.dim * (chart.dim + 1) // 2
         if len(vals) == 1:
             return MetricField.from_spec(chart, vals[0])
         if len(vals) != need:
             raise ConfigError(f"metric 'constant' needs 1 or {need} values, got {len(vals)}")
         return MetricField.from_spec(chart, symmetric_from_upper(vals, chart.dim))
-    if spec.startswith("file"):
+    if kind == "file":
         return read_metric(_file_path(spec), chart)
     # "identity", or an unknown spec that from_spec rejects
     return MetricField.from_spec(chart, spec)
@@ -327,7 +329,10 @@ def parse_config(path: str | None = None, needs: str | None = None) -> RunConfig
 
     dim = values.pop("dim")
     sizes = values.pop("sizes", (64,) * dim)
-    spacings = values.pop("spacings", None) or tuple(1.0 / s for s in sizes)
+    spacings = values.pop("spacings", None)
+    if spacings and len(spacings) != dim:
+        raise error("chart", "spacings", f"must have one entry per axis, got {len(spacings)} for dim {dim}")
+    spacings = spacings or tuple(1.0 / s for s in sizes)
     chart = build("chart", "sizes", Chart, dim, sizes, spacings)
     metric = build("chart", "metric", _metric_from_spec, values.pop("metric"), chart)
     p = build("exponents", "p", field_from_spec, values.pop("p"), chart)

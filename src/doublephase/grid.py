@@ -451,42 +451,28 @@ def random_band_limited(
 def random_band_limited_values(chart: Chart, rngs, amplitudes, *, mean: float = 0.0) -> np.ndarray:
     """Raw-array core of ``random_band_limited``: one field per generator, stacked.
 
-    Field i draws its coefficients from ``rngs[i]`` alone and has peak
-    oscillation ``amplitudes[i]``; one inverse FFT over the trailing chart
-    axes serves the whole (len(rngs), *shape) stack, and each field is
-    bitwise the one a single-field call gives.
+    Field i draws its standard normals from ``rngs[i]`` alone, in one call,
+    and has peak oscillation ``amplitudes[i]``; one inverse FFT over the
+    trailing chart axes serves the whole (len(rngs), *shape) stack, and each
+    field is bitwise the one a single-field call gives.
     """
-    coef = np.empty((len(rngs),) + chart.shape, dtype=complex)
-    for i, rng in enumerate(rngs):
-        coef[i] = normal_coefficients(rng, chart.shape)
-    return band_limited_values(chart, coef, amplitudes, mean=mean)
+    draws = np.empty((len(rngs), 2) + chart.shape)
+    for rng, row in zip(rngs, draws):
+        rng.standard_normal(out=row)
+    return band_limited_values(chart, draws, amplitudes, mean=mean)
 
 
-def normal_coefficients(rng: np.random.Generator, shape) -> np.ndarray:
-    """The complex normal coefficients of one random band-limited field, in one generator call.
+def band_limited_values(chart: Chart, draws: np.ndarray, amplitudes, *, mean: float = 0.0) -> np.ndarray:
+    """Random band-limited fields from their (fields, 2, *shape) standard normal draws.
 
-    Bitwise ``standard_normal(shape) + 1j * standard_normal(shape)``, two
-    draws in turn: a generator fills an array in order.
-    """
-    return complex_normals(rng.standard_normal((1, 2, *shape)))[0]
-
-
-def complex_normals(draws: np.ndarray) -> np.ndarray:
-    """Complex coefficients of stacked fields from their (fields, 2, *shape) standard normal draws.
-
-    Each field draws its real parts first, then its imaginary parts.
-    """
-    return draws[:, 0] + 1j * draws[:, 1]
-
-
-def band_limited_values(chart: Chart, coef: np.ndarray, amplitudes, *, mean: float = 0.0) -> np.ndarray:
-    """Random band-limited fields from their (fields, *shape) ``normal_coefficients``.
-
-    Coefficients outside the band and of the zero mode are dropped, the
-    others are damped by 1 / (1 + |k|^2); one inverse FFT serves the stack,
-    and field i is scaled to peak oscillation ``amplitudes[i]``.
+    Real parts first: field i's complex coefficients take their real parts
+    from ``draws[i, 0]`` and their imaginary parts from ``draws[i, 1]``.
+    Those outside the band and of the zero mode are dropped, the others are
+    damped by 1 / (1 + |k|^2); one inverse FFT serves the stack, and field i
+    is scaled to peak oscillation ``amplitudes[i]``.
     """
     modes, mask, _ = _spectrum(chart)
+    coef = draws[:, 0] + 1j * draws[:, 1]
     coef = np.where(mask, coef / (1.0 + sum(k**2 for k in modes)), 0.0)
     coef[(Ellipsis,) + (0,) * chart.dim] = 0.0
     axes = tuple(range(-chart.dim, 0))

@@ -158,7 +158,6 @@ class ProblemInstance(Frozen):
             warnings.append(f"p-/q+ exceeds 1 + 1/{n} (diagnostic only)")
         # quadrature weight of each node in the discrete pairing
         nw = metric.sqrt_det * chart.cell_volume
-        nw = nw.copy()
         nw.setflags(write=False)
         for name, value in zip(self.__slots__, (chart, metric, exponents, weight, lam, nl, tuple(warnings), nw)):
             object.__setattr__(self, name, value)

@@ -38,7 +38,6 @@ from .grid import (
     _spectrum,
     band_limited_values,
     blocks,
-    complex_normals,
     metric_symbol,
     pairwise_sum,
     pairwise_sum_rows,
@@ -454,11 +453,11 @@ def _census_samples(chart, seed, j, n) -> np.ndarray:
 
     The samples are drawn in order from one generator,
     ``substream(seed, "sweep-minus", j)``; each draws its amplitude and then
-    its coefficients, so sample i is bitwise the i-th of sequential
+    its standard normals, so sample i is bitwise the i-th of sequential
     ``random_band_limited`` draws on that stream, and the first m of n
     samples are the m samples. Built in ``grid.blocks`` of (sample, node)
-    values, so that only one block's coefficients are alive at a time; a
-    sample's coefficients are one generator call into the block's draws.
+    values, so that only one block's draws are alive at a time; a sample's
+    normals are one generator call into the block's draws.
     """
     rng = substream(seed, "sweep-minus", j)
     stack = np.empty((n,) + chart.shape)
@@ -468,7 +467,7 @@ def _census_samples(chart, seed, j, n) -> np.ndarray:
         for row in draws:
             amps.append(float(10.0 ** rng.uniform(-1, 1)))
             rng.standard_normal(out=row)
-        stack[b] = band_limited_values(chart, complex_normals(draws), amps)
+        stack[b] = band_limited_values(chart, draws, amps)
     return stack
 
 

@@ -449,12 +449,14 @@ class TestConfigErrors:
             ("beta = 4.0", "beta = 51.4", "exceeds 51.37578592665279, past which t^beta overflows "
              "at the top of the probe bracket [1e-06, 1e+06]"),
             ("sizes = 64", "sizes = 64\nspacings = nan", "must be finite and positive"),
+            ("sizes = 64", "sizes = 64\nspacings = 0.1 0.1", "one entry per axis"),
             ("sizes = 64", "sizes = 2", "at least 4 nodes"),
             ("sizes = 64", "sizes = 0", "must be at least 1"),
             ("dim = 1", "dim = 4", "must be 1, 2 or 3"),
             ("metric = identity", "metric = constant 1 2", "needs 1 or 1 values, got 2"),
             ("metric = identity", "metric = constant 1 x", "could not convert"),
             ("metric = identity", "metric = constant nan", "non-finite"),
+            ("metric = identity", "metric = constantly 2.0", "unknown metric spec"),
             ("p = constant 3.0", "p = constant x", "could not convert"),
         ],
     )

@@ -379,17 +379,21 @@ def test_stacked_band_limited_builder_equals_per_field(sizes):
         assert stack[i].tobytes() == alone.values.tobytes()
 
 
-@pytest.mark.parametrize("shape", [(64,), (12, 8), (8, 6, 4)])
-def test_normal_coefficients_are_two_sequential_draws(shape):
+@pytest.mark.parametrize("sizes", STACK_CHARTS)
+def test_random_band_limited_values_are_two_sequential_draws(sizes):
     # one generator call draws the real parts, then the imaginary parts, as
     # two standard_normal(shape) calls in turn; the stream goes on unchanged
-    from doublephase.grid import normal_coefficients
+    from doublephase.grid import band_limited_values, random_band_limited_values
 
+    chart, _ = dp.build_torus(len(sizes), sizes)
+    shape = chart.shape
     rng, ref = dp.substream(11, "coef", shape), dp.substream(11, "coef", shape)
-    coef = normal_coefficients(rng, shape)
-    want = ref.standard_normal(shape) + 1j * ref.standard_normal(shape)
-    assert coef.shape == shape and coef.dtype == complex
-    assert coef.tobytes() == want.tobytes()
+    vals = random_band_limited_values(chart, [rng], [0.7], mean=0.2)
+    real = ref.standard_normal(shape)
+    imag = ref.standard_normal(shape)
+    want = band_limited_values(chart, np.stack((real, imag))[None], [0.7], mean=0.2)
+    assert vals.shape == (1,) + shape
+    assert vals.tobytes() == want.tobytes()
     assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
 
 
