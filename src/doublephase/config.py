@@ -1,4 +1,11 @@
-"""Plain-text run configuration: sections of key = value pairs.
+"""Plain-text run configuration: ``[section]`` headers, each followed by
+``option = value`` lines (or ``option: value``; the first delimiter splits).
+A ``#`` or ``;`` that begins a line or follows whitespace starts a comment.
+Option names are lower-cased, and section names lose the whitespace inside
+their brackets. Values are literal: no ``%`` interpolation, no continuation
+lines. Every error is one ConfigError that names the path and the line; a
+bad value, or a condition between values, reads ``path:line: [section]
+option: message``.
 
 Field specs (exponents, weight, source amplitude) are strings:
 
@@ -14,7 +21,6 @@ periodic. The metric spec is "identity", "constant g11 [g12 g22 ...]"
 
 from __future__ import annotations
 
-import configparser
 import math
 import re
 
@@ -37,21 +43,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Bad configuration; message carries path:line when determinable."""
-
-
-def _option_line(text: str, section: str, option: str | None = None) -> int:
-    """Line of an option inside a section; of the section header when the
-    option is None or absent; 0 when the section is absent too."""
-    current, header = None, 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip()
-            if current == section and not header:
-                header = lineno
-        elif current == section and re.split("[=:]", stripped)[0].strip().lower() == option:
-            return lineno
-    return header
 
 
 class RunConfig:
@@ -272,14 +263,39 @@ _PARTS = {"dim": 1, "metric": "identity", "p": "constant 3.0", "q": "constant 2.
           "mu": "constant 1.0", "beta": 4.0, "amplitude": "constant 1.0"}
 
 
+def _read_options(text: str, path: str) -> tuple[dict, dict]:
+    """The text, read once, as ``options[section][option] = (value, line)``
+    and ``headers[section] = line``; a line that breaks the module grammar,
+    or names an unknown or repeated section or option, is an error there."""
+    options, headers, section = {}, {}, None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        comment = re.search(r"(?:^|\s)[#;]", raw)  # a "#" or ";" that begins the line or follows whitespace
+        line = raw[: comment.start() if comment else None].strip()
+        where = f"{path}:{lineno}:"
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in _OPTIONS:
+                raise ConfigError(f"{where} unknown section [{section}]; known sections: " + ", ".join(_OPTIONS))
+            if section in headers:
+                raise ConfigError(f"{where} [{section}]: repeated section; first at line {headers[section]}")
+            headers[section], options[section] = lineno, {}
+        elif line:
+            option, *value = re.split("[=:]", line, maxsplit=1)
+            option = option.strip().lower()
+            if section is None or not (option and value):
+                raise ConfigError(f"{where} expected '[section]', or 'option = value' after one, got {line!r}")
+            if option not in _OPTIONS[section]:
+                known = ", ".join(_OPTIONS[section])
+                raise ConfigError(f"{where} [{section}] {option}: unknown option; known options: {known}")
+            if option in options[section]:
+                raise ConfigError(f"{where} [{section}] {option}: repeated; first at line {options[section][option][1]}")
+            options[section][option] = (value[0].strip(), lineno)
+    return options, headers
+
+
 def parse_config(path: str | None = None, needs: str | None = None) -> RunConfig:
     """Parse a run configuration file and build its problem parts; without a
-    path, the built-in defaults. ``needs`` names the [problem] option the command requires.
-
-    Every error is one ConfigError that names the path and the line; a bad
-    value, or a condition between values, reads
-    ``path:line: [section] option: message``.
-    """
+    path, the built-in defaults. ``needs`` names the [problem] option the command requires."""
     if path is None:
         path, text = "<builtin defaults>", default_config_text()
     else:
@@ -288,16 +304,12 @@ def parse_config(path: str | None = None, needs: str | None = None) -> RunConfig
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_string(text, source=path)
-    except configparser.Error as exc:
-        lineno = getattr(exc, "lineno", 0) or 0
-        raise ConfigError(f"{path}:{lineno}: {exc.message if hasattr(exc, 'message') else exc}") from exc
+    options, headers = _read_options(text, path)
 
     def error(section, option, message):
         name = f"[{section}] {option}" if option else f"[{section}]"
-        return ConfigError(f"{path}:{_option_line(text, section, option)}: {name}: {message}")
+        entry = options.get(section, {}).get(option)
+        return ConfigError(f"{path}:{entry[1] if entry else headers.get(section, 0)}: {name}: {message}")
 
     def build(section, option, make, *args):
         try:
@@ -305,23 +317,11 @@ def parse_config(path: str | None = None, needs: str | None = None) -> RunConfig
         except ValueError as exc:
             raise error(section, option, exc) from exc
 
-    for section in ([parser.default_section] if parser.defaults() else []) + parser.sections():
-        if section not in _OPTIONS:
-            raise ConfigError(
-                f"{path}:{_option_line(text, section)}: unknown section [{section}]; "
-                "known sections: " + ", ".join(_OPTIONS)
-            )
-        for option in parser.options(section):
-            if option not in _OPTIONS[section]:
-                known = ", ".join(_OPTIONS[section])
-                raise error(section, option, f"unknown option; known options: {known}")
-
     values, solver = dict(_PARTS), {}
-    for section, options in _OPTIONS.items():
-        for option, (name, caster) in options.items():
-            if not parser.has_option(section, option):
-                continue
-            value = build(section, option, caster, parser.get(section, option))
+    for section, read in options.items():
+        for option, (raw, _) in read.items():
+            name, caster = _OPTIONS[section][option]
+            value = build(section, option, caster, raw)
             if name == "solver":
                 solver[option] = value
             elif name is not None:
@@ -344,10 +344,10 @@ def parse_config(path: str | None = None, needs: str | None = None) -> RunConfig
     build("nonlinearity", "beta", check_superlinearity, beta, exponents)
     amplitude = build("nonlinearity", "amplitude", field_from_spec, values.pop("amplitude"), chart)
     nonlinearity = build("nonlinearity", "amplitude", PowerNonlinearity, beta, amplitude)
-    if needs is not None and not parser.has_option("problem", needs):
+    if needs is not None and needs not in options.get("problem", {}):
         raise error("problem", needs, "is required for this command")
 
-    echo = {s: dict(parser.items(s)) for s in parser.sections()}
+    echo = {section: {option: value for option, (value, _) in read.items()} for section, read in options.items()}
     return RunConfig(chart, metric, exponents, weight, nonlinearity, path, echo, solver, **values)
 
 

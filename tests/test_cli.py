@@ -458,6 +458,11 @@ class TestConfigErrors:
             ("metric = identity", "metric = constant nan", "non-finite"),
             ("metric = identity", "metric = constantly 2.0", "unknown metric spec"),
             ("p = constant 3.0", "p = constant x", "could not convert"),
+            # values are literal: a "%" is part of the value
+            ("p = constant 3.0", "p = file data/50%.field", "data/50%.field: No such file"),
+            ("mu = constant 1.0", "mu = constant %(x)s", "could not convert string to float: '%(x)s'"),
+            # the whitespace inside a header's brackets is not part of the name
+            ("[solver]\nmultistart = 3", "[ solver ]\nmultistart = 0", "must be at least 1"),
         ],
     )
     def test_bad_value_is_one_line_at_its_key(self, tmp_path, capsys, old, new, message):
@@ -465,7 +470,8 @@ class TestConfigErrors:
         key = new.splitlines()[-1]
         lines = text.splitlines()
         line = lines.index(key) + 1
-        section = next(s for s in reversed(lines[:line]) if s.startswith("["))
+        header = next(s for s in reversed(lines[:line]) if s.startswith("["))
+        section = f"[{header[1:-1].strip()}]"
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         out = tmp_path / "x"
@@ -475,3 +481,28 @@ class TestConfigErrors:
         assert err.startswith(anchor) and message in err
         assert err.count("\n") == 1 and err.count(str(cfg)) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            pytest.param("beta = 4.0", "beta", 14, "expected '[section]', or 'option = value' after one, got 'beta'",
+                         id="no-delimiter"),
+            pytest.param("beta = 4.0", "= 4.0", 14, "got '= 4.0'", id="no-option-name"),
+            pytest.param("[chart]", "seed = 3\n[chart]", 1, "got 'seed = 3'", id="before-any-section"),
+            pytest.param("max_outer_iters = 2000", "max_outer_iters = 2000\n  4000", 24, "got '4000'",
+                         id="continuation-line"),
+            pytest.param("multistart = 3", "multistart = 3\nmultistart = 4", 23,
+                         "[solver] multistart: repeated; first at line 22", id="repeated-option"),
+            pytest.param("[verify]", "[solver]\n[verify]", 25, "[solver]: repeated section; first at line 21",
+                         id="repeated-section"),
+        ],
+    )
+    def test_syntax_error_is_one_line_at_its_line(self, tmp_path, capsys, old, new, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(REF_CFG.replace(old, new))
+        out = tmp_path / "x"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:{line}: ") and message in err
+        assert err.count("\n") == 1 and err.count(str(cfg)) == 1
+        assert "Traceback" not in err and not out.exists()

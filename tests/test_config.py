@@ -69,6 +69,20 @@ def test_parse_echo_and_defaults(tmp_path):
     assert inst.exponents.p_plus == 3.0  # default exponents
 
 
+def test_values_are_literal(tmp_path):
+    # "%" is part of a value, and "#" or ";" starts a comment only at the
+    # start of a line or after whitespace
+    chart = dp.build_torus(1, [64])[0]
+    p_path, q_path = tmp_path / "50%.field", tmp_path / "a#b;c.field"
+    dp.write_field(p_path, chart.constant(3.0))
+    dp.write_field(q_path, chart.constant(2.0))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"# comment\n[exponents]  ; comment\np = file {p_path}\n; comment\nq: file {q_path}  # comment\n")
+    rc = parse_config(str(cfg))
+    assert rc.echo == {"exponents": {"p": f"file {p_path}", "q": f"file {q_path}"}}
+    assert (rc.exponents.p_plus, rc.exponents.q_plus) == (3.0, 2.0)
+
+
 BASE_CFG = "[chart]\ndim = 1\nsizes = 64\n\n[problem]\nlambda = 0.5\n"
 
 
@@ -146,10 +160,12 @@ class TestConditionsBetweenValues:
 
 class TestUnknownKeys:
     def test_unknown_option_is_line_anchored(self, tmp_path):
-        for option in ("multistrat = 2", "use_bb_step = false", "start_mean = 1.0"):
-            msg = _parse_error(tmp_path, BASE_CFG + f"\n[solver]\nmultistart = 3\n{option}\n")
-            name = option.split()[0]
-            assert "c.cfg:10:" in msg and f"[solver] {name}" in msg and "unknown option" in msg
+        # the whitespace inside a header's brackets is not part of the name
+        for header in ("[solver]", "[ solver ]"):
+            for option in ("multistrat = 2", "use_bb_step = false", "start_mean = 1.0"):
+                msg = _parse_error(tmp_path, BASE_CFG + f"\n{header}\nmultistart = 3\n{option}\n")
+                name = option.split()[0]
+                assert "c.cfg:10:" in msg and f"[solver] {name}" in msg and "unknown option" in msg
 
     def test_unknown_option_in_known_section(self, tmp_path):
         msg = _parse_error(tmp_path, BASE_CFG.replace("sizes = 64", "sizes = 64\nsize = 32"))

@@ -49,6 +49,8 @@ def test_cli_import_leaves_verify_unloaded():
     assert "'doublephase.cli'" in loaded and "'doublephase.verify'" not in loaded
     # only verify and sweep write CSV
     assert "'csv'" not in loaded
+    # config reads its own format
+    assert "'configparser'" not in loaded
 
 
 def _readme_section(title):
