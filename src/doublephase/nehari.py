@@ -425,7 +425,6 @@ class Thresholds(NamedTuple):
     lambda_star_star: float
     lambda_bar: float
     star_clamped: bool
-    star_star_degenerate: bool
     constants: ConstantsEstimate
 
     def to_dict(self):
@@ -457,6 +456,5 @@ def thresholds(P: ProblemInstance, consts: ConstantsEstimate) -> Thresholds:
         lambda_star_star=lam_ss,
         lambda_bar=min(lam_s, lam_ss),
         star_clamped=clamped,
-        star_star_degenerate=lam_ss == 0.0,
         constants=consts,
     )

@@ -423,7 +423,6 @@ class TestThresholds:
         assert thr.lambda_star == 0.0
         assert thr.star_clamped
         assert thr.lambda_bar == 0.0
-        assert not thr.star_star_degenerate
 
     def test_lambda_star_positive_for_large_weight(self):
         P = make_reference_instance(lam=0.1, mu=10.0)

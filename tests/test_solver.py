@@ -657,9 +657,9 @@ def test_record_serialisations_are_pinned():
     consts_dict = {"c_poincare": 0.25, "D_embed": 1.5, "c1_embed": 2.0, "r_q": 2.0, "trials": 100, "seed": 7}
     assert consts.to_dict() == consts_dict
     thr = dp.Thresholds(lambda_star=0.0, lambda_star_star=0.125, lambda_bar=0.0, star_clamped=True,
-                        star_star_degenerate=False, constants=consts)
+                        constants=consts)
     assert thr.to_dict() == {"lambda_star": 0.0, "lambda_star_star": 0.125, "lambda_bar": 0.0,
-                             "star_clamped": True, "star_star_degenerate": False, "constants": consts_dict}
+                             "star_clamped": True, "constants": consts_dict}
     row = dp.SweepRow(lam=0.5, theta_plus_estimate=-0.25, theta_minus_estimate=1.5, n_plus_found=3,
                       n_minus_found=64, lambda_star=0.0, lambda_star_star=0.125)
     assert row.to_csv_row() == [0.5, -0.25, 1.5, 3, 64, 0.0, 0.125]
