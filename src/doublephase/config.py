@@ -14,9 +14,10 @@ Field specs (exponents, weight, source amplitude) are strings:
     fourier 2.5  0 1 0.0 0.3  [axis k cos_amp sin_amp ...]
     file PATH                        (grid field file)
 
-Fourier terms use the axis period, so specs built from them are smooth and
-periodic. The metric spec is "identity", "constant g11 [g12 g22 ...]"
-(upper triangle), or "file PATH" for a per-node table.
+Fourier terms take whole wave numbers k of the axis period, so specs built
+from them are smooth and periodic. The metric spec is "identity",
+"constant g11 [g12 g22 ...]" (upper triangle), or "file PATH" for a
+per-node table.
 """
 
 from __future__ import annotations
@@ -152,6 +153,8 @@ def field_from_spec(spec: str, chart: Chart) -> ScalarField:
             sin_amp = float(vals[i + 3])
             if not 0 <= axis < chart.dim:
                 raise ConfigError(f"'fourier' axis {axis} out of range in {spec!r}")
+            if not k.is_integer():
+                raise ConfigError(f"'fourier' k {vals[i + 1]} is not an integer in {spec!r}")
             phase = 2.0 * math.pi * k * coords[axis] / lengths[axis]
             out = out + cos_amp * np.cos(phase) + sin_amp * np.sin(phase)
         return chart.field(out)

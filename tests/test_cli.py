@@ -458,6 +458,7 @@ class TestConfigErrors:
             ("metric = identity", "metric = constant nan", "non-finite"),
             ("metric = identity", "metric = constantly 2.0", "unknown metric spec"),
             ("p = constant 3.0", "p = constant x", "could not convert"),
+            ("p = constant 3.0", "p = fourier 3.0 0 1.5 0.0 0.3", "'fourier' k 1.5 is not an integer"),
             # values are literal: a "%" is part of the value
             ("p = constant 3.0", "p = file data/50%.field", "data/50%.field: No such file"),
             ("mu = constant 1.0", "mu = constant %(x)s", "could not convert string to float: '%(x)s'"),

@@ -45,6 +45,14 @@ class TestFieldSpecs:
         _, yy = chart.coords()
         assert np.allclose(f.values, np.cos(4 * np.pi * yy / chart.lengths[1]))
 
+    def test_fourier_k_is_a_whole_wave_number(self, chart):
+        # a whole k keeps the field periodic; any other k jumps at the wrap
+        f = field_from_spec("fourier 2.0  0 2.0 0.25 0.5", chart)
+        assert np.array_equal(f.values, field_from_spec("fourier 2.0  0 2 0.25 0.5", chart).values)
+        for k in ("1.5", "-0.25", "nan", "inf"):
+            with pytest.raises(ConfigError, match=f"'fourier' k {k} is not an integer"):
+                field_from_spec(f"fourier 3.0  0 {k} 0.0 0.3", chart)
+
     def test_bad_specs_rejected(self, chart):
         for spec in ("", "constant", "affine 1.0", "fourier 1.0 0 1 0.1", "wavelet 1"):
             with pytest.raises(ConfigError):
